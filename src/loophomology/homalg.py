@@ -2,13 +2,18 @@
 and homology via Smith normal form.
 
 All matrices carry exact integer entries; the coefficient ring only enters
-when homology is extracted (Smith normal form over Z, fraction-free rank
-over Q, modular rank over F_p).  Everything is deterministic: bases are
-ordered lists and every reduction uses a fixed pivot rule.
+when homology is extracted.  One sparse elimination core pivots on units
+(+-1 over Z, any nonzero entry mod p): it computes ranks over F_p outright,
+and over Z it splits off the unit invariant factors before a general Smith
+normal form loop handles what is left.  Q reads its rank off the Z
+reduction, and each differential is reduced at most once per slice and
+characteristic.  Everything is deterministic: bases are ordered lists and
+every reduction uses a fixed pivot rule.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from math import gcd
 
@@ -191,12 +196,6 @@ class SparseIntMatrix:
     def column(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
-    def rows_as_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def cols_as_dicts(self):
         cols = [dict() for _ in range(self.ncols)]
         for (i, j), v in self.entries.items():
@@ -206,20 +205,6 @@ class SparseIntMatrix:
     @property
     def nnz(self):
         return len(self.entries)
-
-    def to_scipy(self):
-        from scipy.sparse import coo_matrix
-
-        if not self.entries:
-            return coo_matrix((self.nrows, self.ncols), dtype="int64").tocsr()
-        if max(abs(v) for v in self.entries.values()) >= 2**31:
-            # differentials carry tiny coefficients; anything larger must not
-            # silently wrap in the int64 product
-            raise ValueError("matrix entries too large for the int64 fast path")
-        rows, cols, data = zip(*((i, j, v) for (i, j), v in self.entries.items()))
-        return coo_matrix(
-            (data, (rows, cols)), shape=(self.nrows, self.ncols), dtype="int64"
-        ).tocsr()
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -237,24 +222,83 @@ def _nearest_quotient(a, v):
     return q
 
 
-def smith_normal_form(matrix):
-    """Invariant factors and rank of an integer matrix.
+def _row_dicts(matrix, p=None):
+    """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p."""
+    if isinstance(matrix, SparseIntMatrix):
+        pairs = ((i, j, v) for (i, j), v in matrix.entries.items())
+    else:
+        pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
+    rows = {}
+    for i, j, v in pairs:
+        if p is not None:
+            v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
+    return rows
 
-    Accepts a SparseIntMatrix or a list of dense rows.  Returns
-    ``(factors, rank)`` where factors is the full divisibility chain
-    d1 | d2 | ... | d_rank (units included, all positive).
+
+def _eliminate_units(rows, p=None):
+    """Pivot on units until none is left; returns the number of pivots.
+
+    Units are +-1 over Z (p None) and every nonzero entry mod p.  The
+    shortest live row goes first, and within it the unit whose column has
+    the fewest entries (ties by index).  Each pivot clears its column from
+    the other rows, then its row and column are dropped: over Z this splits
+    off an invariant factor 1, so ``rows`` is left holding a matrix with
+    the remaining invariant factors.  Rows are reduced in place.
+    """
+    col_index = {}
+    for i, r in rows.items():
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue  # stale: the row was dropped or re-queued with a new length
+        units = [j for j, v in prow.items() if p is not None or v in (1, -1)]
+        if not units:
+            continue  # re-queued if a later pivot changes the row
+        pj = min(units, key=lambda j: (len(col_index[j]), j))
+        # +-1 is its own inverse over Z
+        inv = prow[pj] if p is None else pow(prow[pj], -1, p)
+        for i in col_index[pj] - {pi}:
+            row = rows[i]
+            q = row[pj] * inv
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if p is not None:
+                    w %= p
+                if w:
+                    if j not in row:
+                        col_index[j].add(i)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    col_index[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                del rows[i]
+        for j in prow:
+            col_index[j].discard(pi)
+            if not col_index[j]:
+                del col_index[j]
+        del rows[pi]
+        pivots += 1
+    return pivots
+
+
+def _snf_rows(rows):
+    """Invariant factors and rank of the matrix held in ``rows``.
 
     Pivots are chosen by minimal absolute value, then minimal fill, so the
-    reduction is deterministic and coefficient growth stays tame.
+    reduction is deterministic and coefficient growth stays tame.  Consumes
+    ``rows``.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        rows = {i: {} for i in range(matrix.nrows)}
-        for (i, j), v in matrix.entries.items():
-            rows[i][j] = v
-    else:
-        rows = {
-            i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix)
-        }
     rows = {i: r for i, r in rows.items() if r}
     col_index = {}
     for i, r in rows.items():
@@ -338,88 +382,24 @@ def smith_normal_form(matrix):
     return factors, len(factors)
 
 
-def rank_mod_p(matrix, p):
-    """Rank over F_p by sparse Gaussian elimination."""
-    if isinstance(matrix, SparseIntMatrix):
-        rows = [
-            {j: v % p for j, v in row.items() if v % p}
-            for row in matrix.rows_as_dicts()
-        ]
-    else:
-        rows = [
-            {j: v % p for j, v in enumerate(row) if v % p} for row in matrix
-        ]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        # Shortest row first limits fill.
-        rows.sort(key=len)
-        pivot_row = rows.pop(0)
-        rank += 1
-        j = min(pivot_row)
-        inv = pow(pivot_row[j], -1, p)
-        pivot_row = {jj: (v * inv) % p for jj, v in pivot_row.items()}
-        reduced = []
-        for r in rows:
-            c = r.get(j)
-            if c:
-                r = {
-                    jj: w
-                    for jj in set(r) | set(pivot_row)
-                    if (w := (r.get(jj, 0) - c * pivot_row.get(jj, 0)) % p)
-                }
-            if r:
-                reduced.append(r)
-        rows = reduced
-    return rank
 
+def smith_normal_form(matrix):
+    """Invariant factors and rank of an integer matrix.
 
-def rank_over_q(matrix):
-    """Rank over Q by fraction-free sparse elimination.
-
-    Rows are cross-multiplied exactly and re-normalized by their gcd; row
-    scaling never changes the rank, so the result is exact.
+    Accepts a SparseIntMatrix or a list of dense rows.  Returns
+    ``(factors, rank)`` where factors is the full divisibility chain
+    d1 | d2 | ... | d_rank (units included, all positive).  Unit pivots
+    come off first; the rest goes through the general pivot loop.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        rows = [dict(r) for r in matrix.rows_as_dicts()]
-    else:
-        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    rows = [_gcd_normalized(r) for r in rows if r]
-    rank = 0
-    while rows:
-        pivot_idx = min(
-            range(len(rows)),
-            key=lambda i: (len(rows[i]), min(abs(v) for v in rows[i].values()), i),
-        )
-        pivot_row = rows.pop(pivot_idx)
-        rank += 1
-        j = min(pivot_row, key=lambda jj: (abs(pivot_row[jj]), jj))
-        pv = pivot_row[j]
-        reduced = []
-        for r in rows:
-            c = r.get(j)
-            if c:
-                r = {
-                    jj: w
-                    for jj in set(r) | set(pivot_row)
-                    if jj != j and (w := pv * r.get(jj, 0) - c * pivot_row.get(jj, 0))
-                }
-                r = _gcd_normalized(r)
-            if r:
-                reduced.append(r)
-        rows = reduced
-    return rank
+    rows = _row_dicts(matrix)
+    pivots = _eliminate_units(rows)
+    factors, rank = _snf_rows(rows)
+    return [1] * pivots + factors, pivots + rank
 
 
-def _gcd_normalized(row):
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return {j: v // g for j, v in row.items()}
+def rank_mod_p(matrix, p):
+    """Rank over F_p: every nonzero entry is a unit, so the core does it all."""
+    return _eliminate_units(_row_dicts(matrix, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +421,8 @@ class ComplexSlice:
         }
         self.diffs = dict(diffs)
         self.truncated_at = truncated_at
+        # (degree, p) -> (invariant factors, rank) of d_n; p is None over Z and Q
+        self.reductions = {}
         for n, mat in self.diffs.items():
             expect_rows = len(self.bases.get(n - 1, ()))
             expect_cols = len(self.bases.get(n, ()))
@@ -465,7 +447,8 @@ def check_d_squared(sl):
     """Generators whose image under d fails to die under the next d.
 
     Returns a list of (degree, generator) pairs; empty means every stored
-    composite d_{n-1} d_n vanishes identically.
+    composite d_{n-1} d_n vanishes identically.  Exact for entries of any
+    size.
     """
     bad = []
     for n in sl.degrees():
@@ -473,13 +456,14 @@ def check_d_squared(sl):
         dprev = sl.diffs.get(n - 1)
         if dn is None or dprev is None:
             continue
-        if dn.ncols == 0 or dprev.nrows == 0 or dn.nnz == 0 or dprev.nnz == 0:
-            continue
-        product = dprev.to_scipy() @ dn.to_scipy()
-        product.eliminate_zeros()
-        if product.nnz:
-            cols = sorted({int(j) for j in product.tocoo().col})
-            bad.extend((n, sl.bases[n][j]) for j in cols)
+        prev_cols = dprev.cols_as_dicts()
+        for j, col in enumerate(dn.cols_as_dicts()):
+            image = {}
+            for i, c in col.items():
+                for k, v in prev_cols[i].items():
+                    image[k] = image.get(k, 0) + c * v
+            if any(image.values()):
+                bad.append((n, sl.bases[n][j]))
     return bad
 
 
@@ -519,30 +503,34 @@ class HomologyEntry:
         return f"H_{self.degree} = {self.group_text()}"
 
 
+def _reduction(sl, n, p):
+    """(invariant factors, rank) of d_n over Z (p None) or F_p, memoized."""
+    key = (n, p)
+    if key not in sl.reductions:
+        d = sl.differential(n)
+        if not d.nnz:
+            sl.reductions[key] = ([], 0)
+        elif p is None:
+            sl.reductions[key] = smith_normal_form(d)
+        else:
+            sl.reductions[key] = ([], rank_mod_p(d, p))
+    return sl.reductions[key]
+
+
 def homology_of_slice(sl, degree, ring=ZZ):
     """Homology of the slice in one degree over the requested ring.
 
     Over Z the result is the free rank together with the invariant factors
-    exceeding 1; over a field only the dimension is reported.
+    exceeding 1; over a field only the dimension is reported.  Q shares the
+    Z reduction, whose rank is the rank over Q.
     """
     gens = sl.bases.get(degree, ())
     if not gens:
         return HomologyEntry(degree, 0)
-    d_in = sl.differential(degree + 1)
-    d_out = sl.differential(degree)
-    if ring.kind == "Z":
-        _, rank_out = smith_normal_form(d_out)
-        factors_in, rank_in = smith_normal_form(d_in)
-        free = len(gens) - rank_out - rank_in
-        torsion = tuple(d for d in factors_in if d > 1)
-        return HomologyEntry(degree, free, torsion)
-    if ring.kind == "Q":
-        rank_out = rank_over_q(d_out)
-        rank_in = rank_over_q(d_in)
-    else:
-        rank_out = rank_mod_p(d_out, ring.p)
-        rank_in = rank_mod_p(d_in, ring.p)
-    return HomologyEntry(degree, len(gens) - rank_out - rank_in)
+    factors_in, rank_in = _reduction(sl, degree + 1, ring.p)
+    _, rank_out = _reduction(sl, degree, ring.p)
+    torsion = [d for d in factors_in if d > 1] if ring.kind == "Z" else ()
+    return HomologyEntry(degree, len(gens) - rank_out - rank_in, torsion)
 
 
 class HomologySummary:

@@ -492,9 +492,14 @@ def presentation_from_json(text, source="<json>"):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SimplicialError(f"{source}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SimplicialError(f"{source}: top level must be an object")
     for k in ("name", "basepoint", "simplices", "faces"):
         if k not in data:
             raise SimplicialError(f"{source}: missing top-level field {k!r}")
+    for k in ("simplices", "faces"):
+        if not isinstance(data[k], dict):
+            raise SimplicialError(f"{source}: {k} must be an object")
     simplices = {}
     for dim_text, ids in data["simplices"].items():
         try:
@@ -523,9 +528,15 @@ def presentation_from_json(text, source="<json>"):
                 f"got {len(records) if isinstance(records, list) else records!r}"
             )
         for i, rec in enumerate(records):
-            if not isinstance(rec, dict) or "base" not in rec:
+            if not isinstance(rec, dict) or not isinstance(rec.get("base"), str):
                 raise SimplicialError(f"{source}: {s!r} face {i}: bad record {rec!r}")
-            word = tuple(rec.get("deg", ()))
+            word = rec.get("deg", [])
+            if not isinstance(word, list) or any(type(j) is not int for j in word):
+                raise SimplicialError(
+                    f"{source}: {s!r} face {i}: degeneracy word {word!r} must be "
+                    f"a list of integers"
+                )
+            word = tuple(word)
             if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
                 raise SimplicialError(
                     f"{source}: {s!r} face {i}: degeneracy word {list(word)} is not "

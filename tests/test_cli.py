@@ -59,6 +59,29 @@ def test_load_rejects_invalid_presentation(tmp_path):
     assert "invalid presentation" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("faces", "e", 0, "deg"), ["z"]),
+        (("faces", "e", 0, "deg"), 5),
+        (("simplices",), []),
+        (("faces",), []),
+    ],
+    ids=["deg-letter", "deg-number", "simplices-list", "faces-list"],
+)
+def test_main_rejects_malformed_json(tmp_path, capsys, path, value):
+    bad = json.loads(json.dumps(INTERVAL))
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    space = tmp_path / "bad.json"
+    space.write_text(json.dumps(bad), encoding="utf-8")
+    assert main(["homology", "--space", str(space)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_load_unknown_name():
     with pytest.raises(SimplicialError):
         load_space("nosuch")
@@ -223,6 +246,22 @@ def test_cli_byte_identical_across_processes():
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
+
+
+def test_verify_never_imports_scipy():
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from loophomology.cli import main\n"
+        "code = main(['verify', '--space', 'collapsed-delta3', '--max-degree', '3'])\n"
+        "if 'scipy' in sys.modules:\n"
+        "    sys.exit('scipy was imported')\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_json_output_roundtrip(capsys):

@@ -11,16 +11,19 @@ from loophomology.homalg import (
     IncompleteSliceError,
     SparseIntMatrix,
     ZZ,
+    _row_dicts,
+    _snf_rows,
     check_d_squared,
     homology_of_slice,
     parse_ring,
     prime_field,
     rank_mod_p,
-    rank_over_q,
     smith_normal_form,
 )
-from loophomology.simplicial import builtin_space, chains_slice
+from loophomology import homalg
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space, chains_slice
 from loophomology.loopcomplex import cohoch_slice
+from loophomology.verify import build_complex_slice, supported_complexes
 
 
 def test_parse_ring():
@@ -86,6 +89,8 @@ def test_smith_against_minor_gcds():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         factors, rank = smith_normal_form(rows)
+        # the unit pass must not change what the general pivot loop finds
+        assert (factors, rank) == _snf_rows(_row_dicts(rows))
         gcds = _minor_gcds(rows, n)
         # rank = largest k with a nonzero k x k minor
         expected_rank = max((k for k, g in enumerate(gcds, 1) if g), default=0)
@@ -98,17 +103,74 @@ def test_smith_against_minor_gcds():
             assert b % a == 0
 
 
+def _assert_reductions_agree(matrix):
+    # Oracles: the general pivot loop on the whole matrix for the invariant
+    # factors, and universal coefficients for the ranks mod p.
+    factors, rank = smith_normal_form(matrix)
+    assert (factors, rank) == _snf_rows(_row_dicts(matrix))
+    for p in (2, 3, 5):
+        assert rank_mod_p(matrix, p) == sum(1 for d in factors if d % p)
+    return factors
+
+
 def test_rank_functions_agree_with_smith():
     rng = random.Random(11)
     for _ in range(30):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        _, rank = smith_normal_form(rows)
-        assert rank_over_q(rows) == rank
+        _assert_reductions_agree(
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        )
+    # Sparse matrices with many units, like differentials, so that unit
+    # pivots interleave with the general loop.
+    values = [0] * 8 + [1, -1, 1, -1, 2, -2, 3, 4, 6]
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        n = rng.randint(1, 9)
+        _assert_reductions_agree(
+            [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        )
     assert rank_mod_p([[2]], 2) == 0
     assert rank_mod_p([[2]], 3) == 1
     assert rank_mod_p([[2, 4], [1, 2]], 5) == 1
+
+
+def test_reductions_agree_on_builtin_differentials():
+    torsion = 0
+    for name in BUILTIN_NAMES:
+        X = builtin_space(name)
+        for complex_name in supported_complexes(X):
+            sl = build_complex_slice(X, complex_name, 4, max_word_length=2)
+            for d in sl.diffs.values():
+                torsion += any(f > 1 for f in _assert_reductions_agree(d))
+    assert torsion  # the general loop after the unit pass is exercised
+
+
+def test_homology_reduces_each_differential_once(monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(matrix, *args):
+            key = (name, id(matrix)) + args
+            calls[key] = calls.get(key, 0) + 1
+            return fn(matrix, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        homalg, "smith_normal_form", counted("Z", homalg.smith_normal_form)
+    )
+    monkeypatch.setattr(homalg, "rank_mod_p", counted("F", homalg.rank_mod_p))
+    sl = cohoch_slice(builtin_space("collapsed-delta3"), 5)
+    top = 4
+    for ring in ("Z", "Q", "F2", "F3"):
+        for n in range(top + 1):
+            homology_of_slice(sl, n, parse_ring(ring))
+    nonzero = [id(d) for n, d in sl.diffs.items() if d.nnz and n <= top + 1]
+    assert nonzero
+    expected = {("Z", i): 1 for i in nonzero}
+    expected.update({("F", i, p): 1 for i in nonzero for p in (2, 3)})
+    assert calls == expected
 
 
 def test_homology_examples():
@@ -131,7 +193,8 @@ def test_homology_field_rings():
     times_two = ComplexSlice(
         {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, 1, {(0, 0): 2})}
     )
-    assert homology_of_slice(times_two, 0, parse_ring("Q")).free_rank == 0
+    # Q shares the Z reduction but reports no torsion
+    assert homology_of_slice(times_two, 0, parse_ring("Q")) == HomologyEntry(0, 0)
     assert homology_of_slice(times_two, 0, parse_ring("F2")).free_rank == 1
     assert homology_of_slice(times_two, 1, parse_ring("F2")).free_rank == 1
 
