@@ -587,17 +587,25 @@ def contraction_s_chain(space, chain, ring=ZZ):
 # The chain-map sweep that pins the chi sign
 
 
-def chi_chain_map_mismatches(space, variant, max_degree):
+def chi_chain_map_mismatches(space, variants, max_degree):
     """Generators of Hoch(cobar) on which phi fails to commute with the
-    differentials under the given chi reading."""
+    differentials, as ``{variant: [generator, ...]}`` in basis order for
+    each chi reading in ``variants``.  One walk serves every reading: the
+    readings differ only in phi's signs, so each Hochschild differential
+    is taken once per generator and each free-loop one once per key."""
     algebra = CobarAlgebra(space)
-    bad = []
+    bad = {v: [] for v in variants}
+    loop_d = {}
     for n in range(max_degree + 1):
         for gen in hochschild_basis(algebra, n):
-            lhs = phi_chain(space, hochschild_differential(algebra, gen), variant=variant)
-            rhs = Chain(ZZ)
-            for key, c in phi(space, gen, variant=variant).terms.items():
-                rhs.add_chain(cohoch_differential(space, key), c)
-            if lhs != rhs:
-                bad.append(gen)
+            dgen = hochschild_differential(algebra, gen)
+            for v in variants:
+                lhs = phi_chain(space, dgen, variant=v)
+                rhs = Chain(ZZ)
+                for key, c in phi(space, gen, variant=v).terms.items():
+                    if key not in loop_d:
+                        loop_d[key] = cohoch_differential(space, key)
+                    rhs.add_chain(loop_d[key], c)
+                if lhs != rhs:
+                    bad[v].append(gen)
     return bad

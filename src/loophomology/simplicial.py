@@ -291,12 +291,16 @@ def validate(X):
     violations = []
     if X.basepoint not in X.simplices.get(0, ()):
         violations.append(f"basepoint {X.basepoint!r} is not a declared 0-simplex")
+    with_faces = {s for s, _ in X.faces}
     for d, ids in sorted(X.simplices.items()):
         if d < 0:
             violations.append(f"negative dimension {d}")
             continue
         for s in ids:
             if d == 0:
+                continue
+            if s not in with_faces:
+                violations.append(f"{s}: missing all {d + 1} faces")
                 continue
             for i in range(d + 1):
                 entry = X.faces.get((s, i))
@@ -543,4 +547,9 @@ def presentation_from_json(text, source="<json>"):
                     f"strictly decreasing"
                 )
             faces[(s, i)] = FormalSimplex(word, rec["base"])
+    for s, d in dims.items():
+        if d >= 1 and s not in data["faces"]:
+            raise SimplicialError(
+                f"{source}: {s!r} needs exactly {d + 1} face records, got none"
+            )
     return SimplicialSetPresentation(data["name"], data["basepoint"], simplices, faces)

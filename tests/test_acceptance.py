@@ -181,7 +181,9 @@ def test_criterion_7_hochschild_vs_cohochschild():
         ok = ok and [e.free_rank for e in hoch.entries] == [
             e.free_rank for e in coho.entries
         ]
-    mismatches = chi_chain_map_mismatches(builtin_space("sphere2"), "rotation", 5)
+    mismatches = chi_chain_map_mismatches(builtin_space("sphere2"), ("rotation",), 5)[
+        "rotation"
+    ]
     ok = ok and mismatches == []
     report = run_verify("sphere2", 2)
     recorded = "chi exponent reading: rotation" in report.to_text()

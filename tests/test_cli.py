@@ -59,27 +59,57 @@ def test_load_rejects_invalid_presentation(tmp_path):
     assert "invalid presentation" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("faces", "e", 0, "deg"), ["z"]),
-        (("faces", "e", 0, "deg"), 5),
-        (("simplices",), []),
-        (("faces",), []),
-    ],
-    ids=["deg-letter", "deg-number", "simplices-list", "faces-list"],
-)
-def test_main_rejects_malformed_json(tmp_path, capsys, path, value):
+def _replaced(path, value):
     bad = json.loads(json.dumps(INTERVAL))
     target = bad
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    return bad
+
+
+FUZZ_FIELDS = [(k,) for k in INTERVAL] + [("faces", "e", 0, k) for k in ("deg", "base")]
+FUZZ_JUNK = [None, 0, -1, True, 1.5, "", "zz", [], {}, [None], ["z"], 10**6]
+MUST_REJECT = {
+    "deg-letter": (("faces", "e", 0, "deg"), ["z"]),
+    "deg-number": (("faces", "e", 0, "deg"), 5),
+    "simplices-list": (("simplices",), []),
+    "faces-list": (("faces",), []),
+}
+HUGE_DIMENSION = {
+    "name": "huge",
+    "basepoint": "a",
+    "simplices": {"0": ["a"], "1000000": ["q"]},
+    "faces": {},
+}
+
+
+@pytest.mark.parametrize(
+    "bad, must_reject",
+    [
+        pytest.param(_replaced(path, value), True, id=name)
+        for name, (path, value) in MUST_REJECT.items()
+    ]
+    + [
+        pytest.param(_replaced(path, value), False, id=f"{path[-1]}={value!r}")
+        for path in FUZZ_FIELDS
+        for value in FUZZ_JUNK
+        if (path, value) not in MUST_REJECT.values()
+    ]
+    + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")],
+)
+def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
+    """Malformed input either loads or ends with one error line, never a traceback."""
     space = tmp_path / "bad.json"
     space.write_text(json.dumps(bad), encoding="utf-8")
-    assert main(["homology", "--space", str(space)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for command in ("homology", "verify"):
+        code = main([command, "--space", str(space), "--max-degree", "2"])
+        err = capsys.readouterr().err
+        if must_reject or code != EXIT_OK:
+            assert code == EXIT_INPUT
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 def test_load_unknown_name():

@@ -176,3 +176,13 @@ def test_hat_basis_degrees_and_basedness():
 def test_cobar_slice_requires_cap_for_loops():
     with pytest.raises(SimplicialError):
         cobar_slice(adjoin_inverses(builtin_space("circle")), 2)
+
+
+def test_based_loops_of_collapsed_delta3():
+    # collapsed-delta3 realizes S^2 v S^2 v S^2, whose based loop space has
+    # the tensor algebra on three degree-1 classes: free rank 3^n, no torsion
+    from loophomology.homalg import HomologyEntry, homology_of_slice
+
+    sl = cobar_slice(builtin_space("collapsed-delta3"), 6)
+    for n in range(6):
+        assert homology_of_slice(sl, n) == HomologyEntry(n, 3**n)

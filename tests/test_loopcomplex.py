@@ -5,7 +5,9 @@ import pytest
 from loophomology.homalg import Chain, ZZ, check_d_squared
 from loophomology.simplicial import SimplicialError, adjoin_inverses, builtin_space
 from loophomology.cobar import CobarAlgebra, hochschild_basis
+from loophomology import loopcomplex as loop_mod
 from loophomology.loopcomplex import (
+    CHI_VARIANTS,
     chi,
     chi_chain_map_mismatches,
     cohoch_basis,
@@ -19,6 +21,7 @@ from loophomology.loopcomplex import (
     necklical_differential,
     necklical_face,
     phi,
+    phi_chain,
 )
 
 S2 = builtin_space("sphere2")
@@ -215,14 +218,74 @@ def test_phi_examples():
 
 def test_phi_chain_map_on_spheres():
     for name in ("sphere2", "sphere3"):
-        assert chi_chain_map_mismatches(builtin_space(name), "rotation", 6) == []
+        bad = chi_chain_map_mismatches(builtin_space(name), ("rotation",), 6)
+        assert bad["rotation"] == []
 
 
 def test_chi_index_readings_fail_on_mixed_parities():
     CD = builtin_space("collapsed-delta3")
-    assert chi_chain_map_mismatches(CD, "rotation", 4) == []
-    assert chi_chain_map_mismatches(CD, "index-low", 4)
-    assert chi_chain_map_mismatches(CD, "index-high", 4)
+    bad = chi_chain_map_mismatches(CD, CHI_VARIANTS, 4)
+    assert bad["rotation"] == []
+    assert bad["index-low"]
+    assert bad["index-high"]
+
+
+def _reference_mismatches(space, variant, max_degree):
+    """One walk per chi reading: the reference the shared walk must match."""
+    algebra = CobarAlgebra(space)
+    bad = []
+    for n in range(max_degree + 1):
+        for gen in hochschild_basis(algebra, n):
+            lhs = phi_chain(space, hochschild_differential(algebra, gen), variant=variant)
+            rhs = Chain(ZZ)
+            for key, c in phi(space, gen, variant=variant).terms.items():
+                rhs.add_chain(cohoch_differential(space, key), c)
+            if lhs != rhs:
+                bad.append(gen)
+    return bad
+
+
+# sphere2 reaches a generator with three bar letters in degree 6
+CHI_WALKS = [("collapsed-delta3", 4), ("sphere2", 6)]
+
+
+@pytest.mark.parametrize("name, max_degree", CHI_WALKS)
+def test_chi_walk_matches_one_reading_reference(name, max_degree):
+    X = builtin_space(name)
+    walk = chi_chain_map_mismatches(X, CHI_VARIANTS, max_degree)
+    assert list(walk) == list(CHI_VARIANTS)
+    for variant in CHI_VARIANTS:
+        assert walk[variant] == _reference_mismatches(X, variant, max_degree)
+
+
+@pytest.mark.parametrize("name, max_degree", CHI_WALKS)
+def test_chi_walk_takes_each_differential_once(monkeypatch, name, max_degree):
+    hoch_calls = {}
+    loop_calls = {}
+
+    def counted(calls, fn):
+        def wrapper(space, gen, *args, **kwargs):
+            calls[gen] = calls.get(gen, 0) + 1
+            return fn(space, gen, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        loop_mod,
+        "hochschild_differential",
+        counted(hoch_calls, loop_mod.hochschild_differential),
+    )
+    monkeypatch.setattr(
+        loop_mod, "cohoch_differential", counted(loop_calls, loop_mod.cohoch_differential)
+    )
+    X = builtin_space(name)
+    assert chi_chain_map_mismatches(X, CHI_VARIANTS, max_degree)["rotation"] == []
+    algebra = CobarAlgebra(X)
+    gens = [g for n in range(max_degree + 1) for g in hochschild_basis(algebra, n)]
+    keys = {key for g in gens for v in CHI_VARIANTS for key in phi(X, g, variant=v).terms}
+    assert keys
+    assert hoch_calls == {g: 1 for g in gens}
+    assert loop_calls == {k: 1 for k in keys}
 
 
 def test_eta_examples():
@@ -342,6 +405,23 @@ def test_free_loops_of_sphere3():
         entry = homology_of_slice(sl, n)
         expected = 1 if n == 0 or n >= 2 else 0
         assert entry.free_rank == expected and entry.torsion == ()
+
+
+def test_hochschild_and_cohoch_agree_on_collapsed_delta3():
+    # collapsed-delta3 realizes S^2 v S^2 v S^2; both free-loop models give
+    # the same integral homology, 2-torsion included
+    from loophomology.homalg import HomologyEntry, homology_of_slice
+
+    CD = builtin_space("collapsed-delta3")
+    expected = [
+        HomologyEntry(0, 1),
+        HomologyEntry(1, 3),
+        HomologyEntry(2, 6, (2, 2, 2)),
+        HomologyEntry(3, 14),
+        HomologyEntry(4, 32, (2, 2, 2)),
+    ]
+    for sl in (hochschild_slice(CD, 5), cohoch_slice(CD, 5)):
+        assert [homology_of_slice(sl, n) for n in range(5)] == expected
 
 
 def test_cohoch_slice_d_squared_and_truncation_label():

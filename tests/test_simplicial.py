@@ -233,6 +233,11 @@ def test_validate_missing_basepoint():
     assert any("basepoint" in v for v in validate(X))
 
 
+def test_validate_reports_faceless_simplex_once():
+    X = SimplicialSetPresentation("huge", "a", {0: ["a"], 10**6: ["q"]}, {})
+    assert validate(X) == ["q: missing all 1000001 faces"]
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(SimplicialError):
         SimplicialSetPresentation("dup", "v", {0: ["v"], 1: ["v"]}, {})
@@ -277,3 +282,9 @@ def test_json_rejects_missing_fields():
     )
     with pytest.raises(SimplicialError):
         presentation_from_json(wrong_count)
+    no_faces = INTERVAL_JSON.replace(
+        '"e": [{"deg": [], "base": "b"}, {"deg": [], "base": "a"}]', ""
+    )
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(no_faces)
+    assert "'e' needs exactly 2 face records, got none" in str(err.value)
