@@ -18,77 +18,28 @@ The bar construction of the resulting tensor algebra lives here too.
 from __future__ import annotations
 
 from .homalg import Chain, ComplexSlice, SparseIntMatrix, ZZ
-from .simplicial import (
-    OpExtension,
-    SimplicialError,
-    aw_coproduct,
-    endpoints,
-    face,
-    nondeg,
-)
+from .simplicial import OpExtension, SimplicialError
 
 Word = tuple  # tuple of letter ids
 BarWord = tuple  # tuple of Words
 
 
 # ---------------------------------------------------------------------------
-# Letter tables
+# Letters
 
 
-class _Alphabet:
-    """Per-space cache of everything the word calculus needs per letter."""
-
-    def __init__(self, space, hat):
-        if isinstance(space, OpExtension):
-            self.X = space.space
-            self.op_pairs = dict(space.op_pairs)
-        else:
-            self.X = space
-            self.op_pairs = {}
-        self.hat = hat
-        self.dim = {}
-        self.ends = {}
-        self.d_terms = {}
-        self.split_terms = {}
-        X = self.X
-        for d, ids in X.simplices.items():
-            if d < 1:
-                continue
-            for s in ids:
-                self.dim[s] = d
-                self.ends[s] = endpoints(X, nondeg(s))
-                self.d_terms[s] = self._letter_boundary(s, d)
-                self.split_terms[s] = tuple(
-                    ((-1) ** X.dim(f.base), f.base, b.base)
-                    for f, b in aw_coproduct(X, s, reduced=True)
-                )
-
-    def _letter_boundary(self, s, d):
-        lo, hi = (1, d - 1) if self.hat else (0, d)
-        terms = []
-        for i in range(lo, hi + 1):
-            f = face(self.X, nondeg(s), i)
-            if not f.is_degenerate and self.X.dim(f.base) >= 1:
-                terms.append(((-1) ** i, f.base))
-        return tuple(terms)
-
-
-def _alphabet(space, hat):
-    holder = space.space if isinstance(space, OpExtension) else space
-    key = ("_loophomology_alphabet", bool(hat))
-    cache = getattr(holder, "_alphabet_cache", None)
-    if cache is None:
-        cache = {}
-        holder._alphabet_cache = cache
-    if key not in cache:
-        cache[key] = _Alphabet(space, hat)
-    return cache[key]
+def _letters(space):
+    """The presentation whose simplices are the letters, and the inverse
+    pairs of its 1-simplex letters (none outside the inverted setting)."""
+    if isinstance(space, OpExtension):
+        return space.space, space.op_pairs
+    return space, {}
 
 
 def word_degree(space, w):
     """Degree of a cobar word: the sum of shifted letter dimensions."""
-    alpha = _alphabet(space, isinstance(space, OpExtension))
-    return sum(alpha.dim[a] - 1 for a in w)
+    dim = _letters(space)[0].table.dim
+    return sum(dim[a] - 1 for a in w)
 
 
 def format_word(w):
@@ -106,6 +57,8 @@ def reduce_word(w, op_pairs):
     op is an involution, so both orders (x, x~) and (x~, x) cancel; the
     stack pass yields the unique fully reduced word.
     """
+    if not op_pairs:
+        return tuple(w)
     out = []
     for a in w:
         if out and op_pairs.get(out[-1]) == a:
@@ -121,24 +74,13 @@ def reduce_word(w, op_pairs):
 
 def truncated_boundary_dA(space, letter, ring=ZZ):
     """Inner-face boundary of a letter: sum_{0<i<n} (-1)^i d_i, normalized."""
-    alpha = _alphabet(space, hat=True)
-    if letter not in alpha.dim:
+    table = _letters(space)[0].table
+    if table.dim.get(letter, 0) < 1:
         raise SimplicialError(f"{letter!r} is not a letter (dimension >= 1)")
     out = Chain(ring)
-    X = alpha.X
-    d = alpha.dim[letter]
-    for i in range(1, d):
-        f = face(X, nondeg(letter), i)
-        if not f.is_degenerate:
-            out.add(f.base, -1 if i % 2 else 1)
+    for c, f in table.inner_boundary[letter]:
+        out.add(f, c)
     return out
-
-
-def _letter_rule(alpha, a):
-    """d[a] as (coef, word) pairs: internal boundary plus coproduct splits."""
-    terms = [(-c, (b,)) for c, b in alpha.d_terms[a]]
-    terms.extend((c, (f, b)) for c, f, b in alpha.split_terms[a])
-    return terms
 
 
 def cobar_differential(space, w, ring=ZZ, hat=None):
@@ -150,26 +92,34 @@ def cobar_differential(space, w, ring=ZZ, hat=None):
     """
     if hat is None:
         hat = isinstance(space, OpExtension)
-    alpha = _alphabet(space, hat)
     out = Chain(ring)
-    for key, c in _cobar_diff_raw(alpha, tuple(w)).items():
+    for key, c in _cobar_diff_raw(space, tuple(w), hat).items():
         out.add(key, c)
     return out
 
 
-def _cobar_diff_raw(alpha, w):
+def _cobar_diff_raw(space, w, hat):
+    """d(w) as a raw {word: coefficient}: the single-letter rule, internal
+    boundary (vertex faces dropped) plus reduced coproduct splits, applied
+    letter by letter with Koszul signs."""
+    X, op_pairs = _letters(space)
+    dim = X.table.dim
+    faces_of = X.table.inner_boundary if hat else X.table.boundary
+    aw_pairs = X.table.aw_pairs
     terms = {}
     sign = 1
     for i, a in enumerate(w):
-        if a not in alpha.dim:
+        if dim.get(a, 0) < 1:
             raise SimplicialError(f"{a!r} is not in the reduced letter basis")
-        for c, piece in _letter_rule(alpha, a):
-            new = w[:i] + piece + w[i + 1 :]
-            if alpha.op_pairs:
-                new = reduce_word(new, alpha.op_pairs)
-            coef = sign * c
-            terms[new] = terms.get(new, 0) + coef
-        sign *= (-1) ** (alpha.dim[a] - 1)
+        head, tail = w[:i], w[i + 1 :]
+        for c, f in faces_of[a]:
+            if dim[f] >= 1:
+                new = reduce_word(head + (f,) + tail, op_pairs)
+                terms[new] = terms.get(new, 0) - sign * c
+        for f, b in aw_pairs[a][1:-1]:
+            new = reduce_word(head + (f, b) + tail, op_pairs)
+            terms[new] = terms.get(new, 0) + sign * (-1) ** dim[f]
+        sign *= (-1) ** (dim[a] - 1)
     return {k: v for k, v in terms.items() if v}
 
 
@@ -179,13 +129,13 @@ def _cobar_diff_raw(alpha, w):
 
 def cobar_basis(space, degree):
     """All cobar words of the given degree over a 1-reduced presentation."""
-    X = space.space if isinstance(space, OpExtension) else space
+    X = _letters(space)[0]
     if not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: cobar words without a length cap need a 1-reduced space"
         )
-    alpha = _alphabet(space, hat=isinstance(space, OpExtension))
-    letters = sorted(a for a in alpha.dim if alpha.dim[a] >= 2)
+    dim = X.table.dim
+    letters = sorted(a for a in dim if dim[a] >= 2)
     words = []
 
     def extend(prefix, remaining):
@@ -193,7 +143,7 @@ def cobar_basis(space, degree):
             words.append(tuple(prefix))
             return
         for a in letters:
-            da = alpha.dim[a] - 1
+            da = dim[a] - 1
             if da <= remaining:
                 prefix.append(a)
                 extend(prefix, remaining - da)
@@ -215,11 +165,13 @@ def words_between(space, start, end, degree, max_word_length):
     """
     if max_word_length < 1:
         raise SimplicialError("max_word_length must be >= 1")
-    alpha = _alphabet(space, hat=isinstance(space, OpExtension))
+    X, op_pairs = _letters(space)
+    table = X.table
     out_edges = {}
-    for a, d in alpha.dim.items():
-        lo, hi = alpha.ends[a]
-        out_edges.setdefault(lo, []).append((a, hi, d - 1))
+    for a, d in table.dim.items():
+        if d >= 1:
+            lo, hi = table.ends(a)
+            out_edges.setdefault(lo, []).append((a, hi, d - 1))
     for lst in out_edges.values():
         lst.sort()
     words = []
@@ -230,9 +182,7 @@ def words_between(space, start, end, degree, max_word_length):
         if len(prefix) == max_word_length:
             return
         for a, hi, da in out_edges.get(at, ()):
-            if da <= deg_left and not (
-                prefix and alpha.op_pairs.get(prefix[-1]) == a
-            ):
+            if da <= deg_left and not (prefix and op_pairs.get(prefix[-1]) == a):
                 prefix.append(a)
                 extend(prefix, hi, deg_left - da)
                 prefix.pop()
@@ -243,7 +193,7 @@ def words_between(space, start, end, degree, max_word_length):
 
 def hat_cobar_basis(space, degree, max_word_length):
     """Reduced words of one degree based at the basepoint, length capped."""
-    base = (space.space if isinstance(space, OpExtension) else space).basepoint
+    base = _letters(space)[0].basepoint
     return words_between(space, base, base, degree, max_word_length)
 
 
@@ -261,20 +211,17 @@ class CobarAlgebra:
     def __init__(self, space, hat=None):
         self.space = space
         self.hat = isinstance(space, OpExtension) if hat is None else hat
-        self.alpha = _alphabet(space, self.hat)
+        self.letters, self.op_pairs = _letters(space)
 
     def degree(self, w):
-        return sum(self.alpha.dim[a] - 1 for a in w)
+        return word_degree(self.space, w)
 
     def differential(self, w):
         """d(w) as a dict {word: coefficient}."""
-        return _cobar_diff_raw(self.alpha, tuple(w))
+        return _cobar_diff_raw(self.space, tuple(w), self.hat)
 
     def multiply(self, u, v):
-        w = tuple(u) + tuple(v)
-        if self.alpha.op_pairs:
-            w = reduce_word(w, self.alpha.op_pairs)
-        return w
+        return reduce_word(tuple(u) + tuple(v), self.op_pairs)
 
 
 def bar_degree(algebra, barword):
@@ -385,10 +332,9 @@ def cobar_slice(space, max_degree, max_word_length=None):
     else:
         seeds = {n: cobar_basis(space, n) for n in range(max_degree + 1)}
         truncated_at = None
-    alpha = _alphabet(space, hat)
 
     def diff(w):
-        return _cobar_diff_raw(alpha, w)
+        return _cobar_diff_raw(space, w, hat)
 
     return _close_and_build(seeds, diff, max_degree, truncated_at=truncated_at)
 
@@ -400,7 +346,7 @@ def hochschild_basis(algebra, degree, word_cap=None):
     bounds the total number of alphabet letters across the bar word and u,
     mirroring the cobar truncation.
     """
-    X = algebra.alpha.X
+    X = algebra.letters
     if word_cap is None and not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: Hochschild generators over the inverted algebra need a cap"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from .cobar import (
     CobarAlgebra,
-    _alphabet,
     _close_and_build,
     _cobar_diff_raw,
     bar_degree,
@@ -31,16 +30,11 @@ from .cobar import (
     format_word,
     hochschild_basis,
     reduce_word,
+    word_degree,
     words_between,
 )
 from .homalg import Chain, ZZ
-from .simplicial import (
-    OpExtension,
-    SimplicialError,
-    endpoints,
-    face,
-    nondeg,
-)
+from .simplicial import OpExtension, SimplicialError
 
 LoopGen = tuple  # (simplex id, word)
 
@@ -62,113 +56,13 @@ def format_loop_generator(gen):
 # Per-space machinery
 
 
-class _LoopSystem:
-    """Caches for one free-loop complex: the simplex part lives in X, the
-    word part in the letter alphabet (Z(X) when inverted, X itself else)."""
-
-    def __init__(self, space, hat):
-        self.space = space
-        self.hat = hat
-        if isinstance(space, OpExtension):
-            self.X = space.underlying
-        else:
-            self.X = space
-        self.alpha = _alphabet(space, hat)
-        self.op_pairs = self.alpha.op_pairs
-        self._fronts_backs = {}
-        self._x_boundary = {}
-        self._letter_splits = {}
-
-    def x_ends(self, x):
-        return endpoints(self.X, nondeg(x))
-
-    def fronts_backs(self, x):
-        """front_j and back_j of x for j = 0..p, as formal simplices."""
-        cached = self._fronts_backs.get(x)
-        if cached is not None:
-            return cached
-        p = self.X.dim(x)
-        fronts = [None] * (p + 1)
-        backs = [None] * (p + 1)
-        fronts[p] = backs[0] = nondeg(x)
-        for j in range(p, 0, -1):
-            fronts[j - 1] = face(self.X, fronts[j], j)
-        for j in range(1, p + 1):
-            backs[j] = face(self.X, backs[j - 1], 0)
-        self._fronts_backs[x] = (fronts, backs)
-        return fronts, backs
-
-    def x_boundary(self, x):
-        """Simplex-part boundary terms (coef, face id), normalized.
-
-        Inner faces only in the inverted setting (the outer faces reappear
-        as the i = 1 terms of the theta families); the full alternating sum
-        in the 1-reduced coalgebra setting.
-        """
-        cached = self._x_boundary.get(x)
-        if cached is None:
-            p = self.X.dim(x)
-            if p == 0:
-                self._x_boundary[x] = ()
-                return ()
-            lo, hi = (1, p - 1) if self.hat else (0, p)
-            cached = []
-            for i in range(lo, hi + 1):
-                f = face(self.X, nondeg(x), i)
-                if not f.is_degenerate:
-                    cached.append((-1 if i % 2 else 1, f.base))
-            self._x_boundary[x] = tuple(cached)
-        return self._x_boundary[x]
-
-    def letter_split(self, a, m):
-        """The m-th cubical split of a letter: (front id, back id), with
-        None marking a degenerate factor."""
-        key = (a, m)
-        cached = self._letter_splits.get(key)
-        if cached is None:
-            Z = self.alpha.X
-            d = Z.dim(a)
-            front = nondeg(a)
-            for j in range(d, m, -1):
-                front = face(Z, front, j)
-            back = nondeg(a)
-            for _ in range(m):
-                back = face(Z, back, 0)
-            cached = (
-                None if front.is_degenerate else front.base,
-                None if back.is_degenerate else back.base,
-            )
-            self._letter_splits[key] = cached
-        return cached
-
-    def reduce(self, w):
-        return reduce_word(w, self.op_pairs) if self.op_pairs else w
-
-    def word_degree(self, w):
-        return sum(self.alpha.dim[a] - 1 for a in w)
-
-    def is_valid(self, gen):
-        x, w = gen
-        if x not in self.X._dims:
-            return False
-        lo, hi = self.x_ends(x)
-        if not w:
-            return lo == hi
-        ends = [self.alpha.ends[a] for a in w]
-        if ends[0][0] != hi or ends[-1][1] != lo:
-            return False
-        return all(ends[k][1] == ends[k + 1][0] for k in range(len(w) - 1))
-
-
-def _loop_system(space, hat):
-    holder = space.space if isinstance(space, OpExtension) else space
-    cache = getattr(holder, "_loop_system_cache", None)
-    if cache is None:
-        cache = {}
-        holder._loop_system_cache = cache
-    if hat not in cache:
-        cache[hat] = _LoopSystem(space, hat)
-    return cache[hat]
+def _loop_parts(space):
+    """(X, table, op_pairs): the simplex slot lives in X, the word part in
+    the letters (Z(X) when inverted, X itself else).  The face table of the
+    letters covers the simplices of X too, since Z(X) only adds edges."""
+    if isinstance(space, OpExtension):
+        return space.underlying, space.space.table, space.op_pairs
+    return space, space.table, {}
 
 
 def _require_one_reduced(X, what):
@@ -196,8 +90,7 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
     with it the word length is capped at max_word_length (mandatory for
     spaces that are not 1-reduced, where degree components are infinite).
     """
-    sys = _loop_system(space, hat)
-    X = sys.X
+    X, table, _ = _loop_parts(space)
     if not hat:
         _require_one_reduced(X, "the plain free-loop complex")
     one_reduced = X.is_one_reduced()
@@ -212,7 +105,7 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
             continue
         q = degree - p
         for x in sorted(X.simplices[p]):
-            lo, hi = sys.x_ends(x)
+            lo, hi = table.ends(x)
             for w in words_between(space, hi, lo, q, cap):
                 gens.append((x, w))
     return sorted(gens, key=lambda g: (X.dim(g[0]), g[0], len(g[1]), g[1]))
@@ -222,26 +115,24 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
 # The coalgebra-formula differential
 
 
-def _theta_terms(sys, gen):
+def _theta_terms(table, op_pairs, p, gen):
     """theta_1 and theta_2 of (x, w) as raw {generator: coefficient}."""
     x, w = gen
-    p = sys.X.dim(x)
-    q = sys.word_degree(w)
-    eps = sum(sys.alpha.dim[a] for a in w) + len(w)
-    fronts, backs = sys.fronts_backs(x)
+    eps = sum(table.dim[a] for a in w) + len(w)
+    fronts, backs = table.fronts[x], table.backs[x]
     terms = {}
     for j in range(p):
         # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
         f, b = fronts[j], backs[j]
-        if not f.is_degenerate and not b.is_degenerate:
-            new = (f.base, sys.reduce((b.base,) + w))
+        if f is not None and b is not None:
+            new = (f, reduce_word((b,) + w, op_pairs))
             c = -((-1) ** j)
             terms[new] = terms.get(new, 0) + c
     for j in range(1, p + 1):
         # theta_2: front_j rotates to the word tail, back_j keeps the slot.
         f, b = fronts[j], backs[j]
-        if not f.is_degenerate and not b.is_degenerate:
-            new = (b.base, sys.reduce(w + (f.base,)))
+        if f is not None and b is not None:
+            new = (b, reduce_word(w + (f,), op_pairs))
             c = (-1) ** ((j + 1) * ((p - j) + eps))
             terms[new] = terms.get(new, 0) + c
     return terms
@@ -250,17 +141,20 @@ def _theta_terms(sys, gen):
 def cohoch_differential(space, gen, ring=ZZ, hat=False):
     """Differential of a loop generator, four terms: simplex boundary, word
     differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
-    coproduct of x, with degenerate factors dropped."""
-    sys = _loop_system(space, hat)
+    coproduct of x, with degenerate factors dropped.  The simplex boundary
+    is the inner faces in the inverted setting (the outer faces reappear
+    as the i = 1 terms of the theta families), the full alternating sum
+    else."""
+    X, table, op_pairs = _loop_parts(space)
     x, w = gen
-    p = sys.X.dim(x)
+    p = X.dim(x)
     out = Chain(ring)
-    for c, f in sys.x_boundary(x):
+    for c, f in (table.inner_boundary if hat else table.boundary)[x]:
         out.add((f, w), c)
     sign = (-1) ** p
-    for wkey, c in _cobar_diff_raw(sys.alpha, w).items():
+    for wkey, c in _cobar_diff_raw(space, w, hat).items():
         out.add((x, wkey), sign * c)
-    for key, c in _theta_terms(sys, gen).items():
+    for key, c in _theta_terms(table, op_pairs, p, gen).items():
         out.add(key, c)
     return out
 
@@ -269,25 +163,22 @@ def cohoch_differential(space, gen, ring=ZZ, hat=False):
 # The face-operator differential
 
 
-def _word_cube_face(sys, w, j, split):
+def _word_cube_face(table, op_pairs, w, j, split):
     """Global cube coordinate j of the word: split or inner-face one letter.
 
     Returns the new word or None when the result is degenerate."""
-    X = sys.alpha.X
     count = 0
     for idx, a in enumerate(w):
-        inner = sys.alpha.dim[a] - 1
+        inner = table.dim[a] - 1
         if count + inner >= j:
             m = j - count
             if split:
-                f, b = sys.letter_split(a, m)
-                if f is None or b is None:
-                    return None
-                return sys.reduce(w[:idx] + (f, b) + w[idx + 1 :])
-            g = face(X, nondeg(a), m)
-            if g.is_degenerate:
+                piece = (table.fronts[a][m], table.backs[a][m])
+            else:
+                piece = (table.faces[a][m],)
+            if None in piece:
                 return None
-            return sys.reduce(w[:idx] + (g.base,) + w[idx + 1 :])
+            return reduce_word(w[:idx] + piece + w[idx + 1 :], op_pairs)
         count += inner
     raise SimplicialError(f"cube coordinate {j} exceeds the word degree {count}")
 
@@ -299,10 +190,10 @@ def necklical_face(space, eps, i, gen):
     d1 for 1 <= i <= n with d1_1 aliased to d2_1, d2 for 1 <= i <= p.
     Returns the new generator, or None when a component degenerates.
     """
-    sys = _loop_system(space, hat=True)
+    X, table, op_pairs = _loop_parts(space)
     x, w = gen
-    p = sys.X.dim(x)
-    q = sys.word_degree(w)
+    p = X.dim(x)
+    q = word_degree(space, w)
     n = p + q
     if eps not in (0, 1, 2):
         raise SimplicialError(f"face family {eps!r} not in (0, 1, 2)")
@@ -311,27 +202,25 @@ def necklical_face(space, eps, i, gen):
         raise SimplicialError(
             f"index {i} out of range 1..{top} for d{eps} on {format_loop_generator(gen)}"
         )
-    fronts, backs = sys.fronts_backs(x)
+    fronts, backs = table.fronts[x], table.backs[x]
     if eps == 1 and i == 1 and p >= 1:
         eps = 2  # the first delete and the first rotation coincide
     if eps == 0:
         if i <= p:
             f, b = fronts[i - 1], backs[i - 1]
-            if f.is_degenerate or b.is_degenerate:
+            if f is None or b is None:
                 return None
-            return (f.base, sys.reduce((b.base,) + w))
-        return _with_word(x, _word_cube_face(sys, w, i - p, split=True))
+            return (f, reduce_word((b,) + w, op_pairs))
+        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=True))
     if eps == 1:
         if i <= p:
-            g = face(sys.X, nondeg(x), i - 1)
-            if g.is_degenerate:
-                return None
-            return (g.base, w)
-        return _with_word(x, _word_cube_face(sys, w, i - p, split=False))
+            g = table.faces[x][i - 1]
+            return None if g is None else (g, w)
+        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=False))
     f, b = fronts[i], backs[i]
-    if f.is_degenerate or b.is_degenerate:
+    if f is None or b is None:
         return None
-    return (b.base, sys.reduce(w + (f.base,)))
+    return (b, reduce_word(w + (f,), op_pairs))
 
 
 def _with_word(x, w):
@@ -347,10 +236,9 @@ def necklical_differential(space, gen, ring=ZZ):
     no coproduct formula enters, which is what makes the term-by-term
     comparison against cohoch_differential a real cross-check.
     """
-    sys = _loop_system(space, hat=True)
     x, w = gen
-    p = sys.X.dim(x)
-    n = p + sys.word_degree(w)
+    p = _loop_parts(space)[0].dim(x)
+    n = p + word_degree(space, w)
     out = Chain(ring)
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
@@ -406,7 +294,7 @@ def hochschild_differential(algebra, gen, ring=ZZ):
 def hochschild_slice(space, max_degree, hat=False, word_cap=None):
     """ComplexSlice of Hoch(A) for A the cobar algebra of the space."""
     algebra = CobarAlgebra(space, hat=hat)
-    X = algebra.alpha.X
+    X = algebra.letters
     truncated_at = None
     if X.is_one_reduced():
         word_cap = None  # bases are exact; a cap would silently shrink them
@@ -433,9 +321,8 @@ def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
     Truncated bases are closed downward under the differential, so the
     matrices always present an honest subcomplex.
     """
-    sys = _loop_system(space, hat)
     truncated_at = None
-    if sys.X.is_one_reduced():
+    if _loop_parts(space)[0].is_one_reduced():
         max_word_length = None  # exact bases; cap independence holds
     elif hat:
         truncated_at = max_word_length
@@ -470,7 +357,7 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     """
     if variant not in CHI_VARIANTS:
         raise ValueError(f"unknown chi variant {variant!r}")
-    sys = _loop_system(space, hat=isinstance(space, OpExtension))
+    _, table, op_pairs = _loop_parts(space)
     a = tuple(a)
     u = tuple(u)
     out = Chain(ring)
@@ -480,8 +367,8 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     if n == 1:
         out.add((a[0], u), 1)
         return out
-    degs = [sys.alpha.dim[letter] for letter in a]
-    deg_u = sys.word_degree(u)
+    degs = [table.dim[letter] for letter in a]
+    deg_u = word_degree(space, u)
     for i in range(1, n + 1):
         if variant == "rotation":
             head = sum(d - 1 for d in degs[: i - 1])
@@ -491,7 +378,7 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
             start = (i - 1) if variant == "index-low" else (i + 1)
             tail = sum(degs[k - 1] for k in range(max(start, 1), n + 1))
             e = (tail + n + i) * (deg_u + sum(degs[:i]) + i)
-        word = sys.reduce(a[i:] + u + a[: i - 1])
+        word = reduce_word(a[i:] + u + a[: i - 1], op_pairs)
         out.add((a[i - 1], word), (-1) ** e)
     return out
 
@@ -500,11 +387,10 @@ def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     """Projection Hoch(cobar) -> free-loop complex: empty bar words return
     the basepoint tensor the word, single bar letters go through chi with
     the orientation matching the wrap-term convention, longer ones die."""
-    sys = _loop_system(space, hat=isinstance(space, OpExtension))
     b, u = gen
     out = Chain(ring)
     if len(b) == 0:
-        out.add((sys.X.basepoint, tuple(u)), 1)
+        out.add((_loop_parts(space)[0].basepoint, tuple(u)), 1)
     elif len(b) == 1:
         for (letter, word), c in chi(space, b[0], u, ring, variant).terms.items():
             out.add((letter, word), -c)
@@ -522,8 +408,8 @@ def eta(space, x):
     """Coalgebra section C -> B(cobar C): the sum of all iterated reduced
     coproducts of x, each tensor factor a single-letter bar letter.
     Conilpotency (factor dimensions strictly drop) makes the sum finite."""
-    sys = _loop_system(space, hat=isinstance(space, OpExtension))
-    if sys.X.dim(x) < 1:
+    X, table, _ = _loop_parts(space)
+    if X.dim(x) < 1:
         raise SimplicialError(
             f"{x!r} has dimension 0: not an element of the reduced coalgebra"
         )
@@ -534,12 +420,8 @@ def eta(space, x):
             out.add(tuple((c,) for c in parts), 1)
         nxt = []
         for parts in level:
-            head = parts[0]
-            fronts, backs = sys.fronts_backs(head)
-            for j in range(1, sys.X.dim(head)):
-                f, b = fronts[j], backs[j]
-                if not f.is_degenerate and not b.is_degenerate:
-                    nxt.append((f.base, b.base) + parts[1:])
+            for f, b in table.aw_pairs[parts[0]][1:-1]:
+                nxt.append((f, b) + parts[1:])
         level = nxt
     return out
 

@@ -6,14 +6,18 @@ word over a nondegenerate base (the Eilenberg-Zilber normal form, which is
 unique).  Degenerate simplices are never stored; the simplicial identities
 rewrite every face evaluation back to normal form.
 
-Also here: the boundary and Alexander-Whitney structure of normalized
-chains, and the extension Z(X) that formally inverts 1-simplices.
+Also here: the SimplexTable, which reads every face, Alexander-Whitney
+front and back, boundary and coproduct term of a presentation once through
+the degeneracy calculus and is the only face data the loop models use; the
+boundary and Alexander-Whitney structure of normalized chains; and the
+extension Z(X) that formally inverts 1-simplices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .homalg import Chain, ComplexSlice, SparseIntMatrix, ZZ
 
@@ -77,8 +81,8 @@ class SimplicialSetPresentation:
 
     simplices maps each dimension to an ordered list of simplex ids, and
     faces maps (id, i) to the FormalSimplex value of the i-th face.
-    Instances are treated as immutable after construction; all derived data
-    is cached on the object.
+    Instances are treated as immutable after construction; derived data
+    lives in the face cache and the cached properties below.
     """
 
     def __init__(self, name, basepoint, simplices, faces):
@@ -94,8 +98,30 @@ class SimplicialSetPresentation:
                 if s in self._dims:
                     raise SimplicialError(f"duplicate simplex id {s!r}")
                 self._dims[s] = d
-        self._endpoint_cache = {}
         self._face_cache = {}
+
+    @cached_property
+    def table(self):
+        """The SimplexTable of this presentation, built on first use."""
+        return SimplexTable(self)
+
+    @cached_property
+    def op_extension(self):
+        """Z(X), built on first use; see adjoin_inverses."""
+        simplices = {d: list(ids) for d, ids in self.simplices.items()}
+        faces = dict(self.faces)
+        op_pairs = {}
+        for e in self.simplices.get(1, ()):
+            e_op = e + OP_SUFFIX
+            if e_op in self._dims:
+                raise SimplicialError(f"id {e_op!r} collides with the op alphabet")
+            simplices[1].append(e_op)
+            faces[(e_op, 0)] = self.faces[(e, 1)]
+            faces[(e_op, 1)] = self.faces[(e, 0)]
+            op_pairs[e] = e_op
+            op_pairs[e_op] = e
+        Z = SimplicialSetPresentation(f"Z({self.name})", self.basepoint, simplices, faces)
+        return OpExtension(underlying=self, space=Z, op_pairs=op_pairs)
 
     # -- basic queries ----------------------------------------------------
 
@@ -170,37 +196,79 @@ def face(X, fs, i):
     return result
 
 
+def _base(fs):
+    return None if fs.is_degenerate else fs.base
+
+
+class SimplexTable:
+    """The face data of every nondegenerate simplex, read once via face().
+
+    For a simplex s of dimension d: dim[s]; faces[s][i], the base of d_i s
+    (i = 0..d, empty for a vertex); fronts[s][j] and backs[s][j], the bases
+    of the Alexander-Whitney front and back j-faces (j = 0..d).  Each entry
+    is None where that face is degenerate.  Derived from these: the
+    normalized boundary terms (coef, face) in full and inner-face form, and
+    the Alexander-Whitney pairs (front, back) with degenerate ones dropped,
+    in order of j; for d >= 1 the outer pairs always survive, so the
+    reduced coproduct is aw_pairs[s][1:-1].  Read-only once built.
+    """
+
+    def __init__(self, X):
+        self.dim = dict(X._dims)
+        self.faces = {}
+        self.fronts = {}
+        self.backs = {}
+        self.boundary = {}
+        self.inner_boundary = {}
+        self.aw_pairs = {}
+        for s, d in self.dim.items():
+            x = nondeg(s)
+            faces = tuple(_base(face(X, x, i)) for i in range(d + 1)) if d else ()
+            fronts = [x] * (d + 1)
+            backs = [x] * (d + 1)
+            for j in range(d, 0, -1):
+                fronts[j - 1] = face(X, fronts[j], j)
+            for j in range(1, d + 1):
+                backs[j] = face(X, backs[j - 1], 0)
+            self.faces[s] = faces
+            self.fronts[s] = tuple(map(_base, fronts))
+            self.backs[s] = tuple(map(_base, backs))
+            self.boundary[s] = tuple(
+                (-1 if i % 2 else 1, f) for i, f in enumerate(faces) if f is not None
+            )
+            self.inner_boundary[s] = tuple(
+                (-1 if i % 2 else 1, f)
+                for i, f in enumerate(faces[1:d], 1)
+                if f is not None
+            )
+            self.aw_pairs[s] = tuple(
+                (f, b)
+                for f, b in zip(self.fronts[s], self.backs[s])
+                if f is not None and b is not None
+            )
+
+    def ends(self, s):
+        """(min, max): the first and last vertex of a simplex."""
+        return self.fronts[s][0], self.backs[s][-1]
+
+
 def endpoints(X, fs):
     """(min, max): first and last vertex of a formal simplex.
 
     Degeneracies only repeat vertices, so endpoints depend on the base
-    alone: min is the iterated last face, max the iterated front face.
+    alone: min is the front 0-face of the base, max its back d-face.
     """
     base = fs.base if isinstance(fs, FormalSimplex) else fs
-    cached = X._endpoint_cache.get(base)
-    if cached is not None:
-        return cached
-    d = X.dim(base)
-    if d == 0:
-        result = (base, base)
-    else:
-        last = face(X, nondeg(base), d)
-        first = face(X, nondeg(base), 0)
-        result = (endpoints(X, last)[0], endpoints(X, first)[1])
-    X._endpoint_cache[base] = result
-    return result
+    X.dim(base)  # an unknown id raises SimplicialError
+    return X.table.ends(base)
 
 
 def boundary(X, simplex_id, ring=ZZ):
     """Normalized chain boundary: alternating faces, degenerate ones dropped."""
-    n = X.dim(simplex_id)
-    if n == 0:
-        return Chain(ring)
+    X.dim(simplex_id)  # an unknown id raises SimplicialError
     out = Chain(ring)
-    for i in range(n + 1):
-        f = face(X, nondeg(simplex_id), i)
-        if not f.is_degenerate:
-            out.add(f.base, -1 if i % 2 else 1)
+    for c, f in X.table.boundary[simplex_id]:
+        out.add(f, c)
     return out
 
 
@@ -212,23 +280,9 @@ def aw_coproduct(X, simplex_id, reduced=False):
     are omitted.  With reduced=True the two outer terms (a vertex tensor
     the simplex and vice versa) are dropped as well.
     """
-    n = X.dim(simplex_id)
-    x = nondeg(simplex_id)
-    fronts = [None] * (n + 1)
-    backs = [None] * (n + 1)
-    fronts[n] = x
-    for j in range(n, 0, -1):
-        fronts[j - 1] = face(X, fronts[j], j)
-    backs[0] = x
-    for j in range(1, n + 1):
-        backs[j] = face(X, backs[j - 1], 0)
-    lo, hi = (1, n - 1) if reduced else (0, n)
-    pairs = []
-    for j in range(lo, hi + 1):
-        f, b = fronts[j], backs[j]
-        if not f.is_degenerate and not b.is_degenerate:
-            pairs.append((f, b))
-    return pairs
+    X.dim(simplex_id)  # an unknown id raises SimplicialError
+    pairs = X.table.aw_pairs[simplex_id]
+    return [(nondeg(f), nondeg(b)) for f, b in (pairs[1:-1] if reduced else pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +307,8 @@ class OpExtension:
 def adjoin_inverses(X):
     """Extend X by one fresh 1-simplex x~ per nondegenerate 1-simplex x,
     with endpoints swapped.  No other nondegenerate simplices are added.
-    Memoized per presentation, so repeated callers share the letter caches."""
-    cached = getattr(X, "_op_extension_cache", None)
-    if cached is not None:
-        return cached
-    edges = list(X.simplices.get(1, ()))
-    simplices = {d: list(ids) for d, ids in X.simplices.items()}
-    faces = dict(X.faces)
-    op_pairs = {}
-    for e in edges:
-        e_op = e + OP_SUFFIX
-        if e_op in X._dims:
-            raise SimplicialError(f"id {e_op!r} collides with the op alphabet")
-        simplices.setdefault(1, [])
-        simplices[1] = list(simplices[1]) + [e_op]
-        faces[(e_op, 0)] = X.faces[(e, 1)]
-        faces[(e_op, 1)] = X.faces[(e, 0)]
-        op_pairs[e] = e_op
-        op_pairs[e_op] = e
-    Z = SimplicialSetPresentation(f"Z({X.name})", X.basepoint, simplices, faces)
-    ext = OpExtension(underlying=X, space=Z, op_pairs=op_pairs)
-    X._op_extension_cache = ext
-    return ext
+    Memoized per presentation, so repeated callers share one face table."""
+    return X.op_extension
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +325,9 @@ def validate(X):
     violations = []
     if X.basepoint not in X.simplices.get(0, ()):
         violations.append(f"basepoint {X.basepoint!r} is not a declared 0-simplex")
-    with_faces = {s for s, _ in X.faces}
+    records = {}
+    for (s, i), entry in X.faces.items():
+        records.setdefault(s, {})[i] = entry
     for d, ids in sorted(X.simplices.items()):
         if d < 0:
             violations.append(f"negative dimension {d}")
@@ -299,14 +335,17 @@ def validate(X):
         for s in ids:
             if d == 0:
                 continue
-            if s not in with_faces:
+            present = {i: e for i, e in records.get(s, {}).items() if 0 <= i <= d}
+            if not present:
                 violations.append(f"{s}: missing all {d + 1} faces")
                 continue
-            for i in range(d + 1):
-                entry = X.faces.get((s, i))
-                if entry is None:
-                    violations.append(f"{s}: missing face {i}")
-                    continue
+            if len(present) <= d:
+                first = next(i for i in range(d + 1) if i not in present)
+                violations.append(
+                    f"{s}: missing {d + 1 - len(present)} of {d + 1} faces "
+                    f"(first {first})"
+                )
+            for i, entry in sorted(present.items()):
                 word = entry.degeneracies
                 if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
                     violations.append(
@@ -501,6 +540,9 @@ def presentation_from_json(text, source="<json>"):
     for k in ("name", "basepoint", "simplices", "faces"):
         if k not in data:
             raise SimplicialError(f"{source}: missing top-level field {k!r}")
+    for k in ("name", "basepoint"):
+        if not isinstance(data[k], str):
+            raise SimplicialError(f"{source}: {k} must be a string")
     for k in ("simplices", "faces"):
         if not isinstance(data[k], dict):
             raise SimplicialError(f"{source}: {k} must be an object")

@@ -76,6 +76,7 @@ MUST_REJECT = {
     "simplices-list": (("simplices",), []),
     "faces-list": (("faces",), []),
 }
+STRING_FIELDS = {("name",), ("basepoint",)}  # non-string junk must be rejected
 HUGE_DIMENSION = {
     "name": "huge",
     "basepoint": "a",
@@ -91,7 +92,11 @@ HUGE_DIMENSION = {
         for name, (path, value) in MUST_REJECT.items()
     ]
     + [
-        pytest.param(_replaced(path, value), False, id=f"{path[-1]}={value!r}")
+        pytest.param(
+            _replaced(path, value),
+            path in STRING_FIELDS and not isinstance(value, str),
+            id=f"{path[-1]}={value!r}",
+        )
         for path in FUZZ_FIELDS
         for value in FUZZ_JUNK
         if (path, value) not in MUST_REJECT.values()

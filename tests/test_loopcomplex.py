@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from loophomology.homalg import Chain, ZZ, check_d_squared
-from loophomology.simplicial import SimplicialError, adjoin_inverses, builtin_space
+from loophomology.simplicial import (
+    SimplicialError,
+    adjoin_inverses,
+    builtin_space,
+    endpoints,
+)
 from loophomology.cobar import CobarAlgebra, hochschild_basis
 from loophomology import loopcomplex as loop_mod
 from loophomology.loopcomplex import (
@@ -158,19 +163,31 @@ def test_agreement_boundary_delta3():
     assert total > 100
 
 
+def _satisfies_endpoint_condition(ext, gen):
+    """min x = max(last letter), max x = min(first letter), and the letters
+    chain end to start; an empty word needs min x = max x."""
+    x, w = gen
+    if x not in ext.underlying.ids():
+        return False
+    lo, hi = endpoints(ext.underlying, x)
+    if not w:
+        return lo == hi
+    ends = [endpoints(ext.space, a) for a in w]
+    if ends[0][0] != hi or ends[-1][1] != lo:
+        return False
+    return all(ends[k][1] == ends[k + 1][0] for k in range(len(w) - 1))
+
+
 def test_differential_outputs_stay_valid():
     # every output generator satisfies the cyclic endpoint condition
-    from loophomology.loopcomplex import _loop_system
-
     ext = adjoin_inverses(builtin_space("boundary-delta3"))
-    sys = _loop_system(ext, True)
     for n in range(1, 4):
         for gen in cohoch_basis(ext, n, max_word_length=3, hat=True):
-            assert sys.is_valid(gen)
+            assert _satisfies_endpoint_condition(ext, gen)
             for key in necklical_differential(ext, gen).terms:
-                assert sys.is_valid(key)
+                assert _satisfies_endpoint_condition(ext, key)
             for key in cohoch_differential(ext, gen, hat=True).terms:
-                assert sys.is_valid(key)
+                assert _satisfies_endpoint_condition(ext, key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from functools import cached_property
+
 import pytest
 
+from loophomology.cobar import cobar_differential
 from loophomology.homalg import Chain, ZZ
+from loophomology.loopcomplex import cohoch_differential
 from loophomology.simplicial import (
     BUILTIN_NAMES,
     FormalSimplex,
@@ -238,6 +242,22 @@ def test_validate_reports_faceless_simplex_once():
     assert validate(X) == ["q: missing all 1000001 faces"]
 
 
+def test_validate_reports_partly_faced_simplex_once():
+    faces = {("q", 1): nondeg("a")}
+    X = SimplicialSetPresentation("huge", "a", {0: ["a"], 10**6: ["q"]}, faces)
+    violations = validate(X)
+    assert violations[0] == "q: missing 1000000 of 1000001 faces (first 0)"
+    # the one record present is still checked, once
+    assert violations[1:] == ["q: face 1 has dimension 0, expected 999999"]
+
+
+def test_validate_names_first_missing_face():
+    bd = builtin_space("boundary-delta3")
+    faces = {key: value for key, value in bd.faces.items() if key != ("012", 1)}
+    X = SimplicialSetPresentation("gap", "0", bd.simplices, faces)
+    assert validate(X) == ["012: missing 1 of 3 faces (first 1)"]
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(SimplicialError):
         SimplicialSetPresentation("dup", "v", {0: ["v"], 1: ["v"]}, {})
@@ -288,3 +308,110 @@ def test_json_rejects_missing_fields():
     with pytest.raises(SimplicialError) as err:
         presentation_from_json(no_faces)
     assert "'e' needs exactly 2 face records, got none" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The face table
+
+
+def _reference_endpoints(X, fs):
+    # The recursive definition the table replaced: min is the first vertex
+    # of the last face, max the last vertex of the front face.
+    d = X.dim(fs.base)
+    if d == 0:
+        return (fs.base, fs.base)
+    last = face(X, nondeg(fs.base), d)
+    first = face(X, nondeg(fs.base), 0)
+    return (_reference_endpoints(X, last)[0], _reference_endpoints(X, first)[1])
+
+
+def _base_or_none(fs):
+    return None if fs.is_degenerate else fs.base
+
+
+def _table_spaces():
+    for name in BUILTIN_NAMES:
+        X = builtin_space(name)
+        yield X
+        yield adjoin_inverses(X).space
+
+
+@pytest.mark.parametrize("X", list(_table_spaces()), ids=lambda X: X.name)
+def test_table_matches_face_calculus(X):
+    table = X.table
+    assert table.dim == {s: X.dim(s) for s in X.ids()}
+    for s in X.ids():
+        d = X.dim(s)
+        x = nondeg(s)
+        faces = [face(X, x, i) for i in range(d + 1)] if d else []
+        assert table.faces[s] == tuple(map(_base_or_none, faces))
+        for j in range(d + 1):
+            front, back = x, x
+            for k in range(d, j, -1):
+                front = face(X, front, k)
+            for _ in range(j):
+                back = face(X, back, 0)
+            assert table.fronts[s][j] == _base_or_none(front)
+            assert table.backs[s][j] == _base_or_none(back)
+        assert table.ends(s) == _reference_endpoints(X, x)
+        assert endpoints(X, x) == _reference_endpoints(X, x)
+
+
+def test_table_is_built_once_per_presentation():
+    X = builtin_space("torus")
+    assert X.table is X.table
+    assert adjoin_inverses(X) is adjoin_inverses(X)
+    # Z(X) only adds edges, so its table covers every simplex of X
+    Z = adjoin_inverses(X).space
+    for s in X.ids():
+        assert Z.table.faces[s] == X.table.faces[s]
+        assert Z.table.fronts[s] == X.table.fronts[s]
+        assert Z.table.backs[s] == X.table.backs[s]
+
+
+def test_letter_rule_drops_vertex_faces():
+    # the full boundary of an edge letter is two vertices, which are not
+    # letters: the cobar differential drops them
+    bd = builtin_space("boundary-delta3")
+    assert cobar_differential(bd, ("01",), hat=False).is_zero
+    assert cobar_differential(bd, ("01", "12"), hat=False).is_zero
+    assert cobar_differential(bd, ("012",), hat=False) == Chain(
+        ZZ, {("12",): -1, ("02",): 1, ("01",): -1, ("01", "12"): -1}
+    )
+
+
+def test_simplex_slot_keeps_vertex_faces():
+    # the simplex slot of a loop generator takes the full boundary, vertices
+    # included; the inner-face (hat) boundary of an edge is empty
+    ext = adjoin_inverses(builtin_space("boundary-delta3"))
+    gen = ("01", ("01~",))
+    assert cohoch_differential(ext, gen, hat=False) == Chain(
+        ZZ,
+        {("1", ("01~",)): 1, ("0", ("01~",)): -1, ("0", ()): -1, ("1", ()): 1},
+    )
+    assert cohoch_differential(ext, gen, hat=True) == Chain(
+        ZZ, {("0", ()): -1, ("1", ()): 1}
+    )
+
+
+def _attributes_after_init_and_cached(X):
+    fresh = SimplicialSetPresentation(X.name, X.basepoint, X.simplices, X.faces)
+    cached = {
+        name
+        for name, value in vars(type(X)).items()
+        if isinstance(value, cached_property)
+    }
+    return set(vars(fresh)), cached
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_nothing_is_patched_onto_a_presentation(name):
+    from loophomology.verify import build_complex_slice, run_verify, supported_complexes
+
+    X = builtin_space(name)
+    run_verify(X, 2, max_word_length=2)
+    for complex_name in supported_complexes(X):
+        build_complex_slice(X, complex_name, 3, max_word_length=2)
+    for P in (X, adjoin_inverses(X).space):
+        init, cached = _attributes_after_init_and_cached(P)
+        assert init <= set(vars(P)) <= init | cached
