@@ -293,13 +293,9 @@ def _close_and_build(bases_by_degree, diff_fn, max_degree, truncated_at=None):
 
 
 def _generator_sort_key(g):
-    # Stable order for heterogeneous generator keys (strings, nested tuples).
-    def rec(x):
-        if isinstance(x, tuple):
-            return (1, len(x), tuple(rec(y) for y in x))
-        return (0, str(x))
-
-    return rec(g)
+    # Stable order for generator keys: nested tuples whose leaves are strings,
+    # shorter tuples first.  Keys compared within one basis share their shape.
+    return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
 
 
 def cobar_slice(space, max_degree, max_word_length=None):

@@ -435,6 +435,14 @@ class ComplexSlice:
     def degrees(self):
         return sorted(self.bases)
 
+    def coordinates(self, chain, n):
+        """A degree-n chain as {basis index: coefficient}, the form of a
+        stored column; None if one of its keys is not in bases[n]."""
+        index = self.index.get(n, {})
+        if not all(key in index for key in chain.terms):
+            return None
+        return {index[key]: c for key, c in chain.terms.items()}
+
     def differential(self, n):
         if n in self.diffs:
             return self.diffs[n]

@@ -469,25 +469,62 @@ def contraction_s_chain(space, chain, ring=ZZ):
 # The chain-map sweep that pins the chi sign
 
 
-def chi_chain_map_mismatches(space, variants, max_degree):
-    """Generators of Hoch(cobar) on which phi fails to commute with the
-    differentials, as ``{variant: [generator, ...]}`` in basis order for
-    each chi reading in ``variants``.  One walk serves every reading: the
-    readings differ only in phi's signs, so each Hochschild differential
-    is taken once per generator and each free-loop one once per key."""
-    algebra = CobarAlgebra(space)
+def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
+    """Generators of a Hochschild slice on which phi fails to commute with
+    the differentials, as ``{variant: [generator, ...]}`` in basis order
+    for each chi reading in ``variants``.
+
+    Both sides are read off the stored matrices, over the free-loop basis
+    one degree down: phi(d g) combines the images under phi of the rows of
+    g's d_n column in ``hoch_slice``, d phi(g) the ``loop_slice`` columns
+    of the keys of phi(g).  phi is taken once per generator and reading and
+    kept for one degree.  A generator whose phi has a key outside the
+    free-loop basis of its degree is a mismatch, and so is every generator
+    whose differential reaches it.
+    """
     bad = {v: [] for v in variants}
-    loop_d = {}
-    for n in range(max_degree + 1):
-        for gen in hochschild_basis(algebra, n):
-            dgen = hochschild_differential(algebra, gen)
-            for v in variants:
-                lhs = phi_chain(space, dgen, variant=v)
-                rhs = Chain(ZZ)
-                for key, c in phi(space, gen, variant=v).terms.items():
-                    if key not in loop_d:
-                        loop_d[key] = cohoch_differential(space, key)
-                    rhs.add_chain(loop_d[key], c)
-                if lhs != rhs:
+    below = {}  # images of the previous degree; d_n has rows only if it was n - 1
+    for n in hoch_slice.degrees():
+        gens = hoch_slice.bases[n]
+        here = {
+            v: [loop_slice.coordinates(phi(space, g, variant=v), n) for g in gens]
+            for v in variants
+        }
+        loop_cols = loop_slice.differential(n).cols_as_dicts()
+        hoch_cols = hoch_slice.differential(n).cols_as_dicts()
+        for v in variants:
+            for gen, col, image in zip(gens, hoch_cols, here[v]):
+                lhs = _combination(col, below.get(v))
+                rhs = None if image is None else _combination(image, loop_cols)
+                if lhs is None or rhs is None or lhs != rhs:
                     bad[v].append(gen)
+        below = here
     return bad
+
+
+def _combination(coefficients, columns):
+    """The nonzero entries of sum c * columns[j] over (j, c) in coefficients;
+    None if one of those columns is None."""
+    out = {}
+    for j, c in coefficients.items():
+        column = columns[j]
+        if column is None:
+            return None
+        for i, e in column.items():
+            out[i] = out.get(i, 0) + c * e
+    return {i: e for i, e in out.items() if e}
+
+
+def chi_chain_map_mismatches(space, variants, max_degree):
+    """Generators of Hoch(cobar) of a 1-reduced space on which phi fails to
+    commute with the differentials, as ``{variant: [generator, ...]}`` in
+    basis order for each chi reading in ``variants``.  Builds the
+    Hochschild and free-loop slices through max_degree, so each
+    differential is taken once per generator, and checks every reading on
+    them with phi_slice_mismatches."""
+    return phi_slice_mismatches(
+        space,
+        variants,
+        hochschild_slice(space, max_degree),
+        cohoch_slice(space, max_degree),
+    )

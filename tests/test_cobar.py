@@ -1,11 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophomology.homalg import Chain, ZZ, check_d_squared
-from loophomology.simplicial import SimplicialError, adjoin_inverses, builtin_space
+from loophomology.simplicial import (
+    BUILTIN_NAMES,
+    SimplicialError,
+    adjoin_inverses,
+    builtin_space,
+)
+from loophomology.verify import build_complex_slice, supported_complexes
 from loophomology.cobar import (
     CobarAlgebra,
+    _generator_sort_key,
     bar_differential,
     cobar_basis,
     cobar_differential,
@@ -186,3 +195,64 @@ def test_based_loops_of_collapsed_delta3():
     sl = cobar_slice(builtin_space("collapsed-delta3"), 6)
     for n in range(6):
         assert homology_of_slice(sl, n) == HomologyEntry(n, 3**n)
+
+
+# ---------------------------------------------------------------------------
+# generator order
+
+
+def _recursive_sort_key(g):
+    """The tagged recursive key the flat one replaced: the order oracle."""
+
+    def rec(x):
+        if isinstance(x, tuple):
+            return (1, len(x), tuple(rec(y) for y in x))
+        return (0, str(x))
+
+    return rec(g)
+
+
+def test_flat_sort_key_orders_every_builtin_basis_like_the_recursive_key():
+    bases = []
+    for name in BUILTIN_NAMES:
+        X = builtin_space(name)
+        for complex_name in supported_complexes(X):
+            sl = build_complex_slice(X, complex_name, 4, max_word_length=2)
+            bases.extend(sl.bases.values())
+    assert len(bases) == 116
+    for basis in bases:
+        shuffled = list(basis)
+        random.Random(len(basis)).shuffle(shuffled)
+        assert sorted(shuffled, key=_generator_sort_key) == sorted(
+            shuffled, key=_recursive_sort_key
+        )
+
+
+# A shape is "str", ("seq", shape) for a tuple of any length whose entries
+# share one shape, or ("prod", shapes) for a tuple of fixed arity: the forms
+# generator keys take (a word, a bar word, a (simplex, word) pair, ...).
+SHAPES = st.recursive(
+    st.just("str"),
+    lambda inner: st.one_of(
+        inner.map(lambda s: ("seq", s)),
+        st.lists(inner, min_size=1, max_size=3).map(lambda ss: ("prod", tuple(ss))),
+    ),
+    max_leaves=5,
+)
+
+
+def _values(shape):
+    if shape == "str":
+        return st.text(alphabet="ab~01", max_size=3)
+    kind, sub = shape
+    if kind == "seq":
+        return st.lists(_values(sub), max_size=3).map(tuple)
+    return st.tuples(*(_values(s) for s in sub))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_sort_key_orders_same_shape_tuples_like_the_recursive_key(data):
+    shape = data.draw(SHAPES)
+    keys = data.draw(st.lists(_values(shape), max_size=8))
+    assert sorted(keys, key=_generator_sort_key) == sorted(keys, key=_recursive_sort_key)
