@@ -17,7 +17,7 @@ The bar construction of the resulting tensor algebra lives here too.
 
 from __future__ import annotations
 
-from .homalg import Chain, ComplexSlice, SparseIntMatrix, ZZ
+from .homalg import Chain, ZZ, _close_and_build, _generator_sort_key
 from .simplicial import OpExtension, SimplicialError
 
 Word = tuple  # tuple of letter ids
@@ -254,48 +254,6 @@ def bar_differential(algebra, barword, ring=ZZ):
 
 # ---------------------------------------------------------------------------
 # Complex slices
-
-
-def _close_and_build(bases_by_degree, diff_fn, max_degree, truncated_at=None):
-    """Assemble a ComplexSlice, closing bases downward under the differential.
-
-    The seeded generator sets need not be closed under d (truncated word
-    enumerations are not); any generator appearing in a differential is
-    adopted into the lower basis, so the stored matrices form an honest
-    subcomplex and d.d = 0 holds exactly.
-    """
-    bases = {n: list(gens) for n, gens in bases_by_degree.items()}
-    diff_cache = {}
-    for n in range(max_degree, 0, -1):
-        lower = dict.fromkeys(bases.get(n - 1, ()))
-        for g in bases.get(n, ()):
-            dg = diff_fn(g)
-            diff_cache[g] = dg
-            for key in dg:
-                if key not in lower:
-                    lower[key] = None
-        bases[n - 1] = list(lower)
-    bases = {n: sorted(gens, key=_generator_sort_key) for n, gens in bases.items() if gens}
-    diffs = {}
-    for n in range(1, max_degree + 1):
-        if n not in bases:
-            continue
-        rows = bases.get(n - 1, ())
-        row_index = {g: i for i, g in enumerate(rows)}
-        columns = []
-        for g in bases[n]:
-            dg = diff_cache.get(g)
-            if dg is None:
-                dg = diff_fn(g)
-            columns.append({row_index[k]: c for k, c in dg.items()})
-        diffs[n] = SparseIntMatrix.from_columns(len(rows), columns)
-    return ComplexSlice(bases, diffs, truncated_at=truncated_at)
-
-
-def _generator_sort_key(g):
-    # Stable order for generator keys: nested tuples whose leaves are strings,
-    # shorter tuples first.  Keys compared within one basis share their shape.
-    return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
 
 
 def cobar_slice(space, max_degree, max_word_length=None):

@@ -2,13 +2,20 @@
 and homology via Smith normal form.
 
 All matrices carry exact integer entries; the coefficient ring only enters
-when homology is extracted.  One sparse elimination core pivots on units
-(+-1 over Z, any nonzero entry mod p): it computes ranks over F_p outright,
-and over Z it splits off the unit invariant factors before a general Smith
-normal form loop handles what is left.  Q reads its rank off the Z
-reduction, and each differential is reduced at most once per slice and
-characteristic.  Everything is deterministic: bases are ordered lists and
-every reduction uses a fixed pivot rule.
+when homology is extracted.  A matrix is stored as its columns, one
+{row: value} dict per generator, which is how a differential is computed
+and how every reader but the reducer wants it; the reducer transposes to
+rows.  One builder owns generator order: it closes a slice's bases under
+the differential top-down, one degree at a time, and re-keys each degree's
+differentials into index columns before it starts the degree below.
+
+One sparse elimination core pivots on units (+-1 over Z, any nonzero
+entry mod p): it computes ranks over F_p outright, and over Z it splits
+off the unit invariant factors before a general Smith normal form loop
+handles what is left.  Q reads its rank off the Z reduction, and each
+differential is reduced at most once per slice and characteristic.
+Everything is deterministic: bases are ordered lists and every reduction
+uses a fixed pivot rule.
 """
 
 from __future__ import annotations
@@ -165,46 +172,29 @@ class Chain:
 
 
 class SparseIntMatrix:
-    """Immutable-by-convention sparse matrix with exact integer entries."""
+    """Sparse matrix with exact integer entries, stored as its columns.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    ``columns[j]`` is ``{row: nonzero value}``; ``ncols`` is the number of
+    columns and ``nnz`` is counted once, at construction.  Immutable by
+    convention.
+    """
 
-    def __init__(self, nrows, ncols, entries=None):
+    __slots__ = ("nrows", "ncols", "columns", "nnz")
+
+    def __init__(self, nrows, columns):
         self.nrows = nrows
-        self.ncols = ncols
-        self.entries = dict(entries or {})
-
-    @classmethod
-    def from_columns(cls, nrows, columns):
-        """Build from a list of columns, each a dict {row_index: value}."""
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, len(columns), entries)
-
-    @classmethod
-    def from_rows(cls, rows, ncols):
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), ncols, entries)
-
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def cols_as_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        self.columns = columns
+        self.ncols = len(columns)
+        self.nnz = sum(map(len, columns))
 
     @property
-    def nnz(self):
-        return len(self.entries)
+    def entries(self):
+        """``{(i, j): v}``, derived from the columns on each read.  The
+        package itself reads only columns; this view is for tools outside
+        it, such as the benchmark's tracer, which reads it after a run."""
+        return {
+            (i, j): v for j, col in enumerate(self.columns) for i, v in col.items()
+        }
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -225,7 +215,9 @@ def _nearest_quotient(a, v):
 def _row_dicts(matrix, p=None):
     """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p."""
     if isinstance(matrix, SparseIntMatrix):
-        pairs = ((i, j, v) for (i, j), v in matrix.entries.items())
+        pairs = (
+            (i, j, v) for j, col in enumerate(matrix.columns) for i, v in col.items()
+        )
     else:
         pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
     rows = {}
@@ -410,8 +402,10 @@ class ComplexSlice:
     """A finite window of a chain complex.
 
     bases[n] is the ordered generator list in degree n and diffs[n] the
-    matrix of d_n with rows indexed by bases[n-1] and columns by bases[n].
-    Degrees absent from ``bases`` are zero modules.
+    matrix of d_n with rows indexed by bases[n-1] and columns by bases[n]:
+    ``diffs[n].columns[j]`` is d of ``bases[n][j]`` as {row index:
+    coefficient}.  Degrees absent from ``bases`` are zero modules.  The
+    package builds slices with _close_and_build, top-down.
     """
 
     def __init__(self, bases, diffs, truncated_at=None):
@@ -448,7 +442,49 @@ class ComplexSlice:
             return self.diffs[n]
         if self.bases.get(n) and self.bases.get(n - 1):
             raise IncompleteSliceError(f"no differential stored at degree {n}")
-        return SparseIntMatrix(len(self.bases.get(n - 1, ())), len(self.bases.get(n, ())))
+        return SparseIntMatrix(
+            len(self.bases.get(n - 1, ())), [{} for _ in self.bases.get(n, ())]
+        )
+
+
+def _generator_sort_key(g):
+    # Stable order for generator keys: nested tuples whose leaves are strings,
+    # shorter tuples first.  Keys compared within one basis share their shape.
+    return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
+
+
+def _close_and_build(seeds, diff_fn, max_degree, truncated_at=None):
+    """Build a ComplexSlice top-down, closing the bases under d.
+
+    seeds[n] holds the generators enumerated in degree n and diff_fn(g) is
+    d(g) as a {generator: nonzero coefficient} dict.  Seeds need not be
+    closed under d (truncated word enumerations are not): every generator
+    that appears in a differential is adopted into the basis below, so the
+    stored matrices form an honest subcomplex and d.d = 0 holds exactly.
+
+    The top seed degree is sorted once.  Then, for each degree n from the
+    top down, the differentials of the sorted basis n are taken, basis n-1
+    is closed over their keys and sorted, and the degree-n columns are
+    re-keyed by row index, dropping the keyed dicts before degree n-1
+    starts.  A basis sorted as the rows of degree n+1 is never sorted again.
+    """
+    bases, diffs = {}, {}
+    gens = sorted(seeds.get(max_degree, ()), key=_generator_sort_key)
+    for n in range(max_degree, 0, -1):
+        columns = [diff_fn(g) for g in gens]
+        rows = set(seeds.get(n - 1, ())).union(*columns)
+        rows = sorted(rows, key=_generator_sort_key)
+        if gens:
+            row_index = {g: i for i, g in enumerate(rows)}
+            for j, dg in enumerate(columns):
+                columns[j] = {row_index[k]: c for k, c in dg.items()}
+            del row_index
+            bases[n] = gens
+            diffs[n] = SparseIntMatrix(len(rows), columns)
+        gens = rows
+    if gens:
+        bases[0] = gens
+    return ComplexSlice(bases, diffs, truncated_at=truncated_at)
 
 
 def check_d_squared(sl):
@@ -464,8 +500,8 @@ def check_d_squared(sl):
         dprev = sl.diffs.get(n - 1)
         if dn is None or dprev is None:
             continue
-        prev_cols = dprev.cols_as_dicts()
-        for j, col in enumerate(dn.cols_as_dicts()):
+        prev_cols = dprev.columns
+        for j, col in enumerate(dn.columns):
             image = {}
             for i, c in col.items():
                 for k, v in prev_cols[i].items():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from .cobar import (
     CobarAlgebra,
-    _close_and_build,
     _cobar_diff_raw,
     bar_degree,
     bar_differential,
@@ -33,7 +32,7 @@ from .cobar import (
     word_degree,
     words_between,
 )
-from .homalg import Chain, ZZ
+from .homalg import Chain, ZZ, _close_and_build
 from .simplicial import OpExtension, SimplicialError
 
 LoopGen = tuple  # (simplex id, word)
@@ -490,8 +489,8 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
             v: [loop_slice.coordinates(phi(space, g, variant=v), n) for g in gens]
             for v in variants
         }
-        loop_cols = loop_slice.differential(n).cols_as_dicts()
-        hoch_cols = hoch_slice.differential(n).cols_as_dicts()
+        loop_cols = loop_slice.differential(n).columns
+        hoch_cols = hoch_slice.differential(n).columns
         for v in variants:
             for gen, col, image in zip(gens, hoch_cols, here[v]):
                 lhs = _combination(col, below.get(v))

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .homalg import Chain, ComplexSlice, SparseIntMatrix, ZZ
+from .homalg import Chain, ZZ, _close_and_build
 
 
 class SimplicialError(ValueError):
@@ -390,25 +390,8 @@ def validate(X):
 
 def chains_slice(X, max_degree):
     """The normalized chain complex of X through the given degree."""
-    bases = {}
-    for d in range(max_degree + 1):
-        ids = sorted(X.simplices.get(d, ()))
-        if ids:
-            bases[d] = ids
-    diffs = {}
-    for d in range(1, max_degree + 1):
-        if d not in bases:
-            continue
-        rows = bases.get(d - 1, ())
-        row_index = {g: i for i, g in enumerate(rows)}
-        columns = []
-        for s in bases[d]:
-            col = {}
-            for key, c in boundary(X, s).terms.items():
-                col[row_index[key]] = c
-            columns.append(col)
-        diffs[d] = SparseIntMatrix.from_columns(len(rows), columns)
-    return ComplexSlice(bases, diffs)
+    seeds = {d: sorted(X.simplices.get(d, ())) for d in range(max_degree + 1)}
+    return _close_and_build(seeds, lambda s: boundary(X, s).terms, max_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,9 +22,15 @@ from loophomology.homalg import (
     rank_mod_p,
     smith_normal_form,
 )
-from loophomology import homalg
-from loophomology.simplicial import BUILTIN_NAMES, builtin_space, chains_slice
-from loophomology.loopcomplex import cohoch_slice
+from loophomology import cobar, homalg, loopcomplex, verify
+from loophomology.simplicial import (
+    BUILTIN_NAMES,
+    adjoin_inverses,
+    boundary,
+    builtin_space,
+    chains_slice,
+)
+from loophomology.loopcomplex import cohoch_slice, hochschild_slice
 from loophomology.verify import build_complex_slice, supported_complexes
 
 
@@ -177,7 +185,7 @@ def test_homology_examples():
     one_point = ComplexSlice({0: ["g"]}, {})
     assert homology_of_slice(one_point, 0) == HomologyEntry(0, 1)
     times_two = ComplexSlice(
-        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, 1, {(0, 0): 2})}
+        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, [{0: 2}])}
     )
     assert homology_of_slice(times_two, 0) == HomologyEntry(0, 0, (2,))
     assert homology_of_slice(times_two, 1) == HomologyEntry(1, 0)
@@ -191,7 +199,7 @@ def test_homology_examples():
 
 def test_homology_field_rings():
     times_two = ComplexSlice(
-        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, 1, {(0, 0): 2})}
+        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, [{0: 2}])}
     )
     # Q shares the Z reduction but reports no torsion
     assert homology_of_slice(times_two, 0, parse_ring("Q")) == HomologyEntry(0, 0)
@@ -206,13 +214,13 @@ def test_homology_permutation_invariance():
     perm = [3, 0, 4, 1, 5, 2]
     edges = [sl.bases[1][i] for i in perm]
     inv = {old: new for new, old in enumerate(perm)}
-    d1 = {(i, inv[j]): v for (i, j), v in sl.diffs[1].entries.items()}
-    d2 = {(inv[i], j): v for (i, j), v in sl.diffs[2].entries.items()}
+    d1 = [sl.diffs[1].columns[j] for j in perm]
+    d2 = [{inv[i]: v for i, v in col.items()} for col in sl.diffs[2].columns]
     shuffled = ComplexSlice(
         {0: sl.bases[0], 1: edges, 2: sl.bases[2]},
         {
-            1: SparseIntMatrix(4, 6, d1),
-            2: SparseIntMatrix(6, 4, d2),
+            1: SparseIntMatrix(4, d1),
+            2: SparseIntMatrix(6, d2),
         },
     )
     assert [homology_of_slice(shuffled, n) for n in range(3)] == base
@@ -237,15 +245,16 @@ def _flip_one_entry(sl):
         prev = sl.diffs.get(n - 1)
         if prev is None:
             continue
-        prev_cols = {j for (_, j) in prev.entries}
-        for (i, j), v in sorted(sl.diffs[n].entries.items()):
+        prev_cols = {j for j, col in enumerate(prev.columns) if col}
+        columns = sl.diffs[n].columns
+        for i, j, v in sorted(
+            (i, j, v) for j, col in enumerate(columns) for i, v in col.items()
+        ):
             if i in prev_cols:
-                entries = dict(sl.diffs[n].entries)
-                entries[(i, j)] = -v
+                flipped = [dict(col) for col in columns]
+                flipped[j][i] = -v
                 diffs = dict(sl.diffs)
-                diffs[n] = SparseIntMatrix(
-                    sl.diffs[n].nrows, sl.diffs[n].ncols, entries
-                )
+                diffs[n] = SparseIntMatrix(sl.diffs[n].nrows, flipped)
                 return ComplexSlice(sl.bases, diffs), n, sl.bases[n][j]
     raise AssertionError("no flippable entry found")
 
@@ -301,3 +310,139 @@ def test_summary_json_roundtrip():
     parsed = HomologySummary.parse_json_lines(truncated.to_json_lines())
     assert parsed.truncated_at == 2
     assert "truncated at word length 2" in truncated.to_table()
+
+
+# ---------------------------------------------------------------------------
+# The top-down builder against the bottom-up one it replaced
+
+
+class _ReferenceMatrix:
+    """The (i, j)-keyed matrix the column format replaced."""
+
+    def __init__(self, nrows, ncols, entries):
+        self.nrows, self.ncols, self.entries = nrows, ncols, entries
+
+    @classmethod
+    def from_columns(cls, nrows, columns):
+        entries = {}
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                if v:
+                    entries[(i, j)] = v
+        return cls(nrows, len(columns), entries)
+
+    def cols_as_dicts(self):
+        cols = [dict() for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
+
+
+def _reference_close_and_build(bases_by_degree, diff_fn, max_degree, truncated_at=None):
+    # Bottom-up: close every degree while caching each differential, sort
+    # every basis, then assemble all matrices from the cache.
+    bases = {n: list(gens) for n, gens in bases_by_degree.items()}
+    diff_cache = {}
+    for n in range(max_degree, 0, -1):
+        lower = dict.fromkeys(bases.get(n - 1, ()))
+        for g in bases.get(n, ()):
+            dg = diff_fn(g)
+            diff_cache[g] = dg
+            for key in dg:
+                if key not in lower:
+                    lower[key] = None
+        bases[n - 1] = list(lower)
+    sort_key = homalg._generator_sort_key
+    bases = {n: sorted(gens, key=sort_key) for n, gens in bases.items() if gens}
+    diffs = {}
+    for n in range(1, max_degree + 1):
+        if n not in bases:
+            continue
+        rows = bases.get(n - 1, ())
+        row_index = {g: i for i, g in enumerate(rows)}
+        columns = [
+            {row_index[k]: c for k, c in diff_cache[g].items()} for g in bases[n]
+        ]
+        diffs[n] = _ReferenceMatrix.from_columns(len(rows), columns)
+    return bases, diffs, truncated_at
+
+
+def _reference_chains_slice(X, max_degree):
+    # The normalized chains with their own assembly loop.
+    bases = {}
+    for d in range(max_degree + 1):
+        ids = sorted(X.simplices.get(d, ()))
+        if ids:
+            bases[d] = ids
+    diffs = {}
+    for d in range(1, max_degree + 1):
+        if d not in bases:
+            continue
+        rows = bases.get(d - 1, ())
+        row_index = {g: i for i, g in enumerate(rows)}
+        columns = []
+        for s in bases[d]:
+            col = {}
+            for key, c in boundary(X, s).terms.items():
+                col[row_index[key]] = c
+            columns.append(col)
+        diffs[d] = _ReferenceMatrix.from_columns(len(rows), columns)
+    return bases, diffs, None
+
+
+def _assert_builders_agree(monkeypatch, X, max_degree, max_word_length):
+    for complex_name in supported_complexes(X):
+        sl = build_complex_slice(X, complex_name, max_degree, max_word_length)
+        with monkeypatch.context() as m:
+            m.setattr(cobar, "_close_and_build", _reference_close_and_build)
+            m.setattr(loopcomplex, "_close_and_build", _reference_close_and_build)
+            m.setattr(verify, "chains_slice", _reference_chains_slice)
+            bases, diffs, truncated_at = build_complex_slice(
+                X, complex_name, max_degree, max_word_length
+            )
+        assert sl.bases == {n: tuple(b) for n, b in bases.items()}, complex_name
+        assert sl.truncated_at == truncated_at
+        assert sorted(sl.diffs) == sorted(diffs)
+        for n, ref in diffs.items():
+            assert (sl.diffs[n].nrows, sl.diffs[n].ncols) == (ref.nrows, ref.ncols)
+            assert sl.diffs[n].columns == ref.cols_as_dicts(), (complex_name, n)
+            assert sl.diffs[n].nnz == len(ref.entries)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_top_down_build_matches_bottom_up_reference(monkeypatch, name):
+    _assert_builders_agree(monkeypatch, builtin_space(name), 4, 2)
+
+
+def test_top_down_build_matches_bottom_up_reference_on_collapsed_delta3_d5(monkeypatch):
+    _assert_builders_agree(monkeypatch, builtin_space("collapsed-delta3"), 5, None)
+
+
+def _hat_cohoch(X, degree, cap):
+    return cohoch_slice(adjoin_inverses(X), degree, hat=True, max_word_length=cap)
+
+
+@pytest.mark.parametrize(
+    "space, build, degree, cap",
+    [
+        ("collapsed-delta3", lambda X, n, cap: hochschild_slice(X, n), 5, None),
+        ("torus", _hat_cohoch, 4, 3),
+    ],
+    ids=["hochschild-collapsed-delta3-D5", "hat-cohoch-torus-D4-L3"],
+)
+def test_build_peak_stays_near_what_the_slice_keeps(space, build, degree, cap):
+    # The build holds one degree's keyed differentials at a time, so what it
+    # allocates beyond the slice it returns stays small.  A one-degree build
+    # first fills the presentation's cached tables, which are not the build's.
+    X = builtin_space(space)
+    build(X, 1, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sl = build(X, degree, cap)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sl.diffs
+    assert peak - base <= 1.3 * (kept - base), (peak - base, kept - base)

@@ -109,3 +109,64 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+def matrix_format_leaks(source, module):
+    """Places outside homalg that name SparseIntMatrix (to import it, call
+    it or one of its class methods), and every read of an ``.entries``
+    attribute but HomologySummary's own ``self.entries``."""
+    tree = ast.parse(source)
+    summary_self = {
+        id(node.value)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "HomologySummary"
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    leaks = []
+    for node in ast.walk(tree):
+        name = node.name if isinstance(node, ast.alias) else (
+            getattr(node, "id", None) or getattr(node, "attr", None)
+        )
+        if name == "SparseIntMatrix" and module != "homalg.py":
+            leaks.append(f"line {node.lineno}: SparseIntMatrix")
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "entries"
+            and isinstance(node.ctx, ast.Load)
+            and id(node.value) not in summary_self
+        ):
+            leaks.append(f"line {node.lineno}: .entries")
+    return sorted(leaks)
+
+
+def test_matrix_format_scan_catches_a_leak():
+    source = (
+        "from .homalg import SparseIntMatrix\n"
+        "m = homalg.SparseIntMatrix(2, [{}])\n"
+        "n = SparseIntMatrix.from_columns(1, [])\n"
+        "print(m.entries)\n"
+        "class HomologySummary:\n"
+        "    def f(self, other):\n"
+        "        return self.entries, other.entries\n"
+    )
+    assert matrix_format_leaks(source, "cobar.py") == [
+        "line 1: SparseIntMatrix",
+        "line 2: SparseIntMatrix",
+        "line 3: SparseIntMatrix",
+        "line 4: .entries",
+        "line 7: .entries",
+    ]
+    assert matrix_format_leaks(source, "homalg.py") == [
+        "line 4: .entries",
+        "line 7: .entries",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_matrix_format_stays_in_homalg(path):
+    # Matrices are column lists built only by homalg; no package module
+    # reads the derived (i, j) view.
+    assert matrix_format_leaks(path.read_text(encoding="utf-8"), path.name) == []
