@@ -10,19 +10,22 @@ single-letter rule
 over the reduced Alexander-Whitney coproduct, where the internal
 differential is the full normalized boundary, or only its inner faces in
 the inverted ("hat") setting.  Koszul signs use the shifted letter degree
-|a| - 1, which is the unique extension with d^2 = 0.
+|a| - 1, which is the unique extension with d^2 = 0.  The letter rules
+and shifted degrees are read once into the presentation's SimplexTable.
+
+In the inverted setting words are freely reduced (no x next to x~).  Each
+word the models make splices reduced pieces, head + middle + tail (a rule
+in place of a letter, a letter in front of or behind a word, a rotation),
+so only the two seams can cancel: _splice cancels at the first, then at
+the second, cascading outward into the head, and never rescans a piece.
 
 The bar construction of the resulting tensor algebra lives here too.
 """
 
 from __future__ import annotations
 
-from .homalg import Chain, ZZ, _close_and_build, _generator_sort_key
+from .homalg import Chain, ZZ, _close_and_build
 from .simplicial import OpExtension, SimplicialError
-
-Word = tuple  # tuple of letter ids
-BarWord = tuple  # tuple of Words
-
 
 # ---------------------------------------------------------------------------
 # Letters
@@ -38,8 +41,18 @@ def _letters(space):
 
 def word_degree(space, w):
     """Degree of a cobar word: the sum of shifted letter dimensions."""
-    dim = _letters(space)[0].table.dim
-    return sum(dim[a] - 1 for a in w)
+    return _letters(space)[0].table.word_degree(w)
+
+
+def _word_key(w):
+    # flat sort key of a word: shorter first, then letter by letter
+    return len(w), w
+
+
+def _hochschild_key(gen):
+    # flat sort key of a Hochschild generator (bar word, word)
+    b, u = gen
+    return len(b), tuple(map(_word_key, b)), len(u), u
 
 
 def format_word(w):
@@ -68,6 +81,20 @@ def reduce_word(w, op_pairs):
     return tuple(out)
 
 
+def _splice(head, mid, tail, op_pairs):
+    """reduce_word(head + mid + tail) for reduced head, mid and tail: mid
+    cancels into the end of head, then tail into the end of what is left."""
+    if not op_pairs:
+        return head + mid + tail
+    for right in (mid, tail):
+        i, k = len(head), 0
+        while i and k < len(right) and op_pairs.get(head[i - 1]) == right[k]:
+            i -= 1
+            k += 1
+        head = head[:i] + right[k:]
+    return head
+
+
 # ---------------------------------------------------------------------------
 # Differentials
 
@@ -77,10 +104,7 @@ def truncated_boundary_dA(space, letter, ring=ZZ):
     table = _letters(space)[0].table
     if table.dim.get(letter, 0) < 1:
         raise SimplicialError(f"{letter!r} is not a letter (dimension >= 1)")
-    out = Chain(ring)
-    for c, f in table.inner_boundary[letter]:
-        out.add(f, c)
-    return out
+    return Chain(ring, ((f, c) for c, f in table.inner_boundary[letter]))
 
 
 def cobar_differential(space, w, ring=ZZ, hat=None):
@@ -92,35 +116,29 @@ def cobar_differential(space, w, ring=ZZ, hat=None):
     """
     if hat is None:
         hat = isinstance(space, OpExtension)
-    out = Chain(ring)
-    for key, c in _cobar_diff_raw(space, tuple(w), hat).items():
-        out.add(key, c)
-    return out
+    w = tuple(w)
+    word_degree(space, w)  # a non-letter raises SimplicialError
+    return Chain(ring, _cobar_diff_raw(space, w, hat))
 
 
 def _cobar_diff_raw(space, w, hat):
-    """d(w) as a raw {word: coefficient}: the single-letter rule, internal
-    boundary (vertex faces dropped) plus reduced coproduct splits, applied
-    letter by letter with Koszul signs."""
+    """d(w) as summed {word: coefficient}, zero sums kept: the rule of each
+    letter (SimplexTable.rules) spliced into its place, with the Koszul
+    sign of the letters before it.  Callers check w with word_degree."""
     X, op_pairs = _letters(space)
-    dim = X.table.dim
-    faces_of = X.table.inner_boundary if hat else X.table.boundary
-    aw_pairs = X.table.aw_pairs
+    rules, shifted = X.table.rules[hat], X.table.shifted
     terms = {}
-    sign = 1
+    odd = False
     for i, a in enumerate(w):
-        if dim.get(a, 0) < 1:
-            raise SimplicialError(f"{a!r} is not in the reduced letter basis")
-        head, tail = w[:i], w[i + 1 :]
-        for c, f in faces_of[a]:
-            if dim[f] >= 1:
-                new = reduce_word(head + (f,) + tail, op_pairs)
-                terms[new] = terms.get(new, 0) - sign * c
-        for f, b in aw_pairs[a][1:-1]:
-            new = reduce_word(head + (f, b) + tail, op_pairs)
-            terms[new] = terms.get(new, 0) + sign * (-1) ** dim[f]
-        sign *= (-1) ** (dim[a] - 1)
-    return {k: v for k, v in terms.items() if v}
+        rule = rules[a]
+        if rule:
+            head, tail = w[:i], w[i + 1 :]
+            for c, mid in rule:
+                new = _splice(head, mid, tail, op_pairs)
+                terms[new] = terms.get(new, 0) + (-c if odd else c)
+        if shifted[a] & 1:
+            odd = not odd
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +170,7 @@ def cobar_basis(space, degree):
     if degree == 0:
         return [()]
     extend([], degree)
-    return sorted(words, key=lambda w: (len(w), w))
+    return sorted(words, key=_word_key)
 
 
 def words_between(space, start, end, degree, max_word_length):
@@ -188,7 +206,7 @@ def words_between(space, start, end, degree, max_word_length):
                 prefix.pop()
 
     extend([], start, degree)
-    return sorted(words, key=lambda w: (len(w), w))
+    return sorted(words, key=_word_key)
 
 
 def hat_cobar_basis(space, degree, max_word_length):
@@ -212,20 +230,18 @@ class CobarAlgebra:
         self.space = space
         self.hat = isinstance(space, OpExtension) if hat is None else hat
         self.letters, self.op_pairs = _letters(space)
+        self.table = self.letters.table
 
     def degree(self, w):
-        return word_degree(self.space, w)
+        return self.table.word_degree(w)
 
     def differential(self, w):
-        """d(w) as a dict {word: coefficient}."""
+        """d(w) as a dict {word: summed coefficient}, zero sums kept."""
         return _cobar_diff_raw(self.space, tuple(w), self.hat)
 
     def multiply(self, u, v):
-        return reduce_word(tuple(u) + tuple(v), self.op_pairs)
-
-
-def bar_degree(algebra, barword):
-    return sum(algebra.degree(a) + 1 for a in barword)
+        """The product of two reduced words: their reduced concatenation."""
+        return _splice(tuple(u), tuple(v), (), self.op_pairs)
 
 
 def bar_differential(algebra, barword, ring=ZZ):
@@ -236,20 +252,29 @@ def bar_differential(algebra, barword, ring=ZZ):
     lie in the augmentation kernel (no empty cobar word).
     """
     w = tuple(tuple(a) for a in barword)
+    return Chain(ring, _bar_terms(algebra, w, [algebra.degree(a) for a in w]))
+
+
+def _bar_terms(algebra, w, degs):
+    """d1 + d2 of the bar word w, its letters of degrees degs, as summed
+    {bar word: coefficient}."""
     if any(len(a) == 0 for a in w):
         raise SimplicialError("bar letters must be non-unit cobar words")
-    out = Chain(ring)
-    eps = 0  # eps_{i-1} going in
+    terms = {}
+    odd = False  # parity of eps_{i-1} going in
     for i, a in enumerate(w):
         for da, c in algebra.differential(a).items():
             if da:  # unit components die in the augmentation kernel
-                out.add(w[:i] + (da,) + w[i + 1 :], -c * (-1) ** eps)
-        eps += algebra.degree(a) + 1
+                key = w[:i] + (da,) + w[i + 1 :]
+                terms[key] = terms.get(key, 0) + (c if odd else -c)
+        if not degs[i] & 1:
+            odd = not odd
         if i + 1 < len(w):
             prod = algebra.multiply(a, w[i + 1])
             if prod:
-                out.add(w[:i] + (prod,) + w[i + 2 :], -((-1) ** eps))
-    return out
+                key = w[:i] + (prod,) + w[i + 2 :]
+                terms[key] = terms.get(key, 0) + (1 if odd else -1)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +313,9 @@ def cobar_slice(space, max_degree, max_word_length=None):
         truncated_at = None
 
     def diff(w):
-        return _cobar_diff_raw(space, w, hat)
+        return cobar_differential(space, w, hat=hat).terms
 
-    return _close_and_build(seeds, diff, max_degree, truncated_at=truncated_at)
+    return _close_and_build(seeds, diff, max_degree, _word_key, truncated_at)
 
 
 def hochschild_basis(algebra, degree, word_cap=None):
@@ -340,4 +365,4 @@ def hochschild_basis(algebra, degree, word_cap=None):
                     prefix.pop()
 
         extend([], degree, word_cap)
-    return sorted(out, key=_generator_sort_key)
+    return sorted(out, key=_hochschild_key)

@@ -2,12 +2,16 @@
 and homology via Smith normal form.
 
 All matrices carry exact integer entries; the coefficient ring only enters
-when homology is extracted.  A matrix is stored as its columns, one
-{row: value} dict per generator, which is how a differential is computed
-and how every reader but the reducer wants it; the reducer transposes to
-rows.  One builder owns generator order: it closes a slice's bases under
-the differential top-down, one degree at a time, and re-keys each degree's
-differentials into index columns before it starts the degree below.
+when homology is extracted.  A differential sums its terms into one plain
+dict and becomes a Chain once: the chain takes the dict over, normalizes
+it mod p and drops the zero sums in place.  A matrix is stored as its columns, one {row: value}
+dict per generator, which is how a differential is computed and how every
+reader but the reducer wants it; the reducer transposes to rows.  One
+builder owns generator order: it closes a slice's bases under the
+differential top-down, one degree at a time, sorting each basis by the
+flat key its caller gives for the generator shape, and re-keys each
+degree's differentials into index columns before it starts the degree
+below.
 
 One sparse elimination core pivots on units (+-1 over Z, any nonzero
 entry mod p): it computes ranks over F_p outright, and over Z it splits
@@ -110,11 +114,21 @@ class Chain:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
+        """A chain from {key: summed coefficient}, a dict the chain takes over
+        and normalizes in place, or from (key, c) pairs whose keys may repeat;
+        zero sums drop out."""
         self.ring = ring
-        self.terms = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                self.add(key, c)
+        if not isinstance(terms, dict):
+            summed = {}
+            for key, c in terms or ():
+                summed[key] = summed.get(key, 0) + c
+            terms = summed
+        if ring.p:
+            for key, c in terms.items():
+                terms[key] = c % ring.p
+        for key in [key for key, c in terms.items() if not c]:
+            del terms[key]
+        self.terms = terms
 
     def add(self, key, c):
         c = self.ring.normalize(c + self.terms.get(key, 0))
@@ -410,9 +424,7 @@ class ComplexSlice:
 
     def __init__(self, bases, diffs, truncated_at=None):
         self.bases = {n: tuple(b) for n, b in bases.items()}
-        self.index = {
-            n: {g: i for i, g in enumerate(b)} for n, b in self.bases.items()
-        }
+        self.index = {}  # degree -> {generator: position}, built on first use
         self.diffs = dict(diffs)
         self.truncated_at = truncated_at
         # (degree, p) -> (invariant factors, rank) of d_n; p is None over Z and Q
@@ -432,7 +444,9 @@ class ComplexSlice:
     def coordinates(self, chain, n):
         """A degree-n chain as {basis index: coefficient}, the form of a
         stored column; None if one of its keys is not in bases[n]."""
-        index = self.index.get(n, {})
+        index = self.index.get(n)
+        if index is None:
+            index = self.index[n] = {g: i for i, g in enumerate(self.bases.get(n, ()))}
         if not all(key in index for key in chain.terms):
             return None
         return {index[key]: c for key, c in chain.terms.items()}
@@ -447,13 +461,7 @@ class ComplexSlice:
         )
 
 
-def _generator_sort_key(g):
-    # Stable order for generator keys: nested tuples whose leaves are strings,
-    # shorter tuples first.  Keys compared within one basis share their shape.
-    return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
-
-
-def _close_and_build(seeds, diff_fn, max_degree, truncated_at=None):
+def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
     """Build a ComplexSlice top-down, closing the bases under d.
 
     seeds[n] holds the generators enumerated in degree n and diff_fn(g) is
@@ -461,6 +469,8 @@ def _close_and_build(seeds, diff_fn, max_degree, truncated_at=None):
     closed under d (truncated word enumerations are not): every generator
     that appears in a differential is adopted into the basis below, so the
     stored matrices form an honest subcomplex and d.d = 0 holds exactly.
+    Every basis is sorted by ``key``, the flat sort key of the builder's
+    generator shape (None sorts generators as they are).
 
     The top seed degree is sorted once.  Then, for each degree n from the
     top down, the differentials of the sorted basis n are taken, basis n-1
@@ -469,11 +479,11 @@ def _close_and_build(seeds, diff_fn, max_degree, truncated_at=None):
     starts.  A basis sorted as the rows of degree n+1 is never sorted again.
     """
     bases, diffs = {}, {}
-    gens = sorted(seeds.get(max_degree, ()), key=_generator_sort_key)
+    gens = sorted(seeds.get(max_degree, ()), key=key)
     for n in range(max_degree, 0, -1):
         columns = [diff_fn(g) for g in gens]
         rows = set(seeds.get(n - 1, ())).union(*columns)
-        rows = sorted(rows, key=_generator_sort_key)
+        rows = sorted(rows, key=key)
         if gens:
             row_index = {g: i for i, g in enumerate(rows)}
             for j, dg in enumerate(columns):

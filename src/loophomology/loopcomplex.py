@@ -21,21 +21,20 @@ the picture on the algebra side.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .cobar import (
     CobarAlgebra,
+    _bar_terms,
     _cobar_diff_raw,
-    bar_degree,
-    bar_differential,
+    _hochschild_key,
+    _splice,
     format_word,
     hochschild_basis,
-    reduce_word,
-    word_degree,
     words_between,
 )
 from .homalg import Chain, ZZ, _close_and_build
 from .simplicial import OpExtension, SimplicialError
-
-LoopGen = tuple  # (simplex id, word)
 
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
 # adjacent-index readings of the product-form exponent; "rotation" is the
@@ -49,6 +48,12 @@ DEFAULT_CHI_VARIANT = "rotation"
 def format_loop_generator(gen):
     x, w = gen
     return f"({x} ; {format_word(w)})"
+
+
+def _loop_key(gen):
+    # flat sort key of a loop generator (x, w): by x, then as a word
+    x, w = gen
+    return x, len(w), w
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +119,6 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
 # The coalgebra-formula differential
 
 
-def _theta_terms(table, op_pairs, p, gen):
-    """theta_1 and theta_2 of (x, w) as raw {generator: coefficient}."""
-    x, w = gen
-    eps = sum(table.dim[a] for a in w) + len(w)
-    fronts, backs = table.fronts[x], table.backs[x]
-    terms = {}
-    for j in range(p):
-        # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
-        f, b = fronts[j], backs[j]
-        if f is not None and b is not None:
-            new = (f, reduce_word((b,) + w, op_pairs))
-            c = -((-1) ** j)
-            terms[new] = terms.get(new, 0) + c
-    for j in range(1, p + 1):
-        # theta_2: front_j rotates to the word tail, back_j keeps the slot.
-        f, b = fronts[j], backs[j]
-        if f is not None and b is not None:
-            new = (b, reduce_word(w + (f,), op_pairs))
-            c = (-1) ** ((j + 1) * ((p - j) + eps))
-            terms[new] = terms.get(new, 0) + c
-    return terms
-
-
 def cohoch_differential(space, gen, ring=ZZ, hat=False):
     """Differential of a loop generator, four terms: simplex boundary, word
     differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
@@ -147,15 +129,24 @@ def cohoch_differential(space, gen, ring=ZZ, hat=False):
     X, table, op_pairs = _loop_parts(space)
     x, w = gen
     p = X.dim(x)
-    out = Chain(ring)
+    q = table.word_degree(w)
+    terms = {}
     for c, f in (table.inner_boundary if hat else table.boundary)[x]:
-        out.add((f, w), c)
-    sign = (-1) ** p
+        key = (f, w)
+        terms[key] = terms.get(key, 0) + c
+    sign = -1 if p & 1 else 1
     for wkey, c in _cobar_diff_raw(space, w, hat).items():
-        out.add((x, wkey), sign * c)
-    for key, c in _theta_terms(table, op_pairs, p, gen).items():
-        out.add(key, c)
-    return out
+        key = (x, wkey)
+        terms[key] = terms.get(key, 0) + sign * c
+    for f, b, c in table.theta1[x]:
+        # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
+        key = (f, _splice((b,), w, (), op_pairs))
+        terms[key] = terms.get(key, 0) + c
+    for f, b, c in table.theta2[x][q & 1]:
+        # theta_2: front_j rotates to the word tail, back_j keeps the slot.
+        key = (b, _splice(w, (f,), (), op_pairs))
+        terms[key] = terms.get(key, 0) + c
+    return Chain(ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +168,7 @@ def _word_cube_face(table, op_pairs, w, j, split):
                 piece = (table.faces[a][m],)
             if None in piece:
                 return None
-            return reduce_word(w[:idx] + piece + w[idx + 1 :], op_pairs)
+            return _splice(w[:idx], piece, w[idx + 1 :], op_pairs)
         count += inner
     raise SimplicialError(f"cube coordinate {j} exceeds the word degree {count}")
 
@@ -192,8 +183,7 @@ def necklical_face(space, eps, i, gen):
     X, table, op_pairs = _loop_parts(space)
     x, w = gen
     p = X.dim(x)
-    q = word_degree(space, w)
-    n = p + q
+    n = p + table.word_degree(w)
     if eps not in (0, 1, 2):
         raise SimplicialError(f"face family {eps!r} not in (0, 1, 2)")
     top = p if eps == 2 else n
@@ -201,29 +191,24 @@ def necklical_face(space, eps, i, gen):
         raise SimplicialError(
             f"index {i} out of range 1..{top} for d{eps} on {format_loop_generator(gen)}"
         )
-    fronts, backs = table.fronts[x], table.backs[x]
+    return _necklace_face(table, op_pairs, x, w, p, eps, i)
+
+
+def _necklace_face(table, op_pairs, x, w, p, eps, i):
+    """d^eps_i of (x, w) for p = dim x, with eps and i already checked."""
     if eps == 1 and i == 1 and p >= 1:
         eps = 2  # the first delete and the first rotation coincide
-    if eps == 0:
-        if i <= p:
-            f, b = fronts[i - 1], backs[i - 1]
-            if f is None or b is None:
-                return None
-            return (f, reduce_word((b,) + w, op_pairs))
-        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=True))
+    if eps == 2:
+        f, b = table.fronts[x][i], table.backs[x][i]
+        return None if f is None or b is None else (b, _splice(w, (f,), (), op_pairs))
+    if i > p:
+        w = _word_cube_face(table, op_pairs, w, i - p, split=eps == 0)
+        return None if w is None else (x, w)
     if eps == 1:
-        if i <= p:
-            g = table.faces[x][i - 1]
-            return None if g is None else (g, w)
-        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=False))
-    f, b = fronts[i], backs[i]
-    if f is None or b is None:
-        return None
-    return (b, reduce_word(w + (f,), op_pairs))
-
-
-def _with_word(x, w):
-    return None if w is None else (x, w)
+        g = table.faces[x][i - 1]
+        return None if g is None else (g, w)
+    f, b = table.fronts[x][i - 1], table.backs[x][i - 1]
+    return None if f is None or b is None else (f, _splice((b,), w, (), op_pairs))
 
 
 def necklical_differential(space, gen, ring=ZZ):
@@ -231,27 +216,26 @@ def necklical_differential(space, gen, ring=ZZ):
 
         sum_{i=1}^{n} (-1)^i (d0_i - d1_i) + sum_{i=2}^{p} (-1)^{(i-1) n} d2_i
 
-    with degenerate faces dropped.  Computed entirely from necklical_face;
-    no coproduct formula enters, which is what makes the term-by-term
-    comparison against cohoch_differential a real cross-check.
+    with degenerate faces dropped.  Computed entirely from the faces of
+    necklical_face; no coproduct formula enters, which is what makes the
+    term-by-term comparison against cohoch_differential a real cross-check.
     """
+    X, table, op_pairs = _loop_parts(space)
     x, w = gen
-    p = _loop_parts(space)[0].dim(x)
-    n = p + word_degree(space, w)
-    out = Chain(ring)
+    p = X.dim(x)
+    n = p + table.word_degree(w)
+    terms = {}
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
-        g0 = necklical_face(space, 0, i, gen)
-        if g0 is not None:
-            out.add(g0, sign)
-        g1 = necklical_face(space, 1, i, gen)
-        if g1 is not None:
-            out.add(g1, -sign)
+        for eps, c in ((0, sign), (1, -sign)):
+            g = _necklace_face(table, op_pairs, x, w, p, eps, i)
+            if g is not None:
+                terms[g] = terms.get(g, 0) + c
     for i in range(2, p + 1):
-        g2 = necklical_face(space, 2, i, gen)
-        if g2 is not None:
-            out.add(g2, (-1) ** ((i - 1) * n))
-    return out
+        g = _necklace_face(table, op_pairs, x, w, p, 2, i)
+        if g is not None:
+            terms[g] = terms.get(g, 0) + (-1) ** ((i - 1) * n)
+    return Chain(ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +255,25 @@ def hochschild_differential(algebra, gen, ring=ZZ):
     b, u = gen
     b = tuple(tuple(a) for a in b)
     u = tuple(u)
-    out = Chain(ring)
-    deg_b = bar_degree(algebra, b)
-    sign = (-1) ** deg_b
+    degs = [algebra.degree(a) for a in b]
+    deg_u = algebra.degree(u)
+    eps_n = sum(degs) + len(b)  # the bar degree of b
+    terms = {}
+    sign = -1 if eps_n & 1 else 1
     for du, c in algebra.differential(u).items():
-        out.add((b, du), sign * c)
-    for db, c in bar_differential(algebra, b, ring).terms.items():
-        out.add((db, u), c)
+        key = (b, du)
+        terms[key] = terms.get(key, 0) + sign * c
+    for db, c in _bar_terms(algebra, b, degs).items():
+        key = (db, u)
+        terms[key] = terms.get(key, 0) + c
     if b:
-        n = len(b)
-        degs = [algebra.degree(a) for a in b]
-        eps_n = sum(degs) + n
-        eps_prev = sum(degs[:-1]) + (n - 1)
-        a1, an = b[0], b[-1]
-        e1 = degs[0] * (algebra.degree(u) + eps_n + degs[0] + 1)
-        out.add((b[1:], algebra.multiply(u, a1)), -((-1) ** e1))
-        out.add((b[:-1], algebra.multiply(an, u)), (-1) ** eps_prev)
-    return out
+        e1 = degs[0] * (deg_u + eps_n + degs[0] + 1)
+        key = (b[1:], algebra.multiply(u, b[0]))
+        terms[key] = terms.get(key, 0) - (-1 if e1 & 1 else 1)
+        eps_prev = eps_n - degs[-1] - 1
+        key = (b[:-1], algebra.multiply(b[-1], u))
+        terms[key] = terms.get(key, 0) + (-1 if eps_prev & 1 else 1)
+    return Chain(ring, terms)
 
 
 def hochschild_slice(space, max_degree, hat=False, word_cap=None):
@@ -311,7 +297,7 @@ def hochschild_slice(space, max_degree, hat=False, word_cap=None):
     def diff(g):
         return hochschild_differential(algebra, g).terms
 
-    return _close_and_build(seeds, diff, max_degree, truncated_at=truncated_at)
+    return _close_and_build(seeds, diff, max_degree, _hochschild_key, truncated_at)
 
 
 def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
@@ -333,7 +319,7 @@ def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
     def diff(g):
         return cohoch_differential(space, g, hat=hat).terms
 
-    return _close_and_build(seeds, diff, max_degree, truncated_at=truncated_at)
+    return _close_and_build(seeds, diff, max_degree, _loop_key, truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +340,33 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     all in shifted degrees.  The sweep in verify.select_chi_variant keeps
     only "rotation"; the others stay for the recorded comparison.
     """
+    return Chain(ring, _chi_terms(space, a, u, variant))
+
+
+def _chi_terms(space, a, u, variant):
+    """chi(a (x) u) as summed {(letter, word): coefficient}."""
     if variant not in CHI_VARIANTS:
         raise ValueError(f"unknown chi variant {variant!r}")
     _, table, op_pairs = _loop_parts(space)
     a = tuple(a)
     u = tuple(u)
-    out = Chain(ring)
+    deg_u = table.word_degree(u)
+    shift = table.word_degree(a)
     n = len(a)
-    if n == 0:
-        return out
-    if n == 1:
-        out.add((a[0], u), 1)
-        return out
-    degs = [table.dim[letter] for letter in a]
-    deg_u = word_degree(space, u)
+    if n < 2:
+        return {(a[0], u): 1} if n else {}
+    prefix = list(accumulate((table.dim[letter] for letter in a), initial=0))
+    terms = {}
     for i in range(1, n + 1):
         if variant == "rotation":
-            head = sum(d - 1 for d in degs[: i - 1])
-            rest = (degs[i - 1] - 1) + sum(d - 1 for d in degs[i:]) + deg_u
-            e = head * rest
+            head = prefix[i - 1] - (i - 1)
+            e = head * (shift - head + deg_u)
         else:
-            start = (i - 1) if variant == "index-low" else (i + 1)
-            tail = sum(degs[k - 1] for k in range(max(start, 1), n + 1))
-            e = (tail + n + i) * (deg_u + sum(degs[:i]) + i)
-        word = reduce_word(a[i:] + u + a[: i - 1], op_pairs)
-        out.add((a[i - 1], word), (-1) ** e)
-    return out
+            start = max(i - 1 if variant == "index-low" else i + 1, 1)
+            e = (prefix[n] - prefix[start - 1] + n + i) * (deg_u + prefix[i] + i)
+        key = (a[i - 1], _splice(a[i:], u, a[: i - 1], op_pairs))
+        terms[key] = terms.get(key, 0) + (-1 if e & 1 else 1)
+    return terms
 
 
 def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
@@ -387,13 +374,13 @@ def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     the basepoint tensor the word, single bar letters go through chi with
     the orientation matching the wrap-term convention, longer ones die."""
     b, u = gen
-    out = Chain(ring)
     if len(b) == 0:
-        out.add((_loop_parts(space)[0].basepoint, tuple(u)), 1)
+        terms = {(_loop_parts(space)[0].basepoint, tuple(u)): 1}
     elif len(b) == 1:
-        for (letter, word), c in chi(space, b[0], u, ring, variant).terms.items():
-            out.add((letter, word), -c)
-    return out
+        terms = {key: -c for key, c in _chi_terms(space, b[0], u, variant).items()}
+    else:
+        terms = {}
+    return Chain(ring, terms)
 
 
 def phi_chain(space, chain, ring=ZZ, variant=DEFAULT_CHI_VARIANT):

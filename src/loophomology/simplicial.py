@@ -210,7 +210,15 @@ class SimplexTable:
     normalized boundary terms (coef, face) in full and inner-face form, and
     the Alexander-Whitney pairs (front, back) with degenerate ones dropped,
     in order of j; for d >= 1 the outer pairs always survive, so the
-    reduced coproduct is aw_pairs[s][1:-1].  Read-only once built.
+    reduced coproduct is aw_pairs[s][1:-1].
+
+    Precomputed for the word models: for each letter a (dimension >= 1),
+    shifted[a] = |a| - 1 and rules[hat][a], the cobar rule -[d a] + sum
+    (-1)^{|a'|} [a'|a''] as (coefficient, replacement letters) pairs over
+    the full boundary (hat 0) or its inner faces (hat 1), vertices dropped;
+    for each s, the free-loop wrap pairs (front, back, coefficient):
+    theta1[s] over j < d with -(-1)^j, theta2[s][e] over j >= 1 with
+    (-1)^((j+1)(d-j+e)) for words of degree parity e.  Read-only once built.
     """
 
     def __init__(self, X):
@@ -221,6 +229,10 @@ class SimplexTable:
         self.boundary = {}
         self.inner_boundary = {}
         self.aw_pairs = {}
+        self.shifted = {s: d - 1 for s, d in self.dim.items() if d >= 1}
+        self.rules = ({}, {})
+        self.theta1 = {}
+        self.theta2 = {}
         for s, d in self.dim.items():
             x = nondeg(s)
             faces = tuple(_base(face(X, x, i)) for i in range(d + 1)) if d else ()
@@ -241,15 +253,35 @@ class SimplexTable:
                 for i, f in enumerate(faces[1:d], 1)
                 if f is not None
             )
-            self.aw_pairs[s] = tuple(
-                (f, b)
-                for f, b in zip(self.fronts[s], self.backs[s])
+            pairs = [
+                (j, f, b)
+                for j, (f, b) in enumerate(zip(self.fronts[s], self.backs[s]))
                 if f is not None and b is not None
+            ]
+            self.aw_pairs[s] = tuple((f, b) for _, f, b in pairs)
+            self.theta1[s] = tuple((f, b, 1 if j % 2 else -1) for j, f, b in pairs if j < d)
+            self.theta2[s] = tuple(
+                tuple((f, b, (-1) ** ((j + 1) * (d - j + e))) for j, f, b in pairs if j)
+                for e in (0, 1)
             )
+            if d:
+                splits = tuple(((-1) ** self.dim[p[0]], p) for p in self.aw_pairs[s][1:-1])
+                for hat, terms in enumerate((self.boundary[s], self.inner_boundary[s])):
+                    drops = tuple((-c, (f,)) for c, f in terms if self.dim[f])
+                    self.rules[hat][s] = drops + splits
 
     def ends(self, s):
         """(min, max): the first and last vertex of a simplex."""
         return self.fronts[s][0], self.backs[s][-1]
+
+    def word_degree(self, w):
+        """The sum of the shifted letter degrees of a word.  The word models
+        read every input word through here, so a non-letter fails here."""
+        try:
+            return sum(map(self.shifted.__getitem__, w))
+        except KeyError as exc:
+            bad = exc.args[0]
+            raise SimplicialError(f"{bad!r} is not in the reduced letter basis") from None
 
 
 def endpoints(X, fs):
@@ -266,10 +298,7 @@ def endpoints(X, fs):
 def boundary(X, simplex_id, ring=ZZ):
     """Normalized chain boundary: alternating faces, degenerate ones dropped."""
     X.dim(simplex_id)  # an unknown id raises SimplicialError
-    out = Chain(ring)
-    for c, f in X.table.boundary[simplex_id]:
-        out.add(f, c)
-    return out
+    return Chain(ring, ((f, c) for c, f in X.table.boundary[simplex_id]))
 
 
 def aw_coproduct(X, simplex_id, reduced=False):
@@ -391,7 +420,7 @@ def validate(X):
 def chains_slice(X, max_degree):
     """The normalized chain complex of X through the given degree."""
     seeds = {d: sorted(X.simplices.get(d, ())) for d in range(max_degree + 1)}
-    return _close_and_build(seeds, lambda s: boundary(X, s).terms, max_degree)
+    return _close_and_build(seeds, lambda s: boundary(X, s).terms, max_degree, key=None)
 
 
 # ---------------------------------------------------------------------------

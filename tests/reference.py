@@ -1,0 +1,259 @@
+"""Reference implementations: the oracles of the package's fast paths.
+
+These are the earlier, term-by-term forms of the word-model differentials
+and comparison maps.  Each adds every term into a Chain one ``add`` call at
+a time, reads faces, fronts and backs from the SimplexTable's raw face data
+(not from its per-letter rules, signs or shifted degrees), and freely
+reduces every new word by a full rescan with ``reduce_word`` (not at the
+seams).  The recursive generator sort key is the order oracle of the flat
+keys the slice builders pass.  Tests assert that the package agrees with
+all of them.
+"""
+
+from loophomology.cobar import reduce_word
+from loophomology.homalg import ZZ, Chain
+from loophomology.simplicial import OpExtension, SimplicialError
+
+CHI_VARIANTS = ("index-low", "index-high", "rotation")
+
+
+def _generator_sort_key(g):
+    # Nested tuples whose leaves are strings, shorter tuples first.
+    return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
+
+
+def _letters(space):
+    if isinstance(space, OpExtension):
+        return space.space, space.op_pairs
+    return space, {}
+
+
+def _loop_parts(space):
+    if isinstance(space, OpExtension):
+        return space.underlying, space.space.table, space.op_pairs
+    return space, space.table, {}
+
+
+def word_degree(space, w):
+    dim = _letters(space)[0].table.dim
+    return sum(dim[a] - 1 for a in w)
+
+
+# ---------------------------------------------------------------------------
+# cobar, bar and Hochschild
+
+
+def cobar_terms(space, w, hat):
+    X, op_pairs = _letters(space)
+    dim = X.table.dim
+    faces_of = X.table.inner_boundary if hat else X.table.boundary
+    aw_pairs = X.table.aw_pairs
+    terms = {}
+    sign = 1
+    for i, a in enumerate(w):
+        if dim.get(a, 0) < 1:
+            raise SimplicialError(f"{a!r} is not in the reduced letter basis")
+        head, tail = w[:i], w[i + 1 :]
+        for c, f in faces_of[a]:
+            if dim[f] >= 1:
+                new = reduce_word(head + (f,) + tail, op_pairs)
+                terms[new] = terms.get(new, 0) - sign * c
+        for f, b in aw_pairs[a][1:-1]:
+            new = reduce_word(head + (f, b) + tail, op_pairs)
+            terms[new] = terms.get(new, 0) + sign * (-1) ** dim[f]
+        sign *= (-1) ** (dim[a] - 1)
+    return {k: v for k, v in terms.items() if v}
+
+
+def cobar_differential(space, w, ring=ZZ, hat=None):
+    if hat is None:
+        hat = isinstance(space, OpExtension)
+    out = Chain(ring)
+    for key, c in cobar_terms(space, tuple(w), hat).items():
+        out.add(key, c)
+    return out
+
+
+def bar_differential(algebra, barword, ring=ZZ):
+    """d1 + d2 over the package's CobarAlgebra, read only for its space and
+    hat flag; degrees, differentials and products are the references'."""
+    space, hat = algebra.space, algebra.hat
+    op_pairs = _letters(space)[1]
+    w = tuple(tuple(a) for a in barword)
+    if any(len(a) == 0 for a in w):
+        raise SimplicialError("bar letters must be non-unit cobar words")
+    out = Chain(ring)
+    eps = 0
+    for i, a in enumerate(w):
+        for da, c in cobar_terms(space, a, hat).items():
+            if da:
+                out.add(w[:i] + (da,) + w[i + 1 :], -c * (-1) ** eps)
+        eps += word_degree(space, a) + 1
+        if i + 1 < len(w):
+            prod = reduce_word(a + w[i + 1], op_pairs)
+            if prod:
+                out.add(w[:i] + (prod,) + w[i + 2 :], -((-1) ** eps))
+    return out
+
+
+def hochschild_differential(algebra, gen, ring=ZZ):
+    space, hat = algebra.space, algebra.hat
+    op_pairs = _letters(space)[1]
+    b, u = gen
+    b = tuple(tuple(a) for a in b)
+    u = tuple(u)
+    out = Chain(ring)
+    degs = [word_degree(space, a) for a in b]
+    sign = (-1) ** (sum(degs) + len(b))
+    for du, c in cobar_terms(space, u, hat).items():
+        out.add((b, du), sign * c)
+    for db, c in bar_differential(algebra, b, ring).terms.items():
+        out.add((db, u), c)
+    if b:
+        n = len(b)
+        eps_n = sum(degs) + n
+        eps_prev = sum(degs[:-1]) + (n - 1)
+        a1, an = b[0], b[-1]
+        e1 = degs[0] * (word_degree(space, u) + eps_n + degs[0] + 1)
+        out.add((b[1:], reduce_word(u + a1, op_pairs)), -((-1) ** e1))
+        out.add((b[:-1], reduce_word(an + u, op_pairs)), (-1) ** eps_prev)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the free-loop differentials
+
+
+def cohoch_differential(space, gen, ring=ZZ, hat=False):
+    X, table, op_pairs = _loop_parts(space)
+    x, w = gen
+    p = X.dim(x)
+    out = Chain(ring)
+    for c, f in (table.inner_boundary if hat else table.boundary)[x]:
+        out.add((f, w), c)
+    sign = (-1) ** p
+    for wkey, c in cobar_terms(space, w, hat).items():
+        out.add((x, wkey), sign * c)
+    eps = sum(table.dim[a] for a in w) + len(w)
+    fronts, backs = table.fronts[x], table.backs[x]
+    for j in range(p):
+        f, b = fronts[j], backs[j]
+        if f is not None and b is not None:
+            out.add((f, reduce_word((b,) + w, op_pairs)), -((-1) ** j))
+    for j in range(1, p + 1):
+        f, b = fronts[j], backs[j]
+        if f is not None and b is not None:
+            out.add((b, reduce_word(w + (f,), op_pairs)), (-1) ** ((j + 1) * ((p - j) + eps)))
+    return out
+
+
+def _word_cube_face(table, op_pairs, w, j, split):
+    count = 0
+    for idx, a in enumerate(w):
+        inner = table.dim[a] - 1
+        if count + inner >= j:
+            m = j - count
+            if split:
+                piece = (table.fronts[a][m], table.backs[a][m])
+            else:
+                piece = (table.faces[a][m],)
+            if None in piece:
+                return None
+            return reduce_word(w[:idx] + piece + w[idx + 1 :], op_pairs)
+        count += inner
+    raise SimplicialError(f"cube coordinate {j} exceeds the word degree {count}")
+
+
+def _with_word(x, w):
+    return None if w is None else (x, w)
+
+
+def necklical_face(space, eps, i, gen):
+    X, table, op_pairs = _loop_parts(space)
+    x, w = gen
+    p = X.dim(x)
+    n = p + word_degree(space, w)
+    top = p if eps == 2 else n
+    if eps not in (0, 1, 2) or not 1 <= i <= top:
+        raise SimplicialError(f"no face d{eps}_{i}")
+    fronts, backs = table.fronts[x], table.backs[x]
+    if eps == 1 and i == 1 and p >= 1:
+        eps = 2
+    if eps == 0:
+        if i <= p:
+            f, b = fronts[i - 1], backs[i - 1]
+            if f is None or b is None:
+                return None
+            return (f, reduce_word((b,) + w, op_pairs))
+        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=True))
+    if eps == 1:
+        if i <= p:
+            g = table.faces[x][i - 1]
+            return None if g is None else (g, w)
+        return _with_word(x, _word_cube_face(table, op_pairs, w, i - p, split=False))
+    f, b = fronts[i], backs[i]
+    if f is None or b is None:
+        return None
+    return (b, reduce_word(w + (f,), op_pairs))
+
+
+def necklical_differential(space, gen, ring=ZZ):
+    x, w = gen
+    p = _loop_parts(space)[0].dim(x)
+    n = p + word_degree(space, w)
+    out = Chain(ring)
+    for i in range(1, n + 1):
+        sign = -1 if i % 2 else 1
+        g0 = necklical_face(space, 0, i, gen)
+        if g0 is not None:
+            out.add(g0, sign)
+        g1 = necklical_face(space, 1, i, gen)
+        if g1 is not None:
+            out.add(g1, -sign)
+    for i in range(2, p + 1):
+        g2 = necklical_face(space, 2, i, gen)
+        if g2 is not None:
+            out.add(g2, (-1) ** ((i - 1) * n))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# chi and phi
+
+
+def chi(space, a, u, ring=ZZ, variant="rotation"):
+    _, table, op_pairs = _loop_parts(space)
+    a = tuple(a)
+    u = tuple(u)
+    out = Chain(ring)
+    n = len(a)
+    if n == 0:
+        return out
+    if n == 1:
+        out.add((a[0], u), 1)
+        return out
+    degs = [table.dim[letter] for letter in a]
+    deg_u = word_degree(space, u)
+    for i in range(1, n + 1):
+        if variant == "rotation":
+            head = sum(d - 1 for d in degs[: i - 1])
+            rest = (degs[i - 1] - 1) + sum(d - 1 for d in degs[i:]) + deg_u
+            e = head * rest
+        else:
+            start = (i - 1) if variant == "index-low" else (i + 1)
+            tail = sum(degs[k - 1] for k in range(max(start, 1), n + 1))
+            e = (tail + n + i) * (deg_u + sum(degs[:i]) + i)
+        word = reduce_word(a[i:] + u + a[: i - 1], op_pairs)
+        out.add((a[i - 1], word), (-1) ** e)
+    return out
+
+
+def phi(space, gen, ring=ZZ, variant="rotation"):
+    b, u = gen
+    out = Chain(ring)
+    if len(b) == 0:
+        out.add((_loop_parts(space)[0].basepoint, tuple(u)), 1)
+    elif len(b) == 1:
+        for (letter, word), c in chi(space, b[0], u, ring, variant).terms.items():
+            out.add((letter, word), -c)
+    return out

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import _generator_sort_key
 from loophomology.homalg import Chain, ZZ, check_d_squared
 from loophomology.simplicial import (
     BUILTIN_NAMES,
@@ -11,10 +12,12 @@ from loophomology.simplicial import (
     adjoin_inverses,
     builtin_space,
 )
+from loophomology.loopcomplex import _loop_key
 from loophomology.verify import build_complex_slice, supported_complexes
 from loophomology.cobar import (
     CobarAlgebra,
-    _generator_sort_key,
+    _hochschild_key,
+    _word_key,
     bar_differential,
     cobar_basis,
     cobar_differential,
@@ -212,20 +215,32 @@ def _recursive_sort_key(g):
     return rec(g)
 
 
+# the flat key each slice builder passes for its generator shape
+BUILDER_KEYS = {
+    "chains": None,
+    "cobar": _word_key,
+    "hat-cobar": _word_key,
+    "cohoch": _loop_key,
+    "hat-cohoch": _loop_key,
+    "hochschild-of-cobar": _hochschild_key,
+}
+
+
 def test_flat_sort_key_orders_every_builtin_basis_like_the_recursive_key():
     bases = []
     for name in BUILTIN_NAMES:
         X = builtin_space(name)
         for complex_name in supported_complexes(X):
             sl = build_complex_slice(X, complex_name, 4, max_word_length=2)
-            bases.extend(sl.bases.values())
+            bases.extend((BUILDER_KEYS[complex_name], b) for b in sl.bases.values())
     assert len(bases) == 116
-    for basis in bases:
+    for key, basis in bases:
         shuffled = list(basis)
         random.Random(len(basis)).shuffle(shuffled)
-        assert sorted(shuffled, key=_generator_sort_key) == sorted(
-            shuffled, key=_recursive_sort_key
-        )
+        expected = sorted(shuffled, key=_recursive_sort_key)
+        assert sorted(shuffled, key=_generator_sort_key) == expected
+        assert sorted(shuffled, key=key) == expected
+        assert list(basis) == expected
 
 
 # A shape is "str", ("seq", shape) for a tuple of any length whose entries

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from reference import _generator_sort_key
 from loophomology.homalg import (
     Chain,
     ComplexSlice,
@@ -53,6 +54,19 @@ def test_chain_arithmetic():
     c = Chain(ZZ, {"a": 1, "b": -3})
     assert c.coefficient("b") == -3
     assert c.items() == [("a", 1), ("b", -3)]
+
+
+def test_chain_normalizes_summed_terms_once():
+    # a dict of summed coefficients is taken over; repeated pairs are summed
+    summed = {"a": 4, "b": 3, "c": 0, "d": -1}
+    f3 = Chain(prime_field(3), summed)
+    assert f3.terms is summed
+    assert f3.items() == [("a", 1), ("d", 2)]
+    assert Chain(ZZ, summed).items() == [("a", 1), ("d", 2)]
+    pairs = Chain(ZZ, [("a", 1), ("b", 2), ("a", -1), ("b", 1)])
+    assert pairs.items() == [("b", 3)]
+    assert Chain(prime_field(3), [("a", 2), ("a", 1)]).is_zero
+    assert Chain(ZZ).is_zero and Chain(ZZ, {}).is_zero
 
 
 def test_smith_examples():
@@ -226,6 +240,25 @@ def test_homology_permutation_invariance():
     assert [homology_of_slice(shuffled, n) for n in range(3)] == base
 
 
+def test_homology_builds_no_index_and_coordinates_build_one_per_degree():
+    sl = build_complex_slice(builtin_space("torus"), "hat-cohoch", 4, max_word_length=2)
+    for n in sl.degrees():
+        homology_of_slice(sl, n)
+        homology_of_slice(sl, n, prime_field(2))
+    assert sl.index == {}
+    for n in sl.degrees():
+        position = {g: i for i, g in enumerate(sl.bases[n])}
+        for g in sl.bases[n]:
+            assert sl.coordinates(Chain(ZZ, {g: 2}), n) == {position[g]: 2}
+        everything = Chain(ZZ, {g: i + 1 for i, g in enumerate(sl.bases[n])})
+        assert sl.coordinates(everything, n) == {i: i + 1 for i in range(len(sl.bases[n]))}
+        assert sl.coordinates(Chain(ZZ, {("nowhere", ()): 1}), n) is None
+        assert sl.coordinates(Chain(ZZ), n) == {}
+    assert sorted(sl.index) == sl.degrees()
+    assert sl.coordinates(Chain(ZZ, {("v", ()): 1}), 99) is None
+    assert sl.coordinates(Chain(ZZ), 99) == {}
+
+
 def test_incomplete_slice_error():
     sl = ComplexSlice({0: ["a"], 1: ["b"]}, {})
     with pytest.raises(IncompleteSliceError):
@@ -338,9 +371,12 @@ class _ReferenceMatrix:
         return cols
 
 
-def _reference_close_and_build(bases_by_degree, diff_fn, max_degree, truncated_at=None):
+def _reference_close_and_build(
+    bases_by_degree, diff_fn, max_degree, key=None, truncated_at=None
+):
     # Bottom-up: close every degree while caching each differential, sort
-    # every basis, then assemble all matrices from the cache.
+    # every basis by the recursive key (ignoring the builder's flat key),
+    # then assemble all matrices from the cache.
     bases = {n: list(gens) for n, gens in bases_by_degree.items()}
     diff_cache = {}
     for n in range(max_degree, 0, -1):
@@ -352,7 +388,7 @@ def _reference_close_and_build(bases_by_degree, diff_fn, max_degree, truncated_a
                 if key not in lower:
                     lower[key] = None
         bases[n - 1] = list(lower)
-    sort_key = homalg._generator_sort_key
+    sort_key = _generator_sort_key
     bases = {n: sorted(gens, key=sort_key) for n, gens in bases.items() if gens}
     diffs = {}
     for n in range(1, max_degree + 1):

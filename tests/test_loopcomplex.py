@@ -9,7 +9,13 @@ from loophomology.simplicial import (
     builtin_space,
     endpoints,
 )
-from loophomology.cobar import CobarAlgebra, hochschild_basis
+from loophomology.cobar import (
+    CobarAlgebra,
+    bar_differential,
+    cobar_differential,
+    hochschild_basis,
+    word_degree,
+)
 from loophomology import loopcomplex as loop_mod
 from loophomology.loopcomplex import (
     CHI_VARIANTS,
@@ -35,6 +41,38 @@ POINT = builtin_space("point")
 
 def circle_ext():
     return adjoin_inverses(builtin_space("circle"))
+
+
+# ---------------------------------------------------------------------------
+# a word entry that is not a letter
+
+NOT_A_LETTER = {
+    "word_degree": lambda space, a: word_degree(space, ("zz", a)),
+    "cobar_differential": lambda space, a: cobar_differential(space, (a, "zz")),
+    "cohoch_differential": lambda space, a: cohoch_differential(space, ("v", (a, "zz"))),
+    "hochschild_differential": lambda space, a: hochschild_differential(
+        CobarAlgebra(space), (((a,),), ("zz",))
+    ),
+    "bar_differential": lambda space, a: bar_differential(
+        CobarAlgebra(space), ((a,), ("zz", a))
+    ),
+    "necklical_differential": lambda space, a: necklical_differential(
+        space, ("v", (a, "zz"))
+    ),
+    "necklical_face": lambda space, a: necklical_face(space, 0, 1, ("v", (a, "zz"))),
+    "chi": lambda space, a: chi(space, (a, "zz"), ()),
+}
+
+
+@pytest.mark.parametrize("space_name", ["collapsed-delta3", "Z(torus)"])
+@pytest.mark.parametrize("function", sorted(NOT_A_LETTER))
+def test_an_unknown_letter_is_a_simplicial_error(function, space_name):
+    if space_name == "Z(torus)":
+        space, letter = adjoin_inverses(builtin_space("torus")), "a~"
+    else:
+        space, letter = builtin_space(space_name), "q0"
+    with pytest.raises(SimplicialError, match="'zz' is not in the reduced letter basis"):
+        NOT_A_LETTER[function](space, letter)
 
 
 # ---------------------------------------------------------------------------
