@@ -2,9 +2,11 @@
 
 ``tests/golden/cli.txt`` holds, for a fixed sweep of commands, the exit
 code, stdout and stderr of the in-process ``cli.main``: homology of every
-built-in in every complex it supports over Z and F2 at max degree 3 and
-word cap 2, and ``verify`` in text and JSON form for every built-in at
-max degree 3 and word cap 2.  Any change to a basis order, a sign, a
+built-in in every complex it supports over Z, Q, F2 and F3 at max degree
+3 and word cap 2; the collapsed-delta3 cohoch, hat-cohoch and
+hochschild-of-cobar complexes at max degree 6 over Z, F2 and F3, whose
+Z/2 torsion sits in several blocks of each differential; and ``verify``
+in text and JSON form for every built-in at max degree 3 and word cap 2.  Any change to a basis order, a sign, a
 differential or a report line shows up as a diff here.
 
 Regenerate the file (only when an output change is intended) with
@@ -31,11 +33,17 @@ def sweep():
     commands = []
     for name in BUILTIN_NAMES:
         for complex_name in supported_complexes(builtin_space(name)):
-            for ring in ("Z", "F2"):
+            for ring in ("Z", "Q", "F2", "F3"):
                 commands.append(
                     ["homology", "--space", name, "--complex", complex_name,
                      "--ring", ring, "--max-degree", "3", "--max-word-length", "2"]
                 )
+    for complex_name in ("cohoch", "hat-cohoch", "hochschild-of-cobar"):
+        for ring in ("Z", "F2", "F3"):
+            commands.append(
+                ["homology", "--space", "collapsed-delta3", "--complex",
+                 complex_name, "--ring", ring, "--max-degree", "6"]
+            )
     for name in BUILTIN_NAMES:
         for output in ("table", "json"):
             commands.append(
