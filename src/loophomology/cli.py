@@ -196,6 +196,10 @@ def main(argv=None):
         if args.command == "freehedron":
             sys.stdout.write(cmd_freehedron(args.n, args.mode, args.output))
             return EXIT_OK
+        # verify takes the window checks of a homology run
+        RunConfig(
+            args.space, max_degree=args.max_degree, max_word_length=args.max_word_length
+        )
         report = cmd_verify(args.space, args.max_degree, args.max_word_length)
         sys.stdout.write(
             report.to_json() if args.output == "json" else report.to_text()

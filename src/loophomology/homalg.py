@@ -4,19 +4,23 @@ and homology via Smith normal form.
 All matrices carry exact integer entries; the coefficient ring only enters
 when homology is extracted.  A differential sums its terms into one plain
 dict and becomes a Chain once: the chain takes the dict over, normalizes
-it mod p and drops the zero sums in place.  A matrix is stored as its columns, one {row: value}
-dict per generator, which is how a differential is computed and how every
-reader but the reducer wants it; the reducer transposes to rows.  One
-builder owns generator order: it closes a slice's bases under the
-differential top-down, one degree at a time, sorting each basis by the
-flat key its caller gives for the generator shape, and re-keys each
-degree's differentials into index columns before it starts the degree
-below.
+it mod p and drops the zero sums in place.  A matrix is stored as its
+columns, one {row: value} dict per generator, which is how a differential
+is computed and how every reader wants it.  One builder owns generator
+order: it closes a slice's bases under the differential top-down, one
+degree at a time, sorting each basis by the flat key its caller gives for
+the generator shape, and re-keys each degree's differentials into index
+columns before it starts the degree below.
 
-One sparse elimination core pivots on units (+-1 over Z, any nonzero
-entry mod p): it computes ranks over F_p outright, and over Z it splits
-off the unit invariant factors before a general Smith normal form loop
-handles what is left.  Q reads its rank off the Z reduction, and each
+The free loop space splits over free homotopy classes, so a differential
+is block-diagonal up to permutation: each matrix finds its connected
+blocks once and is reduced block by block, each block's rows dropped
+before the next.  One sparse elimination core pivots on units (+-1 over
+Z, any nonzero entry mod p): it computes ranks over odd F_p outright, and
+over Z it splits off the unit invariant factors before a general Smith
+normal form loop handles what is left; a gcd/lcm repair across blocks
+restores the divisibility chain.  Over F2 an XOR kernel on bit-packed
+columns does the work.  Q reads its rank off the Z reduction, and each
 differential is reduced at most once per slice and characteristic.
 Everything is deterministic: bases are ordered lists and every reduction
 uses a fixed pivot rule.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from math import gcd
 
 
@@ -46,7 +51,9 @@ class Ring:
         if kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "Fp":
-            if p is None or p < 2 or not _is_prime(p):
+            if p is not None and p >= _PRIME_LIMIT:
+                raise ValueError(f"F_p moduli must be below {_PRIME_LIMIT}")
+            if p is None or not _is_prime(p):
                 raise ValueError(f"F_p requires a prime modulus, got {p!r}")
         elif p is not None:
             raise ValueError("modulus only makes sense for prime fields")
@@ -71,14 +78,27 @@ class Ring:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
 
+# Miller-Rabin on the primes up to 41 is exact below this bound (Sorenson
+# and Webster, 2015); up to 37 it is not (318665857834031151167461).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; exact for n < _PRIME_LIMIT."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -193,13 +213,39 @@ class SparseIntMatrix:
     convention.
     """
 
-    __slots__ = ("nrows", "ncols", "columns", "nnz")
+    __slots__ = ("nrows", "ncols", "columns", "nnz", "_blocks")
 
     def __init__(self, nrows, columns):
         self.nrows = nrows
         self.columns = columns
         self.ncols = len(columns)
         self.nnz = sum(map(len, columns))
+        self._blocks = None
+
+    @property
+    def blocks(self):
+        """The nonzero columns grouped by connected component of the
+        row-column support: arrays of column indices, ordered by their first
+        column.  Found once, by union-find over the rows, for every ring."""
+        if self._blocks is None:
+            parent = list(range(self.nrows))
+
+            def find(i):
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                return i
+
+            for col in filter(None, self.columns):
+                rows = iter(col)
+                root = find(next(rows))
+                for i in rows:
+                    parent[find(i)] = root
+            groups = {}
+            for j, col in enumerate(self.columns):
+                if col:
+                    groups.setdefault(find(next(iter(col))), array("l")).append(j)
+            self._blocks = list(groups.values())
+        return self._blocks
 
     @property
     def entries(self):
@@ -226,11 +272,15 @@ def _nearest_quotient(a, v):
     return q
 
 
-def _row_dicts(matrix, p=None):
-    """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p."""
+def _row_dicts(matrix, p=None, block=None):
+    """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p;
+    only the columns of ``block`` when one is given."""
     if isinstance(matrix, SparseIntMatrix):
+        columns = matrix.columns
         pairs = (
-            (i, j, v) for j, col in enumerate(matrix.columns) for i, v in col.items()
+            (i, j, v)
+            for j in (range(matrix.ncols) if block is None else block)
+            for i, v in columns[j].items()
         )
     else:
         pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
@@ -372,8 +422,12 @@ def _snf_rows(rows):
         diagonal.append(abs(rows[pi][pj]))
         drop_entry(pi, pj)
 
-    # Repair the divisibility chain: diag(a, b) ~ diag(gcd, lcm).
-    factors = [d for d in diagonal if d]
+    return _divisibility_chain([d for d in diagonal if d])
+
+
+def _divisibility_chain(factors):
+    """Sorted invariant factors of diag(factors): the pairwise repair
+    diag(a, b) ~ diag(gcd, lcm) until each factor divides the next."""
     changed = True
     while changed:
         changed = False
@@ -388,24 +442,57 @@ def _snf_rows(rows):
     return factors, len(factors)
 
 
-
 def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix.
 
     Accepts a SparseIntMatrix or a list of dense rows.  Returns
     ``(factors, rank)`` where factors is the full divisibility chain
     d1 | d2 | ... | d_rank (units included, all positive).  Unit pivots
-    come off first; the rest goes through the general pivot loop.
+    come off first; the rest goes through the general pivot loop.  A
+    SparseIntMatrix goes block by block, and the factors above 1 of all
+    blocks are brought into one chain at the end.
     """
-    rows = _row_dicts(matrix)
-    pivots = _eliminate_units(rows)
-    factors, rank = _snf_rows(rows)
-    return [1] * pivots + factors, pivots + rank
+    if isinstance(matrix, SparseIntMatrix):
+        parts = (_row_dicts(matrix, block=block) for block in matrix.blocks)
+    else:
+        parts = [_row_dicts(matrix)]
+    units, factors = 0, []
+    for rows in parts:
+        units += _eliminate_units(rows)
+        factors += _snf_rows(rows)[0]
+    chain, rank = _divisibility_chain([d for d in factors if d > 1])
+    units += len(factors) - rank
+    return [1] * units + chain, units + rank
+
+
+def _rank_f2(columns, block):
+    """Rank over F2 of a block's columns, by a left-looking XOR kernel: a
+    column's odd entries are bits, its rows numbered in first-seen order,
+    and it is reduced against the pivots so far, keyed by their top bit."""
+    bits, pivots = {}, {}
+    for j in block:
+        c = 0
+        for i, v in columns[j].items():
+            if v & 1:
+                c |= 1 << bits.setdefault(i, len(bits))
+        while c:
+            top = c.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = c
+                break
+            c ^= pivot
+    return len(pivots)
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p: every nonzero entry is a unit, so the core does it all."""
-    return _eliminate_units(_row_dicts(matrix, p), p)
+    """Rank over F_p: every nonzero entry is a unit, so the core does it all,
+    block by block; over F2 the XOR kernel takes each block instead."""
+    if not isinstance(matrix, SparseIntMatrix):
+        return _eliminate_units(_row_dicts(matrix, p), p)
+    if p == 2:
+        return sum(_rank_f2(matrix.columns, b) for b in matrix.blocks)
+    return sum(_eliminate_units(_row_dicts(matrix, p, b), p) for b in matrix.blocks)
 
 
 # ---------------------------------------------------------------------------

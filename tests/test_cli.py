@@ -208,6 +208,22 @@ def test_main_verify_json_format(capsys):
     assert payload["ok"] is True and payload["space"] == "point"
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (["--space", "point", "--max-degree", "-2"], "max-degree must be >= 0"),
+        (["--space", "torus", "--max-degree", "2", "--max-word-length", "0"],
+         "max-word-length must be >= 1"),
+    ],
+)
+def test_main_verify_rejects_the_windows_homology_rejects(capsys, window, message):
+    for command in ("homology", "verify"):
+        assert main([command] + window) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_main_verify_failure_exit(monkeypatch, capsys):
     import loophomology.cli as cli
 

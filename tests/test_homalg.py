@@ -1,9 +1,12 @@
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import _generator_sort_key
 from loophomology.homalg import (
@@ -14,6 +17,7 @@ from loophomology.homalg import (
     IncompleteSliceError,
     SparseIntMatrix,
     ZZ,
+    _eliminate_units,
     _row_dicts,
     _snf_rows,
     check_d_squared,
@@ -43,6 +47,21 @@ def test_parse_ring():
         parse_ring("F4")
     with pytest.raises(ValueError):
         parse_ring("R")
+
+
+def test_prime_moduli_are_checked_exactly_and_fast():
+    start = time.perf_counter()
+    assert parse_ring(f"F{2**61 - 1}").p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="prime modulus"):
+        parse_ring("F561")  # a Carmichael number
+    # a strong pseudoprime to every base 2..37 (Sorenson and Webster)
+    with pytest.raises(ValueError, match="prime modulus"):
+        parse_ring("F318665857834031151167461")
+    with pytest.raises(ValueError, match="must be below"):
+        parse_ring(f"F{2**89 - 1}")
+    primes = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
+    assert [n for n in range(500) if homalg._is_prime(n)] == primes
 
 
 def test_chain_arithmetic():
@@ -157,6 +176,17 @@ def test_rank_functions_agree_with_smith():
     assert rank_mod_p([[2, 4], [1, 2]], 5) == 1
 
 
+def _assert_blocks_agree_with_whole_matrix(matrix):
+    # Oracle: the unit core and the general loop run on the whole matrix at
+    # once, as the package ran them before it reduced block by block.
+    rows = _row_dicts(matrix)
+    units = _eliminate_units(rows)
+    factors, rank = _snf_rows(rows)
+    assert smith_normal_form(matrix) == ([1] * units + factors, units + rank)
+    for p in (2, 3):
+        assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(matrix, p), p)
+
+
 def test_reductions_agree_on_builtin_differentials():
     torsion = 0
     for name in BUILTIN_NAMES:
@@ -165,7 +195,65 @@ def test_reductions_agree_on_builtin_differentials():
             sl = build_complex_slice(X, complex_name, 4, max_word_length=2)
             for d in sl.diffs.values():
                 torsion += any(f > 1 for f in _assert_reductions_agree(d))
+                _assert_blocks_agree_with_whole_matrix(d)
     assert torsion  # the general loop after the unit pass is exercised
+    for sl in (
+        cohoch_slice(builtin_space("collapsed-delta3"), 6),
+        _hat_cohoch(builtin_space("torus"), 3, 3),
+    ):
+        for d in sl.diffs.values():
+            _assert_blocks_agree_with_whole_matrix(d)
+
+
+def test_block_diagonal_matrices():
+    # Z/2 + Z/3 is Z/6: the divisibility chain is repaired across blocks
+    two_three = SparseIntMatrix(2, [{0: 2}, {1: 3}])
+    assert [list(b) for b in two_three.blocks] == [[0], [1]]
+    assert smith_normal_form(two_three) == ([1, 6], 2)
+    assert smith_normal_form(SparseIntMatrix(2, [{1: 4}, {0: 2}])) == ([2, 4], 2)
+    # -1, 2 and -3 are odd, even and odd; over F3 only -3 vanishes
+    signs = SparseIntMatrix(3, [{0: -1}, {1: 2}, {2: -3}])
+    assert rank_mod_p(signs, 2) == 2 and rank_mod_p(signs, 3) == 2
+    assert smith_normal_form(signs) == ([1, 1, 6], 3)
+    # empty columns between blocks belong to none; a block may be joined
+    # only through a later column
+    gaps = SparseIntMatrix(
+        4, [{}, {0: 2}, {}, {3: 1, 1: 1}, {}, {2: 1}, {1: 1, 2: -1}, {}]
+    )
+    assert [list(b) for b in gaps.blocks] == [[1], [3, 5, 6]]
+    assert smith_normal_form(gaps) == ([1, 1, 1, 2], 4)
+    assert rank_mod_p(gaps, 2) == 3 and rank_mod_p(gaps, 3) == 4
+    assert SparseIntMatrix(3, [{}, {}]).blocks == []
+    assert smith_normal_form(SparseIntMatrix(3, [{}, {}])) == ([], 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_block_reduction_matches_the_whole_matrix(data):
+    # A random sparse block-diagonal matrix with its rows and columns
+    # shuffled, against the cores run on the whole matrix at once.
+    shapes = data.draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5)
+    )
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6])
+    nrows, ncols = sum(m for m, _ in shapes), sum(n for _, n in shapes)
+    dense = [[0] * ncols for _ in range(nrows)]
+    top = left = 0
+    for m, n in shapes:
+        for i in range(m):
+            for j in range(n):
+                dense[top + i][left + j] = data.draw(entry)
+        top, left = top + m, left + n
+    row_order = data.draw(st.permutations(range(nrows)))
+    col_order = data.draw(st.permutations(range(ncols)))
+    dense = [[dense[i][j] for j in col_order] for i in row_order]
+    matrix = SparseIntMatrix(
+        nrows,
+        [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)],
+    )
+    assert smith_normal_form(matrix) == _snf_rows(_row_dicts(dense))
+    for p in (2, 3):
+        assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(dense, p), p)
 
 
 def test_homology_reduces_each_differential_once(monkeypatch):
@@ -482,3 +570,27 @@ def test_build_peak_stays_near_what_the_slice_keeps(space, build, degree, cap):
         tracemalloc.stop()
     assert sl.diffs
     assert peak - base <= 1.3 * (kept - base), (peak - base, kept - base)
+
+
+def test_reduction_peak_stays_small_beside_the_slice():
+    # Each block's row dicts are built, reduced and dropped before the next
+    # block starts, so the reduction's transient is bounded by the largest
+    # block; whole-matrix row dicts took two thirds of what the slice keeps.
+    X = builtin_space("torus")
+    _hat_cohoch(X, 1, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sl = _hat_cohoch(X, 4, 3)
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for ring in (ZZ, prime_field(2)):
+            for n in sl.degrees():
+                homology_of_slice(sl, n, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = base - start
+    assert peak - base <= 0.3 * kept, (peak - base, kept)
