@@ -167,9 +167,8 @@ def cobar_basis(space, degree):
                 extend(prefix, remaining - da)
                 prefix.pop()
 
-    if degree == 0:
-        return [()]
     extend([], degree)
+    del extend  # the closure refers to itself: free it now, not at a gc pass
     return sorted(words, key=_word_key)
 
 
@@ -206,6 +205,7 @@ def words_between(space, start, end, degree, max_word_length):
                 prefix.pop()
 
     extend([], start, degree)
+    del extend  # the closure refers to itself: free it now, not at a gc pass
     return sorted(words, key=_word_key)
 
 
@@ -348,6 +348,7 @@ def hochschild_basis(algebra, degree, word_cap=None):
                 prefix.pop()
 
         extend([], degree)
+        del extend  # the closure refers to itself: free it now, not at a gc pass
     else:
         all_words = []
         for d in range(degree + 1):
@@ -365,4 +366,5 @@ def hochschild_basis(algebra, degree, word_cap=None):
                     prefix.pop()
 
         extend([], degree, word_cap)
+        del extend  # the closure refers to itself: free it now, not at a gc pass
     return sorted(out, key=_hochschild_key)

@@ -528,12 +528,17 @@ class ComplexSlice:
     def degrees(self):
         return sorted(self.bases)
 
-    def coordinates(self, chain, n):
-        """A degree-n chain as {basis index: coefficient}, the form of a
-        stored column; None if one of its keys is not in bases[n]."""
+    def basis_index(self, n):
+        """{generator: position in bases[n]}, built on first use."""
         index = self.index.get(n)
         if index is None:
             index = self.index[n] = {g: i for i, g in enumerate(self.bases.get(n, ()))}
+        return index
+
+    def coordinates(self, chain, n):
+        """A degree-n chain as {basis index: coefficient}, the form of a
+        stored column; None if one of its keys is not in bases[n]."""
+        index = self.basis_index(n)
         if not all(key in index for key in chain.terms):
             return None
         return {index[key]: c for key, c in chain.terms.items()}

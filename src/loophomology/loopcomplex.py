@@ -22,6 +22,7 @@ the picture on the algebra side.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import mul
 
 from .cobar import (
     CobarAlgebra,
@@ -103,16 +104,20 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
             f"{X.name}: word-length cap required (degree components are infinite)"
         )
     cap = max_word_length if max_word_length is not None else max(degree, 1)
+    # (dim x, x, len w, w) order: p ascending, x sorted, and each word list
+    # in (len, w) order, enumerated once per pair of ends
     gens = []
     for p in sorted(X.simplices):
         if p > degree:
             continue
         q = degree - p
+        words = {}
         for x in sorted(X.simplices[p]):
             lo, hi = table.ends(x)
-            for w in words_between(space, hi, lo, q, cap):
-                gens.append((x, w))
-    return sorted(gens, key=lambda g: (X.dim(g[0]), g[0], len(g[1]), g[1]))
+            if (hi, lo) not in words:
+                words[hi, lo] = words_between(space, hi, lo, q, cap)
+            gens.extend((x, w) for w in words[hi, lo])
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +345,82 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     all in shifted degrees.  The sweep in verify.select_chi_variant keeps
     only "rotation"; the others stay for the recorded comparison.
     """
-    return Chain(ring, _chi_terms(space, a, u, variant))
+    terms = _chi_terms(space, a, u, (variant,))
+    return Chain(ring, {key: c for key, (c,) in terms.items()})
 
 
-def _chi_terms(space, a, u, variant):
-    """chi(a (x) u) as summed {(letter, word): coefficient}."""
-    if variant not in CHI_VARIANTS:
-        raise ValueError(f"unknown chi variant {variant!r}")
+def _chi_terms(space, a, u, variants, sign=1):
+    """sign * chi(a (x) u) under each reading in variants at once, as summed
+    {(letter, word): [coefficient per reading]}; a coefficient may be 0."""
     _, table, op_pairs = _loop_parts(space)
     a = tuple(a)
     u = tuple(u)
+    terms = {}
+    for key, exponents in zip(
+        _rotations(op_pairs, a, u), zip(*_chi_exponents(table, a, u, variants))
+    ):
+        cs = terms.get(key)
+        if cs is None:
+            cs = terms[key] = [0] * len(variants)
+        for v, e in enumerate(exponents):
+            cs[v] += -sign if e & 1 else sign
+    return terms
+
+
+def _rotations(op_pairs, a, u):
+    """The keys of chi(a (x) u) for i = 1..n: letter a_i tensor the reduced
+    word a_{i+1}..a_n u a_1..a_{i-1}, spliced once whatever the reading."""
+    return [
+        (a[i - 1], _splice(a[i:], u, a[: i - 1], op_pairs))
+        for i in range(1, len(a) + 1)
+    ]
+
+
+def _chi_exponents(table, a, u, variants):
+    """The sign exponents of the terms of chi(a (x) u), i = 1..n, as one
+    list per reading in variants; a lone letter carries no sign."""
+    for variant in variants:
+        if variant not in CHI_VARIANTS:
+            raise ValueError(f"unknown chi variant {variant!r}")
     deg_u = table.word_degree(u)
     shift = table.word_degree(a)
     n = len(a)
     if n < 2:
-        return {(a[0], u): 1} if n else {}
+        return [[0] * n for _ in variants]
     prefix = list(accumulate((table.dim[letter] for letter in a), initial=0))
-    terms = {}
-    for i in range(1, n + 1):
-        if variant == "rotation":
-            head = prefix[i - 1] - (i - 1)
-            e = head * (shift - head + deg_u)
-        else:
-            start = max(i - 1 if variant == "index-low" else i + 1, 1)
-            e = (prefix[n] - prefix[start - 1] + n + i) * (deg_u + prefix[i] + i)
-        key = (a[i - 1], _splice(a[i:], u, a[: i - 1], op_pairs))
-        terms[key] = terms.get(key, 0) + (-1 if e & 1 else 1)
-    return terms
+    out = []
+    for variant in variants:
+        exponents = []
+        for i in range(1, n + 1):
+            if variant == "rotation":
+                head = prefix[i - 1] - (i - 1)
+                e = head * (shift - head + deg_u)
+            else:
+                start = max(i - 1 if variant == "index-low" else i + 1, 1)
+                e = (prefix[n] - prefix[start - 1] + n + i) * (deg_u + prefix[i] + i)
+            exponents.append(e)
+        out.append(exponents)
+    return out
 
 
 def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     """Projection Hoch(cobar) -> free-loop complex: empty bar words return
     the basepoint tensor the word, single bar letters go through chi with
     the orientation matching the wrap-term convention, longer ones die."""
+    terms = _phi_terms(space, gen, (variant,))
+    return Chain(ring, {key: c for key, (c,) in terms.items()})
+
+
+def _phi_terms(space, gen, variants):
+    """phi(gen) under each chi reading in variants at once, as
+    {loop generator: [coefficient per reading]}; a coefficient may be 0.
+    Only the signs of a single bar letter's rotations differ by reading."""
     b, u = gen
     if len(b) == 0:
-        terms = {(_loop_parts(space)[0].basepoint, tuple(u)): 1}
-    elif len(b) == 1:
-        terms = {key: -c for key, c in _chi_terms(space, b[0], u, variant).items()}
-    else:
-        terms = {}
-    return Chain(ring, terms)
+        return {(_loop_parts(space)[0].basepoint, tuple(u)): [1] * len(variants)}
+    if len(b) > 1:
+        return {}
+    return _chi_terms(space, b[0], u, variants, sign=-1)
 
 
 def phi_chain(space, chain, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
@@ -455,48 +495,88 @@ def contraction_s_chain(space, chain, ring=ZZ):
 # The chain-map sweep that pins the chi sign
 
 
+# A walk over several chi readings packs one coefficient per reading into one
+# integer, a _LANE-bit lane each: sum_v c_v * 2**(_LANE * v).  Sums and
+# integer multiples act lane by lane, so one pass of integer arithmetic
+# serves every reading, exactly while every |c_v| stays below 2**(_LANE - 1);
+# the coefficients here are sums of products of a few small matrix entries.
+_LANE = 64
+
+
+def _lanes(packed, count):
+    """The bit mask of the readings whose lane of packed is nonzero."""
+    mask = 0
+    for v in range(count):
+        lane = packed & ((1 << _LANE) - 1)
+        if lane >> (_LANE - 1):
+            lane -= 1 << _LANE
+        if lane:
+            mask |= 1 << v
+        packed = (packed - lane) >> _LANE
+    return mask
+
+
 def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     """Generators of a Hochschild slice on which phi fails to commute with
     the differentials, as ``{variant: [generator, ...]}`` in basis order
     for each chi reading in ``variants``.
 
-    Both sides are read off the stored matrices, over the free-loop basis
-    one degree down: phi(d g) combines the images under phi of the rows of
-    g's d_n column in ``hoch_slice``, d phi(g) the ``loop_slice`` columns
-    of the keys of phi(g).  phi is taken once per generator and reading and
-    kept for one degree.  A generator whose phi has a key outside the
-    free-loop basis of its degree is a mismatch, and so is every generator
-    whose differential reaches it.
+    One pass per degree serves every reading.  Each generator's image under
+    phi is taken once, for all readings (``_phi_terms``: a single bar
+    letter's rotations are spliced and looked up once, only their signs
+    differ), as {free-loop basis index: packed coefficients}, and kept for
+    one degree.  Both sides are read off the stored matrices, over the
+    free-loop basis one degree down: phi(d g) combines the images of the
+    rows of g's d_n column in ``hoch_slice``, d phi(g) the ``loop_slice``
+    columns of the keys of phi(g), each in one pass of packed arithmetic,
+    and the two are compared reading by reading.  A generator whose phi has
+    a key outside the free-loop basis of its degree, with a nonzero
+    coefficient under a reading, is a mismatch under that reading, and so
+    is every generator whose differential reaches it.
     """
+    count = len(variants)
+    units = [1 << (_LANE * v) for v in range(count)]
     bad = {v: [] for v in variants}
-    below = {}  # images of the previous degree; d_n has rows only if it was n - 1
+    below, below_stray = [], {}  # images of the previous degree, and their stray masks
     for n in hoch_slice.degrees():
         gens = hoch_slice.bases[n]
-        here = {
-            v: [loop_slice.coordinates(phi(space, g, variant=v), n) for g in gens]
-            for v in variants
-        }
+        index = loop_slice.basis_index(n)
+        here, stray = [], {}
+        for j, gen in enumerate(gens):
+            image = {}
+            for key, cs in _phi_terms(space, gen, variants).items():
+                packed = sum(map(mul, cs, units))
+                i = index.get(key)
+                if i is None:
+                    stray[j] = stray.get(j, 0) | _lanes(packed, count)
+                elif packed:
+                    image[i] = packed
+            here.append(image)
         loop_cols = loop_slice.differential(n).columns
         hoch_cols = hoch_slice.differential(n).columns
-        for v in variants:
-            for gen, col, image in zip(gens, hoch_cols, here[v]):
-                lhs = _combination(col, below.get(v))
-                rhs = None if image is None else _combination(image, loop_cols)
-                if lhs is None or rhs is None or lhs != rhs:
-                    bad[v].append(gen)
-        below = here
+        for j, (gen, col, image) in enumerate(zip(gens, hoch_cols, here)):
+            lhs = _combination(col, below)
+            rhs = _combination(image, loop_cols)
+            mask = stray.get(j, 0)
+            if below_stray:
+                for i in col:
+                    mask |= below_stray.get(i, 0)
+            if lhs != rhs:
+                for i in lhs.keys() | rhs.keys():
+                    mask |= _lanes(lhs.get(i, 0) - rhs.get(i, 0), count)
+            if mask:
+                for v, variant in enumerate(variants):
+                    if mask >> v & 1:
+                        bad[variant].append(gen)
+        below, below_stray = here, stray
     return bad
 
 
 def _combination(coefficients, columns):
-    """The nonzero entries of sum c * columns[j] over (j, c) in coefficients;
-    None if one of those columns is None."""
+    """The nonzero entries of sum c * columns[j] over (j, c) in coefficients."""
     out = {}
     for j, c in coefficients.items():
-        column = columns[j]
-        if column is None:
-            return None
-        for i, e in column.items():
+        for i, e in columns[j].items():
             out[i] = out.get(i, 0) + c * e
     return {i: e for i, e in out.items() if e}
 
@@ -507,7 +587,9 @@ def chi_chain_map_mismatches(space, variants, max_degree):
     basis order for each chi reading in ``variants``.  Builds the
     Hochschild and free-loop slices through max_degree, so each
     differential is taken once per generator, and checks every reading on
-    them with phi_slice_mismatches."""
+    them in the one pass of phi_slice_mismatches: each generator's phi is
+    taken once, its rotations spliced once, whatever the number of
+    readings."""
     return phi_slice_mismatches(
         space,
         variants,

@@ -314,9 +314,18 @@ def _bar_d(algebra, chain):
 def _check_universal_coefficients(X, slices, max_degree):
     results = []
     fields = [parse_ring("Q"), parse_ring("F2"), parse_ring("F3")]
+    top = max_degree - 1  # H_n needs d_{n+1}, which a slice holds below its top only
     for name in sorted(slices):
         sl = slices[name]
-        top = max_degree - 1
+        if top < 0:
+            results.append(
+                CheckResult(
+                    f"universal-coefficients:{name}",
+                    "skip",
+                    f"max degree {max_degree}: no degree below the top to compare",
+                )
+            )
+            continue
         ok = True
         detail = ""
         for n in range(top + 1):

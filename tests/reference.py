@@ -257,3 +257,42 @@ def phi(space, gen, ring=ZZ, variant="rotation"):
         for (letter, word), c in chi(space, b[0], u, ring, variant).terms.items():
             out.add((letter, word), -c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the chain-map sweep
+
+
+def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
+    """One walk per chi reading: phi(d g) and d phi(g) over the stored
+    columns, with phi taken once per generator and reading, and a key
+    outside the free-loop basis making the image None."""
+    bad = {v: [] for v in variants}
+    below = {}
+    for n in hoch_slice.degrees():
+        gens = hoch_slice.bases[n]
+        here = {
+            v: [loop_slice.coordinates(phi(space, g, variant=v), n) for g in gens]
+            for v in variants
+        }
+        loop_cols = loop_slice.differential(n).columns
+        hoch_cols = hoch_slice.differential(n).columns
+        for v in variants:
+            for gen, col, image in zip(gens, hoch_cols, here[v]):
+                lhs = _combination(col, below.get(v))
+                rhs = None if image is None else _combination(image, loop_cols)
+                if lhs is None or rhs is None or lhs != rhs:
+                    bad[v].append(gen)
+        below = here
+    return bad
+
+
+def _combination(coefficients, columns):
+    out = {}
+    for j, c in coefficients.items():
+        column = columns[j]
+        if column is None:
+            return None
+        for i, e in column.items():
+            out[i] = out.get(i, 0) + c * e
+    return {i: e for i, e in out.items() if e}

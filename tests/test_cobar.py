@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -271,3 +272,24 @@ def test_flat_sort_key_orders_same_shape_tuples_like_the_recursive_key(data):
     shape = data.draw(SHAPES)
     keys = data.draw(st.lists(_values(shape), max_size=8))
     assert sorted(keys, key=_generator_sort_key) == sorted(keys, key=_recursive_sort_key)
+
+
+def test_word_enumerations_leave_no_reference_cycles():
+    # their recursive closures are freed on return, so the enumerated words
+    # do not wait for the cycle collector
+    cd = builtin_space("collapsed-delta3")
+    torus = adjoin_inverses(builtin_space("torus"))
+    calls = [
+        lambda: cobar_basis(cd, 4),
+        lambda: hat_cobar_basis(torus, 2, 2),
+        lambda: hochschild_basis(CobarAlgebra(cd), 4),
+        lambda: hochschild_basis(CobarAlgebra(torus, hat=True), 2, word_cap=2),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

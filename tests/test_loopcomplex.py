@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from loophomology.homalg import Chain, ZZ, check_d_squared
 from loophomology.simplicial import (
+    BUILTIN_NAMES,
     SimplicialError,
     adjoin_inverses,
     builtin_space,
@@ -94,6 +96,30 @@ def test_cohoch_basis_circle_hat():
 
 def test_cohoch_basis_point():
     assert cohoch_basis(POINT, 0, hat=True, max_word_length=1) == [("v", ())]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cohoch_basis_comes_in_dimension_simplex_length_word_order(monkeypatch, name):
+    X = builtin_space(name)
+    spaces = [(adjoin_inverses(X), True)]
+    if X.is_one_reduced():
+        spaces.append((X, False))
+    real = loop_mod.words_between
+    for space, hat in spaces:
+        for n in range(5):
+            calls = Counter()
+
+            def counted(*args):
+                calls[args] += 1
+                return real(*args)
+
+            monkeypatch.setattr(loop_mod, "words_between", counted)
+            basis = cohoch_basis(space, n, max_word_length=2, hat=hat)
+            monkeypatch.undo()
+            order = sorted(set(basis), key=lambda g: (X.dim(g[0]), g[0], len(g[1]), g[1]))
+            assert basis == order
+            # one enumeration per distinct (start, end, degree, cap)
+            assert set(calls.values()) <= {1}
 
 
 def test_cohoch_basis_requires_one_reduced():
@@ -346,6 +372,34 @@ def test_chi_walk_takes_each_differential_once(monkeypatch, name, max_degree):
     assert loop_calls
     assert set(loop_calls) <= loop_gens
     assert set(loop_calls.values()) == {1}
+
+
+def test_chi_walk_splices_each_rotation_once_whatever_the_readings(monkeypatch):
+    # the rotations of a single bar letter are the same words under every
+    # reading: one _splice call each, for one reading or for three
+    X = builtin_space("collapsed-delta3")
+    hoch = hochschild_slice(X, 4)
+    loop = cohoch_slice(X, 4)
+    expected = Counter(
+        (a[i:], u, a[: i - 1])
+        for n in hoch.degrees()
+        for b, u in hoch.bases[n]
+        if len(b) == 1
+        for a in b
+        for i in range(1, len(a) + 1)
+    )
+    assert expected
+    real = loop_mod._splice
+    for variants in (("rotation",), CHI_VARIANTS):
+        calls = Counter()
+
+        def counted(head, mid, tail, op_pairs):
+            calls[head, mid, tail] += 1
+            return real(head, mid, tail, op_pairs)
+
+        monkeypatch.setattr(loop_mod, "_splice", counted)
+        loop_mod.phi_slice_mismatches(X, variants, hoch, loop)
+        assert calls == expected
 
 
 def test_eta_examples():

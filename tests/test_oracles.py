@@ -1,7 +1,8 @@
 """The one-dict differentials and comparison maps against their term-by-term
 references (tests/reference.py): equal chains on every generator of every
-built-in slice, over Z, F2 and F3 and under every chi reading, and
-seam-only free reduction against a full rescan."""
+built-in slice, over Z, F2 and F3 and under every chi reading,
+seam-only free reduction against a full rescan, and the one-pass chi sweep
+against one walk per reading."""
 
 import itertools
 
@@ -15,15 +16,19 @@ from loophomology.cobar import (
     cobar_differential,
     reduce_word,
 )
+from loophomology import loopcomplex as loop_mod
 from loophomology.homalg import ZZ, prime_field
 from loophomology.loopcomplex import (
     CHI_VARIANTS,
     chi,
     cohoch_differential,
+    cohoch_slice,
     hochschild_differential,
+    hochschild_slice,
     necklical_differential,
     necklical_face,
     phi,
+    phi_slice_mismatches,
 )
 from loophomology.simplicial import BUILTIN_NAMES, adjoin_inverses, builtin_space
 from loophomology.verify import build_complex_slice, supported_complexes
@@ -156,3 +161,68 @@ def test_chi_rotations_that_cancel_across_both_seams_match_the_reference():
             for v in CHI_VARIANTS:
                 assert chi(ext, a, u, variant=v) == ref.chi(ext, a, u, variant=v)
     assert chi(ext, ("a~", "b", "a", "b"), ("b~",)).coefficient(("b", ())) == 1
+
+
+# ---------------------------------------------------------------------------
+# the chain-map sweep
+
+SWEEPS = [("collapsed-delta3", 5), ("sphere2", 6), ("sphere3", 6)]
+STRAY = ("nowhere", ())
+STRAY_READINGS = ("index-low", "rotation")
+
+
+def _stray_target(hoch):
+    """A single-bar-letter generator whose row some differential reaches."""
+    for n in hoch.degrees():
+        above = hoch.diffs.get(n + 1)
+        if above is None:
+            continue
+        reached = {i for col in above.columns for i in col}
+        for i, (b, u) in enumerate(hoch.bases[n]):
+            if len(b) == 1 and i in reached:
+                return hoch.bases[n][i]
+    raise AssertionError("no generator of a single bar letter is reached")
+
+
+@pytest.mark.parametrize("stray", [False, True], ids=["clean", "stray-key"])
+@pytest.mark.parametrize(
+    "name, max_degree", SWEEPS, ids=[f"{n}-D{d}" for n, d in SWEEPS]
+)
+def test_one_pass_sweep_matches_one_walk_per_reading(
+    monkeypatch, name, max_degree, stray
+):
+    X = builtin_space(name)
+    hoch = hochschild_slice(X, max_degree)
+    loop = cohoch_slice(X, max_degree)
+    clean = phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
+    if stray:
+        # phi of one generator gains a key outside the free-loop basis,
+        # under two of the three readings only
+        target = _stray_target(hoch)
+        real_phi, real_terms = ref.phi, loop_mod._phi_terms
+
+        def ref_phi(space, gen, ring=ZZ, variant="rotation"):
+            out = real_phi(space, gen, ring, variant)
+            if gen == target and variant in STRAY_READINGS:
+                out.add(STRAY, 1)
+            return out
+
+        def phi_terms(space, gen, variants):
+            terms = real_terms(space, gen, variants)
+            if gen == target:
+                terms[STRAY] = [int(v in STRAY_READINGS) for v in variants]
+            return terms
+
+        monkeypatch.setattr(ref, "phi", ref_phi)
+        monkeypatch.setattr(loop_mod, "_phi_terms", phi_terms)
+    walk = phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
+    assert list(walk) == list(CHI_VARIANTS)
+    assert walk == ref.phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
+    if stray:
+        # the stray key fails its readings, there and one degree up
+        assert target in walk["rotation"] and target not in clean["rotation"]
+        assert len(walk["rotation"]) > len(clean["rotation"]) + 1
+        assert walk["index-high"] == clean["index-high"]
+    assert phi_slice_mismatches(X, ("rotation",), hoch, loop) == {
+        "rotation": walk["rotation"]
+    }

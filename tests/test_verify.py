@@ -2,6 +2,7 @@ import gc
 import weakref
 
 from loophomology import loopcomplex as loop_mod
+from loophomology.cli import EXIT_OK, main
 from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.loopcomplex import (
@@ -160,14 +161,32 @@ def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
     X = builtin_space("sphere2")
     hoch = hochschild_slice(X, 3)
     gens = [g for n in hoch.degrees() for g in hoch.bases[n]]
-    real = loop_mod.phi
+    real = loop_mod._phi_terms
 
-    def stray(*args, **kwargs):
-        return real(*args, **kwargs).add(("nowhere", ()), 1)
+    def stray(space, gen, variants):
+        terms = real(space, gen, variants)
+        terms[("nowhere", ())] = [1] * len(variants)
+        return terms
 
-    monkeypatch.setattr(loop_mod, "phi", stray)
+    monkeypatch.setattr(loop_mod, "_phi_terms", stray)
     report = run_verify(X, 3)
     (check,) = [r for r in report.results if r.name == "phi-chain-map"]
     assert check.status == "fail"
     assert check.detail == f"{len(gens)} generators, first {gens[0]!r}"
     assert "FAIL  phi-chain-map" in report.to_text()
+
+
+def test_verify_at_max_degree_0_skips_universal_coefficients(capsys):
+    # a slice through degree 0 holds no d_1, so no Betti number to compare
+    assert main(["verify", "--space", "sphere2", "--max-degree", "0"]) == EXIT_OK
+    report = run_verify("sphere2", 0)
+    assert capsys.readouterr().out == report.to_text()
+    checks = [r for r in report.results if r.name.startswith("universal-coefficients:")]
+    assert len(checks) == 6
+    assert {(r.status, r.detail) for r in checks} == {
+        ("skip", "max degree 0: no degree below the top to compare")
+    }
+    assert report.all_passed
+    assert report.to_text().endswith(
+        "  [max degree 0: no degree below the top to compare]\nresult: OK\n"
+    )
