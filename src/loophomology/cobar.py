@@ -19,6 +19,12 @@ in place of a letter, a letter in front of or behind a word, a rotation),
 so only the two seams can cancel: _splice cancels at the first, then at
 the second, cascading outward into the head, and never rescans a piece.
 
+Every word basis is one walk, words_between: words grow level by level,
+each extended by the letters in sorted order up to a length cap, so they
+come out in (length, word) order.  Over a 1-reduced space the cap
+max(degree, 1) never binds.  Hochschild bar words grow the same way over
+the non-empty words, so no basis is sorted after it is enumerated.
+
 The bar construction of the resulting tensor algebra lives here too.
 """
 
@@ -145,68 +151,54 @@ def _cobar_diff_raw(space, w, hat):
 # Word bases
 
 
-def cobar_basis(space, degree):
-    """All cobar words of the given degree over a 1-reduced presentation."""
-    X = _letters(space)[0]
+def _exact_cap(X, degree):
+    """A word-length cap that never binds in degrees up to ``degree``: over
+    a 1-reduced space every letter has shifted degree >= 1."""
     if not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: cobar words without a length cap need a 1-reduced space"
         )
-    dim = X.table.dim
-    letters = sorted(a for a in dim if dim[a] >= 2)
-    words = []
+    return max(degree, 1)
 
-    def extend(prefix, remaining):
-        if remaining == 0:
-            words.append(tuple(prefix))
-            return
-        for a in letters:
-            da = dim[a] - 1
-            if da <= remaining:
-                prefix.append(a)
-                extend(prefix, remaining - da)
-                prefix.pop()
 
-    extend([], degree)
-    del extend  # the closure refers to itself: free it now, not at a gc pass
-    return sorted(words, key=_word_key)
+def cobar_basis(space, degree):
+    """All cobar words of the given degree over a 1-reduced presentation."""
+    return hat_cobar_basis(space, degree, _exact_cap(_letters(space)[0], degree))
 
 
 def words_between(space, start, end, degree, max_word_length):
     """Reduced words of one degree whose letters chain start -> end.
 
     Letters are edges of the 1-skeleton quiver (a letter runs from its
-    first to its last vertex); enumeration is depth-first with the length
-    cap pruning, returned in (length, word) order.  The empty word appears
-    exactly when start == end and degree == 0.
+    first to its last vertex).  Words are built level by level: each word
+    of one length is extended by the letters in sorted order, up to the
+    length cap, so they come out in (length, word) order.  The empty word
+    appears exactly when start == end and degree == 0.
     """
     if max_word_length < 1:
         raise SimplicialError("max_word_length must be >= 1")
     X, op_pairs = _letters(space)
     table = X.table
     out_edges = {}
-    for a, d in table.dim.items():
-        if d >= 1:
+    for a in sorted(table.dim):
+        if table.dim[a] >= 1:
             lo, hi = table.ends(a)
-            out_edges.setdefault(lo, []).append((a, hi, d - 1))
-    for lst in out_edges.values():
-        lst.sort()
-    words = []
-
-    def extend(prefix, at, deg_left):
-        if deg_left == 0 and at == end:
-            words.append(tuple(prefix))
-        if len(prefix) == max_word_length:
-            return
-        for a, hi, da in out_edges.get(at, ()):
-            if da <= deg_left and not (prefix and op_pairs.get(prefix[-1]) == a):
-                prefix.append(a)
-                extend(prefix, hi, deg_left - da)
-                prefix.pop()
-
-    extend([], start, degree)
-    del extend  # the closure refers to itself: free it now, not at a gc pass
-    return sorted(words, key=_word_key)
+            out_edges.setdefault(lo, []).append((a, hi, table.dim[a] - 1))
+    words = [()] if start == end and degree == 0 else []
+    # (word, last vertex, degree left, the letter that would cancel its end)
+    level = [((), start, degree, None)]
+    for room in reversed(range(max_word_length)):  # letters that may follow
+        grown = []
+        for w, at, left, banned in level:
+            for a, hi, da in out_edges.get(at, ()):
+                if da <= left and a != banned:
+                    v = w + (a,)
+                    if da == left and hi == end:
+                        words.append(v)
+                    if room:
+                        grown.append((v, hi, left - da, op_pairs.get(a)))
+        level = grown
+    return words
 
 
 def hat_cobar_basis(space, degree, max_word_length):
@@ -290,27 +282,17 @@ def cobar_slice(space, max_degree, max_word_length=None):
     """
     hat = isinstance(space, OpExtension)
     X = space.space if hat else space
+    truncated_at = None
     if hat and not X.is_one_reduced():
         if max_word_length is None:
             raise SimplicialError(
                 f"{X.name}: the inverted cobar complex is degreewise infinite; "
                 f"a word-length cap is required"
             )
-        seeds = {
-            n: hat_cobar_basis(space, n, max_word_length)
-            for n in range(max_degree + 1)
-        }
-        truncated_at = max_word_length
-    elif hat:
-        # 1-reduced: letters carry degree >= 1, so length <= degree is exact.
-        seeds = {
-            n: hat_cobar_basis(space, n, max(max_degree, 1))
-            for n in range(max_degree + 1)
-        }
-        truncated_at = None
+        cap = truncated_at = max_word_length
     else:
-        seeds = {n: cobar_basis(space, n) for n in range(max_degree + 1)}
-        truncated_at = None
+        cap = _exact_cap(X, max_degree)
+    seeds = {n: hat_cobar_basis(space, n, cap) for n in range(max_degree + 1)}
 
     def diff(w):
         return cobar_differential(space, w, hat=hat).terms
@@ -323,48 +305,37 @@ def hochschild_basis(algebra, degree, word_cap=None):
 
     Over a 1-reduced space the basis is exact.  Otherwise ``word_cap``
     bounds the total number of alphabet letters across the bar word and u,
-    mirroring the cobar truncation.
+    mirroring the cobar truncation.  Bar words are built level by level:
+    each is extended by the non-empty words in (length, word) order, so the
+    generators come out in the order of their sort key, bar word first.
     """
     X = algebra.letters
     if word_cap is None and not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: Hochschild generators over the inverted algebra need a cap"
         )
+    if degree < 0:
+        return []
+    cap = max(degree, 1) if word_cap is None else word_cap
+    words_of = [hat_cobar_basis(algebra.space, d, cap) for d in range(degree + 1)]
+    # bar letters: the non-empty words in (length, word) order; with r
+    # degrees left, those of degree < r
+    letters = sorted((len(w), w, d) for d in range(degree) for w in words_of[d] if w)
+    letters_for = [
+        [(w, d, lw) for lw, w, d in letters if d < r] for r in range(degree + 1)
+    ]
     out = []
-    if word_cap is None:
-        words_of = {d: cobar_basis(algebra.space, d) for d in range(degree + 1)}
-
-        def bar_letters(bound):
-            for d in range(1, bound + 1):
-                for w in words_of[d]:
-                    yield w, d
-
-        def extend(prefix, deg_left):
-            for u in words_of.get(deg_left, ()):
-                out.append((tuple(prefix), u))
-            for w, d in bar_letters(deg_left - 1):
-                prefix.append(w)
-                extend(prefix, deg_left - d - 1)
-                prefix.pop()
-
-        extend([], degree)
-        del extend  # the closure refers to itself: free it now, not at a gc pass
-    else:
-        all_words = []
-        for d in range(degree + 1):
-            for w in hat_cobar_basis(algebra.space, d, word_cap):
-                all_words.append((w, d, len(w)))
-
-        def extend(prefix, deg_left, cap_left):
-            for u, du, lu in all_words:
-                if du == deg_left and lu <= cap_left:
-                    out.append((tuple(prefix), u))
-            for w, dw, lw in all_words:
-                if 1 <= lw <= cap_left and dw + 1 <= deg_left:
-                    prefix.append(w)
-                    extend(prefix, deg_left - dw - 1, cap_left - lw)
-                    prefix.pop()
-
-        extend([], degree, word_cap)
-        del extend  # the closure refers to itself: free it now, not at a gc pass
-    return sorted(out, key=_hochschild_key)
+    level = [((), degree, cap)]
+    while level:
+        grown = []
+        for b, left, cap_left in level:
+            for u in words_of[left]:
+                if len(u) > cap_left:
+                    break
+                out.append((b, u))
+            for w, d, lw in letters_for[left]:
+                if lw > cap_left:
+                    break
+                grown.append((b + (w,), left - d - 1, cap_left - lw))
+        level = grown
+    return out

@@ -163,9 +163,6 @@ class Chain:
             self.add(key, scale * c)
         return self
 
-    def scaled(self, c):
-        return Chain(self.ring, [(k, c * v) for k, v in self.terms.items()])
-
     def coefficient(self, key):
         return self.terms.get(key, 0)
 

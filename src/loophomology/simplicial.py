@@ -134,10 +134,6 @@ class SimplicialSetPresentation:
     def total_dim(self, fs):
         return self.dim(fs.base) + len(fs.degeneracies)
 
-    @property
-    def top_dim(self):
-        return max(self.simplices, default=0)
-
     def ids(self, d=None):
         if d is None:
             return [s for dd in sorted(self.simplices) for s in self.simplices[dd]]
@@ -558,7 +554,7 @@ def presentation_from_json(text, source="<json>"):
     for k in ("simplices", "faces"):
         if not isinstance(data[k], dict):
             raise SimplicialError(f"{source}: {k} must be an object")
-    simplices = {}
+    simplices, key_of = {}, {}
     for dim_text, ids in data["simplices"].items():
         try:
             d = int(dim_text)
@@ -566,6 +562,12 @@ def presentation_from_json(text, source="<json>"):
             raise SimplicialError(
                 f"{source}: simplices key {dim_text!r} is not a dimension"
             ) from None
+        if d in key_of:
+            raise SimplicialError(
+                f"{source}: simplices keys {key_of[d]!r} and {dim_text!r} "
+                f"both name dimension {d}"
+            )
+        key_of[d] = dim_text
         if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
             raise SimplicialError(
                 f"{source}: simplices[{dim_text!r}] must be a list of id strings"

@@ -6,8 +6,9 @@ a time, reads faces, fronts and backs from the SimplexTable's raw face data
 (not from its per-letter rules, signs or shifted degrees), and freely
 reduces every new word by a full rescan with ``reduce_word`` (not at the
 seams).  The recursive generator sort key is the order oracle of the flat
-keys the slice builders pass.  Tests assert that the package agrees with
-all of them.
+keys the slice builders pass, and the depth-first word enumerators, which
+sort what they find, are the oracles of the level-by-level word walk.
+Tests assert that the package agrees with all of them.
 """
 
 from loophomology.cobar import reduce_word
@@ -118,6 +119,109 @@ def hochschild_differential(algebra, gen, ring=ZZ):
         out.add((b[1:], reduce_word(u + a1, op_pairs)), -((-1) ** e1))
         out.add((b[:-1], reduce_word(an + u, op_pairs)), (-1) ** eps_prev)
     return out
+
+
+# ---------------------------------------------------------------------------
+# word bases, enumerated depth-first and then sorted
+
+
+def cobar_basis(space, degree):
+    X = _letters(space)[0]
+    if not X.is_one_reduced():
+        raise SimplicialError(
+            f"{X.name}: cobar words without a length cap need a 1-reduced space"
+        )
+    dim = X.table.dim
+    letters = sorted(a for a in dim if dim[a] >= 2)
+    words = []
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            words.append(tuple(prefix))
+            return
+        for a in letters:
+            da = dim[a] - 1
+            if da <= remaining:
+                prefix.append(a)
+                extend(prefix, remaining - da)
+                prefix.pop()
+
+    extend([], degree)
+    return sorted(words, key=_generator_sort_key)
+
+
+def words_between(space, start, end, degree, max_word_length):
+    if max_word_length < 1:
+        raise SimplicialError("max_word_length must be >= 1")
+    X, op_pairs = _letters(space)
+    table = X.table
+    out_edges = {}
+    for a, d in table.dim.items():
+        if d >= 1:
+            lo, hi = table.ends(a)
+            out_edges.setdefault(lo, []).append((a, hi, d - 1))
+    for lst in out_edges.values():
+        lst.sort()
+    words = []
+
+    def extend(prefix, at, deg_left):
+        if deg_left == 0 and at == end:
+            words.append(tuple(prefix))
+        if len(prefix) == max_word_length:
+            return
+        for a, hi, da in out_edges.get(at, ()):
+            if da <= deg_left and not (prefix and op_pairs.get(prefix[-1]) == a):
+                prefix.append(a)
+                extend(prefix, hi, deg_left - da)
+                prefix.pop()
+
+    extend([], start, degree)
+    return sorted(words, key=_generator_sort_key)
+
+
+def hochschild_basis(algebra, degree, word_cap=None):
+    X = algebra.letters
+    if word_cap is None and not X.is_one_reduced():
+        raise SimplicialError(
+            f"{X.name}: Hochschild generators over the inverted algebra need a cap"
+        )
+    out = []
+    if word_cap is None:
+        words_of = {d: cobar_basis(algebra.space, d) for d in range(degree + 1)}
+
+        def bar_letters(bound):
+            for d in range(1, bound + 1):
+                for w in words_of[d]:
+                    yield w, d
+
+        def extend(prefix, deg_left):
+            for u in words_of.get(deg_left, ()):
+                out.append((tuple(prefix), u))
+            for w, d in bar_letters(deg_left - 1):
+                prefix.append(w)
+                extend(prefix, deg_left - d - 1)
+                prefix.pop()
+
+        extend([], degree)
+    else:
+        base = X.basepoint
+        all_words = []
+        for d in range(degree + 1):
+            for w in words_between(algebra.space, base, base, d, word_cap):
+                all_words.append((w, d, len(w)))
+
+        def extend(prefix, deg_left, cap_left):
+            for u, du, lu in all_words:
+                if du == deg_left and lu <= cap_left:
+                    out.append((tuple(prefix), u))
+            for w, dw, lw in all_words:
+                if 1 <= lw <= cap_left and dw + 1 <= deg_left:
+                    prefix.append(w)
+                    extend(prefix, deg_left - dw - 1, cap_left - lw)
+                    prefix.pop()
+
+        extend([], degree, word_cap)
+    return sorted(out, key=_generator_sort_key)
 
 
 # ---------------------------------------------------------------------------

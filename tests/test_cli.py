@@ -83,6 +83,12 @@ HUGE_DIMENSION = {
     "simplices": {"0": ["a"], "1000000": ["q"]},
     "faces": {},
 }
+SAME_DIMENSION = {
+    "name": "two-points",
+    "basepoint": "a",
+    "simplices": {"0": ["b"], "00": ["a"]},
+    "faces": {},
+}
 
 
 @pytest.mark.parametrize(
@@ -101,7 +107,8 @@ HUGE_DIMENSION = {
         for value in FUZZ_JUNK
         if (path, value) not in MUST_REJECT.values()
     ]
-    + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")],
+    + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")]
+    + [pytest.param(SAME_DIMENSION, True, id="same-dimension")],
 )
 def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
     """Malformed input either loads or ends with one error line, never a traceback."""

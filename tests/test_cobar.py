@@ -1,10 +1,12 @@
 import gc
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from reference import _generator_sort_key
 from loophomology.homalg import Chain, ZZ, check_d_squared
 from loophomology.simplicial import (
@@ -274,9 +276,43 @@ def test_flat_sort_key_orders_same_shape_tuples_like_the_recursive_key(data):
     assert sorted(keys, key=_generator_sort_key) == sorted(keys, key=_recursive_sort_key)
 
 
+def _outcome(enumerate_, *args):
+    """An enumerator's list, or the text of the SimplicialError it raises."""
+    try:
+        return enumerate_(*args)
+    except SimplicialError as exc:
+        return f"SimplicialError: {exc}"
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_word_walk_matches_the_depth_first_reference(name):
+    # same lists in the same order, and the same errors, on X and Z(X)
+    X = builtin_space(name)
+    ZX = adjoin_inverses(X)
+    vertices = sorted(X.simplices[0])
+    for space in (X, ZX):
+        for degree in range(7):
+            assert _outcome(cobar_basis, space, degree) == _outcome(
+                ref.cobar_basis, space, degree
+            )
+            for start, end in itertools.product(vertices, repeat=2):
+                for cap in range(5):
+                    args = (space, start, end, degree, cap)
+                    assert _outcome(words_between, *args) == _outcome(
+                        ref.words_between, *args
+                    )
+    for algebra in (CobarAlgebra(ZX, hat=True), CobarAlgebra(X)):
+        for degree in range(6):
+            for cap in (None, 1, 2, 3):
+                args = (algebra, degree, cap)
+                assert _outcome(hochschild_basis, *args) == _outcome(
+                    ref.hochschild_basis, *args
+                )
+
+
 def test_word_enumerations_leave_no_reference_cycles():
-    # their recursive closures are freed on return, so the enumerated words
-    # do not wait for the cycle collector
+    # the level-by-level walks build no self-referencing closures, so the
+    # enumerated words do not wait for the cycle collector
     cd = builtin_space("collapsed-delta3")
     torus = adjoin_inverses(builtin_space("torus"))
     calls = [

@@ -6,8 +6,13 @@ built-in in every complex it supports over Z, Q, F2 and F3 at max degree
 3 and word cap 2; the collapsed-delta3 cohoch, hat-cohoch and
 hochschild-of-cobar complexes at max degree 6 over Z, F2 and F3, whose
 Z/2 torsion sits in several blocks of each differential; and ``verify``
-in text and JSON form for every built-in at max degree 3 and word cap 2.  Any change to a basis order, a sign, a
-differential or a report line shows up as a diff here.
+in text and JSON form for every built-in at max degree 3 and word cap 2.
+Two groups pin the window error paths: ``verify`` without a word cap on
+the circle, the torus and boundary-delta3, whose skip lines carry the
+slice builders' errors, and ``homology`` of the torus in each complex
+that needs a cap or a 1-reduced space, each of which exits 1 with one
+``error:`` line.  Any change to a basis order, a sign, a differential,
+an error message or a report line shows up as a diff here.
 
 Regenerate the file (only when an output change is intended) with
 
@@ -50,6 +55,14 @@ def sweep():
                 ["verify", "--space", name, "--max-degree", "3",
                  "--max-word-length", "2", "--format", output]
             )
+    for name in ("circle", "torus", "boundary-delta3"):
+        commands.append(["verify", "--space", name, "--max-degree", "2"])
+    for complex_name in ("hat-cobar", "hat-cohoch", "hochschild-of-cobar",
+                         "cobar", "cohoch"):
+        commands.append(
+            ["homology", "--space", "torus", "--complex", complex_name,
+             "--max-degree", "2"]
+        )
     return commands
 
 

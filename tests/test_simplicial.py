@@ -310,6 +310,21 @@ def test_json_rejects_missing_fields():
     assert "'e' needs exactly 2 face records, got none" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, keys",
+    [
+        ('"0": ["a", "b"]', '"0": ["a"], "00": ["b"]', "'0' and '00'"),
+        ('"1": ["e"]', '"1": ["e"], "0_1": ["f"]', "'1' and '0_1'"),
+    ],
+)
+def test_json_rejects_two_keys_for_one_dimension(old, new, keys):
+    # int() reads both keys as one dimension; neither list may silently
+    # replace the other
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(INTERVAL_JSON.replace(old, new))
+    assert f"simplices keys {keys} both name dimension" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # The face table
 
