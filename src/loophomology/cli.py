@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import freehedra
+from ._records import Record, Value
 from .homalg import HomologySummary, homology_of_slice, parse_ring
 from .simplicial import (
     BUILTIN_NAMES,
@@ -35,16 +35,27 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-@dataclass
-class RunConfig:
-    space: str
-    complex_name: str = "chains"
-    ring: str = "Z"
-    max_degree: int = 4
-    max_word_length: int | None = None
-    output: str = "table"
+class RunConfig(Record):
+    __slots__ = (
+        "space", "complex_name", "ring", "max_degree", "max_word_length", "output"
+    )
+    __eq__ = Value.__eq__  # field by field; mutable, so unhashable
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        space: str,
+        complex_name: str = "chains",
+        ring: str = "Z",
+        max_degree: int = 4,
+        max_word_length: int | None = None,
+        output: str = "table",
+    ):
+        self.space = space
+        self.complex_name = complex_name
+        self.ring = ring
+        self.max_degree = max_degree
+        self.max_word_length = max_word_length
+        self.output = output
         if self.complex_name not in COMPLEX_NAMES:
             raise SimplicialError(
                 f"unknown complex {self.complex_name!r}; "
@@ -70,7 +81,11 @@ def load_space(name_or_path):
                 f"{name_or_path!r} is neither a built-in "
                 f"({', '.join(BUILTIN_NAMES)}) nor a file"
             )
-        X = presentation_from_json(path.read_text(encoding="utf-8"), source=str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise SimplicialError(f"{name_or_path!r}: cannot read: {exc.strerror}") from None
+        X = presentation_from_json(text, source=str(path))
     violations = validate(X)
     if violations:
         listing = "; ".join(violations[:5])

@@ -14,13 +14,17 @@ first rotation coincide, which is why F_n has 3n - 1 facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._records import Value
 
 
-@dataclass(frozen=True, order=True)
-class FreehedralLabel:
-    f_block: tuple[int, ...]
-    cube_blocks: tuple[tuple[int, ...], ...] = ()
+class FreehedralLabel(Value):
+    __slots__ = ("f_block", "cube_blocks")
+
+    def __init__(
+        self, f_block: tuple[int, ...], cube_blocks: tuple[tuple[int, ...], ...] = ()
+    ):
+        object.__setattr__(self, "f_block", f_block)
+        object.__setattr__(self, "cube_blocks", cube_blocks)
 
     @property
     def dimension(self):

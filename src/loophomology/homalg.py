@@ -8,9 +8,11 @@ it mod p and drops the zero sums in place.  A matrix is stored as its
 columns, one {row: value} dict per generator, which is how a differential
 is computed and how every reader wants it.  One builder owns generator
 order: it closes a slice's bases under the differential top-down, one
-degree at a time, sorting each basis by the flat key its caller gives for
-the generator shape, and re-keys each degree's differentials into index
-columns before it starts the degree below.
+degree at a time, and re-keys each degree's differentials into index
+columns before it starts the degree below.  Its callers enumerate seeds
+in the order of the flat key they give for the generator shape, so a
+closed window takes them as they come; a truncated one adopts what its
+columns name beyond the seeds, and only then is a basis sorted.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix finds its connected
@@ -146,8 +148,9 @@ class Chain:
         if ring.p:
             for key, c in terms.items():
                 terms[key] = c % ring.p
-        for key in [key for key, c in terms.items() if not c]:
-            del terms[key]
+        if not all(terms.values()):  # zero sums are rare; this scan runs in C
+            for key in [key for key, c in terms.items() if not c]:
+                del terms[key]
         self.terms = terms
 
     def add(self, key, c):
@@ -558,25 +561,36 @@ def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
     closed under d (truncated word enumerations are not): every generator
     that appears in a differential is adopted into the basis below, so the
     stored matrices form an honest subcomplex and d.d = 0 holds exactly.
-    Every basis is sorted by ``key``, the flat sort key of the builder's
-    generator shape (None sorts generators as they are).
+    Every basis is in the order of ``key``, the flat sort key of the
+    builder's generator shape (None sorts generators as they are), and each
+    seed list must arrive in that order, without repeats.
 
-    The top seed degree is sorted once.  Then, for each degree n from the
-    top down, the differentials of the sorted basis n are taken, basis n-1
-    is closed over their keys and sorted, and the degree-n columns are
-    re-keyed by row index, dropping the keyed dicts before degree n-1
-    starts.  A basis sorted as the rows of degree n+1 is never sorted again.
+    For each degree n from the top down, the differentials of basis n are
+    taken and re-keyed in place into row-index columns over the seeds of
+    degree n-1, one lookup per term.  Only when a column names a generator
+    those seeds lack (a truncated window) does basis n-1 become the sorted
+    union of the seeds and every key of the columns not yet re-keyed, the
+    columns already re-keyed moving to their rows' new positions.  Each
+    degree's keyed dicts are dropped before degree n-1 starts.
     """
     bases, diffs = {}, {}
-    gens = sorted(seeds.get(max_degree, ()), key=key)
+    gens = seeds.get(max_degree, ())
     for n in range(max_degree, 0, -1):
         columns = [diff_fn(g) for g in gens]
-        rows = set(seeds.get(n - 1, ())).union(*columns)
-        rows = sorted(rows, key=key)
+        rows = seeds.get(n - 1, ())
         if gens:
             row_index = {g: i for i, g in enumerate(rows)}
             for j, dg in enumerate(columns):
-                columns[j] = {row_index[k]: c for k, c in dg.items()}
+                try:
+                    columns[j] = {row_index[k]: c for k, c in dg.items()}
+                except KeyError:
+                    adopted = sorted(set(rows).union(*columns[j:]), key=key)
+                    row_index = {g: i for i, g in enumerate(adopted)}
+                    moved = [row_index[g] for g in rows]
+                    for i in range(j):
+                        columns[i] = {moved[r]: c for r, c in columns[i].items()}
+                    rows = adopted
+                    columns[j] = {row_index[k]: c for k, c in dg.items()}
             del row_index
             bases[n] = gens
             diffs[n] = SparseIntMatrix(len(rows), columns)

@@ -27,7 +27,6 @@ from operator import mul
 from .cobar import (
     CobarAlgebra,
     _bar_terms,
-    _cobar_diff_raw,
     _hochschild_key,
     _splice,
     format_word,
@@ -89,7 +88,9 @@ def _require_one_reduced(X, what):
 
 
 def cohoch_basis(space, degree, max_word_length=None, hat=False):
-    """Loop generators of one degree, in deterministic order.
+    """Loop generators of one degree, in _loop_key order: by simplex id
+    whatever its dimension, then by word length, then letter by letter, so
+    the slice builder takes them as they come.
 
     Without the hat the space must be 1-reduced and the basis is exact;
     with it the word length is capped at max_word_length (mandatory for
@@ -104,19 +105,17 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
             f"{X.name}: word-length cap required (degree components are infinite)"
         )
     cap = max_word_length if max_word_length is not None else max(degree, 1)
-    # (dim x, x, len w, w) order: p ascending, x sorted, and each word list
-    # in (len, w) order, enumerated once per pair of ends
+    # _loop_key order: x by id over every dimension up to the degree, then
+    # each word list in (len, w) order, enumerated once per (ends, degree)
+    simplices = sorted(x for p, ids in X.simplices.items() if p <= degree for x in ids)
     gens = []
-    for p in sorted(X.simplices):
-        if p > degree:
-            continue
-        q = degree - p
-        words = {}
-        for x in sorted(X.simplices[p]):
-            lo, hi = table.ends(x)
-            if (hi, lo) not in words:
-                words[hi, lo] = words_between(space, hi, lo, q, cap)
-            gens.extend((x, w) for w in words[hi, lo])
+    words = {}
+    for x in simplices:
+        lo, hi = table.ends(x)
+        q = degree - X.dim(x)
+        if (hi, lo, q) not in words:
+            words[hi, lo, q] = words_between(space, hi, lo, q, cap)
+        gens.extend((x, w) for w in words[hi, lo, q])
     return gens
 
 
@@ -134,15 +133,28 @@ def cohoch_differential(space, gen, ring=ZZ, hat=False):
     X, table, op_pairs = _loop_parts(space)
     x, w = gen
     p = X.dim(x)
-    q = table.word_degree(w)
     terms = {}
     for c, f in (table.inner_boundary if hat else table.boundary)[x]:
         key = (f, w)
         terms[key] = terms.get(key, 0) + c
+    # the word differential, each letter's rule spliced into its place with
+    # the Koszul sign of x and the letters before it; q ends as deg w
+    rules, shifted = table.rules[hat], table.shifted
     sign = -1 if p & 1 else 1
-    for wkey, c in _cobar_diff_raw(space, w, hat).items():
-        key = (x, wkey)
-        terms[key] = terms.get(key, 0) + sign * c
+    q = 0
+    try:
+        for i, a in enumerate(w):
+            rule = rules[a]
+            if rule:
+                s = -sign if q & 1 else sign
+                head, tail = w[:i], w[i + 1 :]
+                for c, mid in rule:
+                    key = (x, _splice(head, mid, tail, op_pairs))
+                    terms[key] = terms.get(key, 0) + s * c
+            q += shifted[a]
+    except KeyError:
+        table.word_degree(w)  # names the entry that is not a letter
+        raise
     for f, b, c in table.theta1[x]:
         # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
         key = (f, _splice((b,), w, (), op_pairs))

@@ -16,9 +16,9 @@ extension Z(X) that formally inverts 1-simplices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._records import FrozenRecord, Value
 from .homalg import Chain, ZZ, _close_and_build
 
 
@@ -26,16 +26,18 @@ class SimplicialError(ValueError):
     """Malformed simplicial input: bad index, unknown simplex, bad word."""
 
 
-@dataclass(frozen=True, order=True)
-class FormalSimplex:
+class FormalSimplex(Value):
     """A possibly degenerate simplex s_{j1} s_{j2} ... s_{jk} (base).
 
     The word is strictly decreasing (j1 > j2 > ... > jk), read as operator
     composition with the rightmost letter applied to the base first.
     """
 
-    degeneracies: tuple[int, ...]
-    base: str
+    __slots__ = ("degeneracies", "base")
+
+    def __init__(self, degeneracies: tuple[int, ...], base: str):
+        object.__setattr__(self, "degeneracies", degeneracies)
+        object.__setattr__(self, "base", base)
 
     @property
     def is_degenerate(self):
@@ -317,13 +319,20 @@ def aw_coproduct(X, simplex_id, reduced=False):
 OP_SUFFIX = "~"
 
 
-@dataclass(frozen=True, eq=False)
-class OpExtension:
+class OpExtension(FrozenRecord):
     """Z(X): the presentation X enlarged by a formal inverse per 1-simplex."""
 
-    underlying: SimplicialSetPresentation
-    space: SimplicialSetPresentation
-    op_pairs: dict
+    __slots__ = ("underlying", "space", "op_pairs")
+
+    def __init__(
+        self,
+        underlying: SimplicialSetPresentation,
+        space: SimplicialSetPresentation,
+        op_pairs: dict,
+    ):
+        object.__setattr__(self, "underlying", underlying)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "op_pairs", op_pairs)
 
     def op(self, simplex_id):
         return self.op_pairs.get(simplex_id)

@@ -108,12 +108,16 @@ SAME_DIMENSION = {
         if (path, value) not in MUST_REJECT.values()
     ]
     + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")]
-    + [pytest.param(SAME_DIMENSION, True, id="same-dimension")],
+    + [pytest.param(SAME_DIMENSION, True, id="same-dimension")]
+    + [pytest.param(None, True, id="directory")],
 )
 def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
     """Malformed input either loads or ends with one error line, never a traceback."""
     space = tmp_path / "bad.json"
-    space.write_text(json.dumps(bad), encoding="utf-8")
+    if bad is None:  # a path that exists but cannot be read as a file
+        space.mkdir()
+    else:
+        space.write_text(json.dumps(bad), encoding="utf-8")
     for command in ("homology", "verify"):
         code = main([command, "--space", str(space), "--max-degree", "2"])
         err = capsys.readouterr().err
@@ -317,6 +321,22 @@ def test_verify_never_imports_scipy():
         "if 'scipy' in sys.modules:\n"
         "    sys.exit('scipy was imported')\n"
         "sys.exit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_never_loads_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every run
+    # would pay for at start-up
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import loophomology.cli\n"
+        "if 'dataclasses' in sys.modules:\n"
+        "    sys.exit('dataclasses was imported')\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert done.returncode == 0, done.stderr

@@ -542,6 +542,45 @@ def test_top_down_build_matches_bottom_up_reference_on_collapsed_delta3_d5(monke
     _assert_builders_agree(monkeypatch, builtin_space("collapsed-delta3"), 5, None)
 
 
+def _strictly_ordered(gens, key):
+    keys = list(map(key, gens)) if key else gens
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _seed_lists(X, degree):
+    """(enumerator, key, seeds) for every seed list a builder takes: plain
+    and hat, word caps 1-3."""
+    hat = adjoin_inverses(X)
+    yield "chains", None, chains_slice(X, degree).bases.get(degree, [])
+    settings = [(hat, True, cap) for cap in (1, 2, 3)]
+    if X.is_one_reduced():
+        settings.append((X, False, None))
+    for space, is_hat, cap in settings:
+        if cap is None:
+            words = cobar.cobar_basis(space, degree)
+        else:
+            words = cobar.hat_cobar_basis(space, degree, cap)
+        yield "words", cobar._word_key, words
+        algebra = cobar.CobarAlgebra(space, hat=is_hat)
+        yield "hochschild", cobar._hochschild_key, cobar.hochschild_basis(
+            algebra, degree, word_cap=cap
+        )
+        yield "loops", loopcomplex._loop_key, loopcomplex.cohoch_basis(
+            space, degree, max_word_length=cap, hat=is_hat
+        )
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_seed_list_comes_in_strict_key_order(name):
+    # The builder takes each seed degree as it comes and indexes its rows
+    # from the seed list, so every enumerator must hand over its generators
+    # in the builder's key order, without repeats.
+    X = builtin_space(name)
+    for degree in range(7):
+        for what, key, seeds in _seed_lists(X, degree):
+            assert _strictly_ordered(seeds, key), (what, degree)
+
+
 def _hat_cohoch(X, degree, cap):
     return cohoch_slice(adjoin_inverses(X), degree, hat=True, max_word_length=cap)
 
