@@ -30,7 +30,7 @@ The bar construction of the resulting tensor algebra lives here too.
 
 from __future__ import annotations
 
-from .homalg import Chain, ZZ, _close_and_build
+from .homalg import Chain, ZZ, _close_and_build, _nonzero
 from .simplicial import OpExtension, SimplicialError
 
 # ---------------------------------------------------------------------------
@@ -120,31 +120,9 @@ def cobar_differential(space, w, ring=ZZ, hat=None):
     OpExtension (hat setting, inner-face internal differential, outputs
     re-reduced).  The empty word is the algebra unit and maps to zero.
     """
-    if hat is None:
-        hat = isinstance(space, OpExtension)
     w = tuple(w)
     word_degree(space, w)  # a non-letter raises SimplicialError
-    return Chain(ring, _cobar_diff_raw(space, w, hat))
-
-
-def _cobar_diff_raw(space, w, hat):
-    """d(w) as summed {word: coefficient}, zero sums kept: the rule of each
-    letter (SimplexTable.rules) spliced into its place, with the Koszul
-    sign of the letters before it.  Callers check w with word_degree."""
-    X, op_pairs = _letters(space)
-    rules, shifted = X.table.rules[hat], X.table.shifted
-    terms = {}
-    odd = False
-    for i, a in enumerate(w):
-        rule = rules[a]
-        if rule:
-            head, tail = w[:i], w[i + 1 :]
-            for c, mid in rule:
-                new = _splice(head, mid, tail, op_pairs)
-                terms[new] = terms.get(new, 0) + (-c if odd else c)
-        if shifted[a] & 1:
-            odd = not odd
-    return terms
+    return Chain(ring, CobarAlgebra(space, hat).differential(w))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +193,8 @@ class CobarAlgebra:
     """The tensor algebra of cobar words, with product = concatenation.
 
     Provides exactly what the bar and Hochschild differentials consume:
-    degrees, the internal differential, and the monomial product.
+    degrees, the internal differential, and the monomial product.  It
+    reads the word rules and shifted degrees once, at construction.
     """
 
     def __init__(self, space, hat=None):
@@ -223,13 +202,16 @@ class CobarAlgebra:
         self.hat = isinstance(space, OpExtension) if hat is None else hat
         self.letters, self.op_pairs = _letters(space)
         self.table = self.letters.table
+        self.rules, self.shifted = self.table.rules[self.hat], self.table.shifted
 
     def degree(self, w):
         return self.table.word_degree(w)
 
     def differential(self, w):
         """d(w) as a dict {word: summed coefficient}, zero sums kept."""
-        return _cobar_diff_raw(self.space, tuple(w), self.hat)
+        terms = {}
+        _tensor_terms(self, (), (), tuple(w), terms)
+        return {dw: c for (_, dw), c in terms.items()}
 
     def multiply(self, u, v):
         """The product of two reduced words: their reduced concatenation."""
@@ -244,29 +226,45 @@ def bar_differential(algebra, barword, ring=ZZ):
     lie in the augmentation kernel (no empty cobar word).
     """
     w = tuple(tuple(a) for a in barword)
-    return Chain(ring, _bar_terms(algebra, w, [algebra.degree(a) for a in w]))
-
-
-def _bar_terms(algebra, w, degs):
-    """d1 + d2 of the bar word w, its letters of degrees degs, as summed
-    {bar word: coefficient}."""
-    if any(len(a) == 0 for a in w):
-        raise SimplicialError("bar letters must be non-unit cobar words")
     terms = {}
-    odd = False  # parity of eps_{i-1} going in
-    for i, a in enumerate(w):
-        for da, c in algebra.differential(a).items():
-            if da:  # unit components die in the augmentation kernel
-                key = w[:i] + (da,) + w[i + 1 :]
-                terms[key] = terms.get(key, 0) + (c if odd else -c)
+    _tensor_terms(algebra, w, [algebra.degree(a) for a in w], (), terms)
+    return Chain(ring, {db: c for (db, _), c in terms.items()})
+
+
+def _tensor_terms(algebra, b, degs, u, out):
+    """Add d(b (x) u) = d_BA(b) (x) u + (-1)^{eps_n} b (x) d_A(u) into out
+    as {(bar word, word): coefficient}, degs the degrees of b's letters;
+    with u = () it is d1 + d2 of b.  A word's differential splices each
+    letter's rule into its place, with the Koszul sign of the letters
+    before it; signs across bar letters use eps_i = |a_1|+...+|a_i| + i."""
+    if () in b:
+        raise SimplicialError("bar letters must be non-unit cobar words")
+    rules, shifted, op_pairs = algebra.rules, algebra.shifted, algebra.op_pairs
+    odd = False  # parity of eps_{i-1}
+    for i, a in enumerate(b + (u,)):
+        module = i == len(b)
+        front, back = b[:i], b[i + 1 :]
+        sign = -1 if odd == module else 1  # -(-1)^eps_{i-1}, or (-1)^eps_n for u
+        for k, e in enumerate(a):
+            rule = rules[e]
+            if rule:
+                head, tail = a[:k], a[k + 1 :]
+                for c, mid in rule:
+                    da = _splice(head, mid, tail, op_pairs)
+                    if module or da:  # a unit bar letter dies
+                        key = (b, da) if module else (front + (da,) + back, u)
+                        out[key] = out.get(key, 0) + sign * c
+            if shifted[e] & 1:
+                sign = -sign
+        if module:
+            return
         if not degs[i] & 1:
             odd = not odd
-        if i + 1 < len(w):
-            prod = algebra.multiply(a, w[i + 1])
+        if back:
+            prod = _splice(a, back[0], (), op_pairs)
             if prod:
-                key = w[:i] + (prod,) + w[i + 2 :]
-                terms[key] = terms.get(key, 0) + (1 if odd else -1)
-    return terms
+                key = (front + (prod,) + back[1:], u)
+                out[key] = out.get(key, 0) + (1 if odd else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +291,10 @@ def cobar_slice(space, max_degree, max_word_length=None):
     else:
         cap = _exact_cap(X, max_degree)
     seeds = {n: hat_cobar_basis(space, n, cap) for n in range(max_degree + 1)}
+    algebra = CobarAlgebra(space, hat)
 
     def diff(w):
-        return cobar_differential(space, w, hat=hat).terms
+        return _nonzero(algebra.differential(w))
 
     return _close_and_build(seeds, diff, max_degree, _word_key, truncated_at)
 

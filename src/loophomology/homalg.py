@@ -126,6 +126,12 @@ def parse_ring(text):
 # ---------------------------------------------------------------------------
 # Chains
 
+def _nonzero(terms):
+    # summed {key: coefficient} without its rare zero sums, for the kernels
+    # that hand raw dicts to the builder; Chain drops them in place
+    return terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
+
+
 class Chain:
     """Finite formal sum of generator keys with nonzero coefficients.
 

@@ -12,7 +12,10 @@ when w is empty).  Two differentials act on these generators:
   d1_i, d2_i, the combinatorial shadow of the freehedral cell structure.
 
 The two are computed by independent code paths and cross-checked term by
-term; see verify.run_verify.
+term; see verify.run_verify.  Each map taken on every generator of a slice
+(the Hochschild and face differentials, phi with chi) is one kernel, built
+once per slice: it reads its tables once and maps a generator to a raw
+{key: coefficient} dict.  Its public function is a Chain wrapper.
 
 The Hochschild complex of the cobar algebra, with the comparison maps phi
 and chi, the coalgebra section eta and the local contraction, completes
@@ -22,18 +25,17 @@ the picture on the algebra side.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
 
 from .cobar import (
     CobarAlgebra,
-    _bar_terms,
     _hochschild_key,
     _splice,
+    _tensor_terms,
     format_word,
     hochschild_basis,
     words_between,
 )
-from .homalg import Chain, ZZ, _close_and_build
+from .homalg import Chain, ZZ, _close_and_build, _nonzero
 from .simplicial import OpExtension, SimplicialError
 
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
@@ -170,24 +172,37 @@ def cohoch_differential(space, gen, ring=ZZ, hat=False):
 # The face-operator differential
 
 
-def _word_cube_face(table, op_pairs, w, j, split):
-    """Global cube coordinate j of the word: split or inner-face one letter.
+def _necklace_faces(space):
+    """The faces of a loop generator (x, w) as lists d0, d1 (i = 1..n) and
+    d2 (i = 1..p), None where a component degenerates; the faces i > p
+    split (d0) or inner-face (d1) one letter, each letter listed once."""
+    _, table, op_pairs = _loop_parts(space)
+    dim, faces, fronts, backs = table.dim, table.faces, table.fronts, table.backs
 
-    Returns the new word or None when the result is degenerate."""
-    count = 0
-    for idx, a in enumerate(w):
-        inner = table.dim[a] - 1
-        if count + inner >= j:
-            m = j - count
-            if split:
-                piece = (table.fronts[a][m], table.backs[a][m])
-            else:
-                piece = (table.faces[a][m],)
-            if None in piece:
-                return None
-            return _splice(w[:idx], piece, w[idx + 1 :], op_pairs)
-        count += inner
-    raise SimplicialError(f"cube coordinate {j} exceeds the word degree {count}")
+    def faces_of(gen):
+        x, w = gen
+        p = dim[x]
+        pairs = list(zip(fronts[x], backs[x]))
+        # d0_i: front i-1 keeps the slot, back i-1 leads the word; d2_i:
+        # back i keeps the slot, front i rotates to the word tail
+        d0 = [
+            None if None in fb else (fb[0], _splice(fb[1:], w, (), op_pairs))
+            for fb in pairs[:p]
+        ]
+        d2 = [
+            None if None in fb else (fb[1], _splice(w, fb[:1], (), op_pairs))
+            for fb in pairs[1:]
+        ]
+        d1 = d2[:1] + [None if g is None else (g, w) for g in faces[x][1:p]]
+        for k, a in enumerate(w):
+            head, tail = w[:k], w[k + 1 :]
+            for m in range(1, dim[a]):
+                fb, g = (fronts[a][m], backs[a][m]), faces[a][m]
+                d0.append(None if None in fb else (x, _splice(head, fb, tail, op_pairs)))
+                d1.append(None if g is None else (x, _splice(head, (g,), tail, op_pairs)))
+        return d0, d1, d2
+
+    return faces_of
 
 
 def necklical_face(space, eps, i, gen):
@@ -197,7 +212,7 @@ def necklical_face(space, eps, i, gen):
     d1 for 1 <= i <= n with d1_1 aliased to d2_1, d2 for 1 <= i <= p.
     Returns the new generator, or None when a component degenerates.
     """
-    X, table, op_pairs = _loop_parts(space)
+    X, table, _ = _loop_parts(space)
     x, w = gen
     p = X.dim(x)
     n = p + table.word_degree(w)
@@ -208,24 +223,30 @@ def necklical_face(space, eps, i, gen):
         raise SimplicialError(
             f"index {i} out of range 1..{top} for d{eps} on {format_loop_generator(gen)}"
         )
-    return _necklace_face(table, op_pairs, x, w, p, eps, i)
+    return _necklace_faces(space)(gen)[eps][i - 1]
 
 
-def _necklace_face(table, op_pairs, x, w, p, eps, i):
-    """d^eps_i of (x, w) for p = dim x, with eps and i already checked."""
-    if eps == 1 and i == 1 and p >= 1:
-        eps = 2  # the first delete and the first rotation coincide
-    if eps == 2:
-        f, b = table.fronts[x][i], table.backs[x][i]
-        return None if f is None or b is None else (b, _splice(w, (f,), (), op_pairs))
-    if i > p:
-        w = _word_cube_face(table, op_pairs, w, i - p, split=eps == 0)
-        return None if w is None else (x, w)
-    if eps == 1:
-        g = table.faces[x][i - 1]
-        return None if g is None else (g, w)
-    f, b = table.fronts[x][i - 1], table.backs[x][i - 1]
-    return None if f is None or b is None else (f, _splice((b,), w, (), op_pairs))
+def _necklical_kernel(space):
+    """necklical_differential as a function of one loop generator,
+    returning {generator: nonzero coefficient}."""
+    faces_of = _necklace_faces(space)
+
+    def terms(gen):
+        d0, d1, d2 = faces_of(gen)
+        n = len(d0)
+        out = {}
+        for i, (g0, g1) in enumerate(zip(d0, d1), 1):
+            sign = -1 if i & 1 else 1
+            if g0 is not None:
+                out[g0] = out.get(g0, 0) + sign
+            if g1 is not None:
+                out[g1] = out.get(g1, 0) - sign
+        for i, g in enumerate(d2[1:], 2):
+            if g is not None:
+                out[g] = out.get(g, 0) + (-1 if (i - 1) * n & 1 else 1)
+        return _nonzero(out)
+
+    return terms
 
 
 def necklical_differential(space, gen, ring=ZZ):
@@ -237,26 +258,41 @@ def necklical_differential(space, gen, ring=ZZ):
     necklical_face; no coproduct formula enters, which is what makes the
     term-by-term comparison against cohoch_differential a real cross-check.
     """
-    X, table, op_pairs = _loop_parts(space)
+    X, table, _ = _loop_parts(space)
     x, w = gen
-    p = X.dim(x)
-    n = p + table.word_degree(w)
-    terms = {}
-    for i in range(1, n + 1):
-        sign = -1 if i % 2 else 1
-        for eps, c in ((0, sign), (1, -sign)):
-            g = _necklace_face(table, op_pairs, x, w, p, eps, i)
-            if g is not None:
-                terms[g] = terms.get(g, 0) + c
-    for i in range(2, p + 1):
-        g = _necklace_face(table, op_pairs, x, w, p, 2, i)
-        if g is not None:
-            terms[g] = terms.get(g, 0) + (-1) ** ((i - 1) * n)
-    return Chain(ring, terms)
+    X.dim(x)  # an unknown simplex or letter raises SimplicialError
+    table.word_degree(w)
+    return Chain(ring, _necklical_kernel(space)(gen))
 
 
 # ---------------------------------------------------------------------------
 # Hochschild complex of the cobar algebra
+
+
+def _hochschild_kernel(algebra):
+    """hochschild_differential as a function of one generator (bar word,
+    word) of tuples, returning {generator: nonzero coefficient}: the terms
+    of _tensor_terms, over the word rules the algebra read once, and the
+    two wraps, all summed into one dict."""
+    word_degree, op_pairs = algebra.table.word_degree, algebra.op_pairs
+
+    def terms(gen):
+        b, u = gen
+        degs = [word_degree(a) for a in b]
+        deg_u = word_degree(u)
+        out = {}
+        _tensor_terms(algebra, b, degs, u, out)
+        if b:
+            eps_n = sum(degs) + len(b)  # the bar degree of b
+            e1 = degs[0] * (deg_u + eps_n + degs[0] + 1)
+            key = (b[1:], _splice(u, b[0], (), op_pairs))
+            out[key] = out.get(key, 0) + (1 if e1 & 1 else -1)
+            eps_prev = eps_n - degs[-1] - 1
+            key = (b[:-1], _splice(b[-1], u, (), op_pairs))
+            out[key] = out.get(key, 0) + (-1 if eps_prev & 1 else 1)
+        return _nonzero(out)
+
+    return terms
 
 
 def hochschild_differential(algebra, gen, ring=ZZ):
@@ -270,27 +306,7 @@ def hochschild_differential(algebra, gen, ring=ZZ):
     and phi is a chain map to the free-loop complex.
     """
     b, u = gen
-    b = tuple(tuple(a) for a in b)
-    u = tuple(u)
-    degs = [algebra.degree(a) for a in b]
-    deg_u = algebra.degree(u)
-    eps_n = sum(degs) + len(b)  # the bar degree of b
-    terms = {}
-    sign = -1 if eps_n & 1 else 1
-    for du, c in algebra.differential(u).items():
-        key = (b, du)
-        terms[key] = terms.get(key, 0) + sign * c
-    for db, c in _bar_terms(algebra, b, degs).items():
-        key = (db, u)
-        terms[key] = terms.get(key, 0) + c
-    if b:
-        e1 = degs[0] * (deg_u + eps_n + degs[0] + 1)
-        key = (b[1:], algebra.multiply(u, b[0]))
-        terms[key] = terms.get(key, 0) - (-1 if e1 & 1 else 1)
-        eps_prev = eps_n - degs[-1] - 1
-        key = (b[:-1], algebra.multiply(b[-1], u))
-        terms[key] = terms.get(key, 0) + (-1 if eps_prev & 1 else 1)
-    return Chain(ring, terms)
+    return Chain(ring, _hochschild_kernel(algebra)((tuple(map(tuple, b)), tuple(u))))
 
 
 def hochschild_slice(space, max_degree, hat=False, word_cap=None):
@@ -311,10 +327,9 @@ def hochschild_slice(space, max_degree, hat=False, word_cap=None):
         for n in range(max_degree + 1)
     }
 
-    def diff(g):
-        return hochschild_differential(algebra, g).terms
-
-    return _close_and_build(seeds, diff, max_degree, _hochschild_key, truncated_at)
+    return _close_and_build(
+        seeds, _hochschild_kernel(algebra), max_degree, _hochschild_key, truncated_at
+    )
 
 
 def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
@@ -343,6 +358,59 @@ def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
 # Comparison maps: chi, phi, eta, and the local contraction
 
 
+# A walk over several chi readings packs one coefficient per reading into one
+# integer, a _LANE-bit lane each: sum_v c_v * 2**(_LANE * v).  Sums and
+# integer multiples act lane by lane, so one pass of integer arithmetic
+# serves every reading, exactly while every |c_v| stays below 2**(_LANE - 1);
+# the coefficients here are sums of products of a few small matrix entries.
+# With one reading the packed coefficient is the coefficient itself.
+_LANE = 64
+
+
+def _phi_kernel(space, variants):
+    """phi under every chi reading in variants at once, as a function of
+    one Hochschild generator (bar word, word) of tuples, returning {loop
+    generator: packed coefficients}, a packed sum possibly 0.  Each
+    rotation of a single bar letter is spliced once, whatever the readings."""
+    X, table, op_pairs = _loop_parts(space)
+    dim, base = table.dim, X.basepoint
+    readings = [(1 << (_LANE * v), variant) for v, variant in enumerate(variants)]
+    lanes = sum(unit for unit, _ in readings)
+    unknown = [v for v in variants if v not in CHI_VARIANTS]
+
+    def terms(gen):
+        b, u = gen
+        if not b:
+            return {(base, u): lanes}
+        if len(b) > 1:
+            return {}
+        if unknown:
+            raise ValueError(f"unknown chi variant {unknown[0]!r}")
+        (a,) = b
+        deg_u = table.word_degree(u)
+        shift = table.word_degree(a)
+        n = len(a)
+        prefix = list(accumulate(map(dim.__getitem__, a), initial=0))
+        out = {}
+        for i in range(1, n + 1):
+            key = (a[i - 1], _splice(a[i:], u, a[: i - 1], op_pairs))
+            packed = -lanes  # phi is -chi, and a lone letter carries no sign
+            if n > 1:
+                packed = 0
+                for unit, variant in readings:
+                    if variant == "rotation":
+                        head = prefix[i - 1] - (i - 1)
+                        e = head * (shift - head + deg_u)
+                    else:
+                        start = max(i - 1 if variant == "index-low" else i + 1, 1)
+                        e = (prefix[n] - prefix[start - 1] + n + i) * (deg_u + prefix[i] + i)
+                    packed += unit if e & 1 else -unit
+            out[key] = out.get(key, 0) + packed
+        return out
+
+    return terms
+
+
 def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     """Cyclic rotation map on a pair of cobar words, landing in
     (letter) tensor (word): the i-th term extracts letter a_i and rotates
@@ -357,82 +425,16 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     all in shifted degrees.  The sweep in verify.select_chi_variant keeps
     only "rotation"; the others stay for the recorded comparison.
     """
-    terms = _chi_terms(space, a, u, (variant,))
-    return Chain(ring, {key: c for key, (c,) in terms.items()})
-
-
-def _chi_terms(space, a, u, variants, sign=1):
-    """sign * chi(a (x) u) under each reading in variants at once, as summed
-    {(letter, word): [coefficient per reading]}; a coefficient may be 0."""
-    _, table, op_pairs = _loop_parts(space)
-    a = tuple(a)
-    u = tuple(u)
-    terms = {}
-    for key, exponents in zip(
-        _rotations(op_pairs, a, u), zip(*_chi_exponents(table, a, u, variants))
-    ):
-        cs = terms.get(key)
-        if cs is None:
-            cs = terms[key] = [0] * len(variants)
-        for v, e in enumerate(exponents):
-            cs[v] += -sign if e & 1 else sign
-    return terms
-
-
-def _rotations(op_pairs, a, u):
-    """The keys of chi(a (x) u) for i = 1..n: letter a_i tensor the reduced
-    word a_{i+1}..a_n u a_1..a_{i-1}, spliced once whatever the reading."""
-    return [
-        (a[i - 1], _splice(a[i:], u, a[: i - 1], op_pairs))
-        for i in range(1, len(a) + 1)
-    ]
-
-
-def _chi_exponents(table, a, u, variants):
-    """The sign exponents of the terms of chi(a (x) u), i = 1..n, as one
-    list per reading in variants; a lone letter carries no sign."""
-    for variant in variants:
-        if variant not in CHI_VARIANTS:
-            raise ValueError(f"unknown chi variant {variant!r}")
-    deg_u = table.word_degree(u)
-    shift = table.word_degree(a)
-    n = len(a)
-    if n < 2:
-        return [[0] * n for _ in variants]
-    prefix = list(accumulate((table.dim[letter] for letter in a), initial=0))
-    out = []
-    for variant in variants:
-        exponents = []
-        for i in range(1, n + 1):
-            if variant == "rotation":
-                head = prefix[i - 1] - (i - 1)
-                e = head * (shift - head + deg_u)
-            else:
-                start = max(i - 1 if variant == "index-low" else i + 1, 1)
-                e = (prefix[n] - prefix[start - 1] + n + i) * (deg_u + prefix[i] + i)
-            exponents.append(e)
-        out.append(exponents)
-    return out
+    terms = _phi_kernel(space, (variant,))(((tuple(a),), tuple(u)))
+    return Chain(ring, {key: -c for key, c in terms.items()})
 
 
 def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     """Projection Hoch(cobar) -> free-loop complex: empty bar words return
     the basepoint tensor the word, single bar letters go through chi with
     the orientation matching the wrap-term convention, longer ones die."""
-    terms = _phi_terms(space, gen, (variant,))
-    return Chain(ring, {key: c for key, (c,) in terms.items()})
-
-
-def _phi_terms(space, gen, variants):
-    """phi(gen) under each chi reading in variants at once, as
-    {loop generator: [coefficient per reading]}; a coefficient may be 0.
-    Only the signs of a single bar letter's rotations differ by reading."""
     b, u = gen
-    if len(b) == 0:
-        return {(_loop_parts(space)[0].basepoint, tuple(u)): [1] * len(variants)}
-    if len(b) > 1:
-        return {}
-    return _chi_terms(space, b[0], u, variants, sign=-1)
+    return Chain(ring, _phi_kernel(space, (variant,))((tuple(map(tuple, b)), tuple(u))))
 
 
 def phi_chain(space, chain, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
@@ -507,14 +509,6 @@ def contraction_s_chain(space, chain, ring=ZZ):
 # The chain-map sweep that pins the chi sign
 
 
-# A walk over several chi readings packs one coefficient per reading into one
-# integer, a _LANE-bit lane each: sum_v c_v * 2**(_LANE * v).  Sums and
-# integer multiples act lane by lane, so one pass of integer arithmetic
-# serves every reading, exactly while every |c_v| stays below 2**(_LANE - 1);
-# the coefficients here are sums of products of a few small matrix entries.
-_LANE = 64
-
-
 def _lanes(packed, count):
     """The bit mask of the readings whose lane of packed is nonzero."""
     mask = 0
@@ -534,20 +528,20 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     for each chi reading in ``variants``.
 
     One pass per degree serves every reading.  Each generator's image under
-    phi is taken once, for all readings (``_phi_terms``: a single bar
-    letter's rotations are spliced and looked up once, only their signs
+    phi is taken once, for all readings, by one ``_phi_kernel`` (a single
+    bar letter's rotations are spliced and looked up once, only their signs
     differ), as {free-loop basis index: packed coefficients}, and kept for
     one degree.  Both sides are read off the stored matrices, over the
     free-loop basis one degree down: phi(d g) combines the images of the
     rows of g's d_n column in ``hoch_slice``, d phi(g) the ``loop_slice``
-    columns of the keys of phi(g), each in one pass of packed arithmetic,
-    and the two are compared reading by reading.  A generator whose phi has
+    columns of the keys of phi(g), their difference summed in one pass of
+    packed arithmetic and read reading by reading.  A generator whose phi has
     a key outside the free-loop basis of its degree, with a nonzero
     coefficient under a reading, is a mismatch under that reading, and so
     is every generator whose differential reaches it.
     """
     count = len(variants)
-    units = [1 << (_LANE * v) for v in range(count)]
+    phi_of = _phi_kernel(space, variants)
     bad = {v: [] for v in variants}
     below, below_stray = [], {}  # images of the previous degree, and their stray masks
     for n in hoch_slice.degrees():
@@ -556,8 +550,7 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
         here, stray = [], {}
         for j, gen in enumerate(gens):
             image = {}
-            for key, cs in _phi_terms(space, gen, variants).items():
-                packed = sum(map(mul, cs, units))
+            for key, packed in phi_of(gen).items():
                 i = index.get(key)
                 if i is None:
                     stray[j] = stray.get(j, 0) | _lanes(packed, count)
@@ -567,15 +560,20 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
         loop_cols = loop_slice.differential(n).columns
         hoch_cols = hoch_slice.differential(n).columns
         for j, (gen, col, image) in enumerate(zip(gens, hoch_cols, here)):
-            lhs = _combination(col, below)
-            rhs = _combination(image, loop_cols)
             mask = stray.get(j, 0)
             if below_stray:
                 for i in col:
                     mask |= below_stray.get(i, 0)
-            if lhs != rhs:
-                for i in lhs.keys() | rhs.keys():
-                    mask |= _lanes(lhs.get(i, 0) - rhs.get(i, 0), count)
+            gap = {}  # phi(d g) - d phi(g), packed
+            for i, c in col.items():
+                for k, e in below[i].items():
+                    gap[k] = gap.get(k, 0) + c * e
+            for i, c in image.items():
+                for k, e in loop_cols[i].items():
+                    gap[k] = gap.get(k, 0) - c * e
+            if any(gap.values()):
+                for e in gap.values():
+                    mask |= _lanes(e, count)
             if mask:
                 for v, variant in enumerate(variants):
                     if mask >> v & 1:
@@ -584,24 +582,12 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     return bad
 
 
-def _combination(coefficients, columns):
-    """The nonzero entries of sum c * columns[j] over (j, c) in coefficients."""
-    out = {}
-    for j, c in coefficients.items():
-        for i, e in columns[j].items():
-            out[i] = out.get(i, 0) + c * e
-    return {i: e for i, e in out.items() if e}
-
-
 def chi_chain_map_mismatches(space, variants, max_degree):
     """Generators of Hoch(cobar) of a 1-reduced space on which phi fails to
     commute with the differentials, as ``{variant: [generator, ...]}`` in
-    basis order for each chi reading in ``variants``.  Builds the
-    Hochschild and free-loop slices through max_degree, so each
-    differential is taken once per generator, and checks every reading on
-    them in the one pass of phi_slice_mismatches: each generator's phi is
-    taken once, its rotations spliced once, whatever the number of
-    readings."""
+    basis order for each chi reading in ``variants``: one pass of
+    phi_slice_mismatches over the Hochschild and free-loop slices through
+    max_degree, whose builds take each differential once per generator."""
     return phi_slice_mismatches(
         space,
         variants,

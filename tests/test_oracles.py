@@ -199,7 +199,7 @@ def test_one_pass_sweep_matches_one_walk_per_reading(
         # phi of one generator gains a key outside the free-loop basis,
         # under two of the three readings only
         target = _stray_target(hoch)
-        real_phi, real_terms = ref.phi, loop_mod._phi_terms
+        real_phi, real_kernel = ref.phi, loop_mod._phi_kernel
 
         def ref_phi(space, gen, ring=ZZ, variant="rotation"):
             out = real_phi(space, gen, ring, variant)
@@ -207,14 +207,23 @@ def test_one_pass_sweep_matches_one_walk_per_reading(
                 out.add(STRAY, 1)
             return out
 
-        def phi_terms(space, gen, variants):
-            terms = real_terms(space, gen, variants)
-            if gen == target:
-                terms[STRAY] = [int(v in STRAY_READINGS) for v in variants]
+        def phi_kernel(space, variants):
+            kernel = real_kernel(space, variants)
+
+            def terms(gen):
+                out = kernel(gen)
+                if gen == target:
+                    out[STRAY] = sum(
+                        1 << (loop_mod._LANE * k)
+                        for k, v in enumerate(variants)
+                        if v in STRAY_READINGS
+                    )
+                return out
+
             return terms
 
         monkeypatch.setattr(ref, "phi", ref_phi)
-        monkeypatch.setattr(loop_mod, "_phi_terms", phi_terms)
+        monkeypatch.setattr(loop_mod, "_phi_kernel", phi_kernel)
     walk = phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
     assert list(walk) == list(CHI_VARIANTS)
     assert walk == ref.phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)

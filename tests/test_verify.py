@@ -96,14 +96,19 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch):
         for g in sl.bases[n]
     }
     calls = {}
-    real = loop_mod.hochschild_differential
+    real = loop_mod._hochschild_kernel
 
-    def counted(algebra, gen, *args, **kwargs):
-        key = (algebra.letters.name, gen)
-        calls[key] = calls.get(key, 0) + 1
-        return real(algebra, gen, *args, **kwargs)
+    def counted(algebra):
+        kernel = real(algebra)
 
-    monkeypatch.setattr(loop_mod, "hochschild_differential", counted)
+        def terms(gen):
+            key = (algebra.letters.name, gen)
+            calls[key] = calls.get(key, 0) + 1
+            return kernel(gen)
+
+        return terms
+
+    monkeypatch.setattr(loop_mod, "_hochschild_kernel", counted)
     monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
     report = run_verify("sphere2", 4)
     assert report.all_passed
@@ -137,15 +142,20 @@ def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
     gens = [g for n in sl.degrees() if n for g in sl.bases[n]]
     touched = [g for g in gens if necklical_differential(ext, g).terms]
     assert touched
-    real = loop_mod.necklical_differential
+    real = loop_mod._necklical_kernel
 
-    def dropping(space, gen, *args, **kwargs):
-        out = real(space, gen, *args, **kwargs)
-        if out.terms:
-            del out.terms[next(iter(out.terms))]
-        return out
+    def dropping(space):
+        kernel = real(space)
 
-    monkeypatch.setattr(loop_mod, "necklical_differential", dropping)
+        def terms(gen):
+            out = kernel(gen)
+            if out:
+                del out[next(iter(out))]
+            return out
+
+        return terms
+
+    monkeypatch.setattr(loop_mod, "_necklical_kernel", dropping)
     report = run_verify(X, 2, 2)
     (check,) = [r for r in report.results if r.name == "face-vs-formula-differential"]
     assert check.status == "fail"
@@ -161,19 +171,57 @@ def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
     X = builtin_space("sphere2")
     hoch = hochschild_slice(X, 3)
     gens = [g for n in hoch.degrees() for g in hoch.bases[n]]
-    real = loop_mod._phi_terms
+    real = loop_mod._phi_kernel
 
-    def stray(space, gen, variants):
-        terms = real(space, gen, variants)
-        terms[("nowhere", ())] = [1] * len(variants)
+    def stray(space, variants):
+        kernel = real(space, variants)
+
+        def terms(gen):
+            out = kernel(gen)
+            out[("nowhere", ())] = sum(1 << (loop_mod._LANE * v) for v in range(len(variants)))
+            return out
+
         return terms
 
-    monkeypatch.setattr(loop_mod, "_phi_terms", stray)
+    monkeypatch.setattr(loop_mod, "_phi_kernel", stray)
     report = run_verify(X, 3)
     (check,) = [r for r in report.results if r.name == "phi-chain-map"]
     assert check.status == "fail"
     assert check.detail == f"{len(gens)} generators, first {gens[0]!r}"
     assert "FAIL  phi-chain-map" in report.to_text()
+
+
+def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch):
+    select_chi_variant()  # the sweep runs with the real differential
+    real = loop_mod._hochschild_kernel
+    flipped = []
+
+    def flipping(algebra):
+        kernel = real(algebra)
+
+        def terms(gen):
+            out = kernel(gen)
+            b, u = gen
+            if b:
+                # the last wrap term, (-1)^{eps_{n-1}} (a_1..a_{n-1}) (x) a_n u,
+                # taken with the opposite sign
+                key = (b[:-1], algebra.multiply(b[-1], u))
+                eps_prev = sum(algebra.degree(a) + 1 for a in b[:-1])
+                out[key] = out.get(key, 0) - 2 * (-1) ** eps_prev
+                if not out[key]:
+                    del out[key]
+                flipped.append(gen)
+            return out
+
+        return terms
+
+    monkeypatch.setattr(loop_mod, "_hochschild_kernel", flipping)
+    report = run_verify("sphere2", 4)
+    failed = {r.name for r in report.results if r.status == "fail"}
+    assert flipped
+    assert failed & {"d-squared:hochschild-of-cobar", "phi-chain-map"}
+    assert not report.all_passed
+    assert "result: FAILED" in report.to_text()
 
 
 def test_verify_at_max_degree_0_skips_universal_coefficients(capsys):
