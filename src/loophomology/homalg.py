@@ -8,11 +8,11 @@ it mod p and drops the zero sums in place.  A matrix is stored as its
 columns, one {row: value} dict per generator, which is how a differential
 is computed and how every reader wants it.  One builder owns generator
 order: it closes a slice's bases under the differential top-down, one
-degree at a time, and re-keys each degree's differentials into index
-columns before it starts the degree below.  Its callers enumerate seeds
-in the order of the flat key they give for the generator shape, so a
-closed window takes them as they come; a truncated one adopts what its
-columns name beyond the seeds, and only then is a basis sorted.
+degree at a time, and re-keys each differential into an index column as
+soon as it is taken, so it holds one raw column at a time.  Its callers
+enumerate seeds in the order of the flat key they give for the generator
+shape, so a closed window takes them as they come; a truncated one adopts
+what its columns name beyond the seeds, and only then is a basis sorted.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix finds its connected
@@ -541,14 +541,6 @@ class ComplexSlice:
             index = self.index[n] = {g: i for i, g in enumerate(self.bases.get(n, ()))}
         return index
 
-    def coordinates(self, chain, n):
-        """A degree-n chain as {basis index: coefficient}, the form of a
-        stored column; None if one of its keys is not in bases[n]."""
-        index = self.basis_index(n)
-        if not all(key in index for key in chain.terms):
-            return None
-        return {index[key]: c for key, c in chain.terms.items()}
-
     def differential(self, n):
         if n in self.diffs:
             return self.diffs[n]
@@ -571,32 +563,37 @@ def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
     builder's generator shape (None sorts generators as they are), and each
     seed list must arrive in that order, without repeats.
 
-    For each degree n from the top down, the differentials of basis n are
-    taken and re-keyed in place into row-index columns over the seeds of
-    degree n-1, one lookup per term.  Only when a column names a generator
-    those seeds lack (a truncated window) does basis n-1 become the sorted
-    union of the seeds and every key of the columns not yet re-keyed, the
-    columns already re-keyed moving to their rows' new positions.  Each
-    degree's keyed dicts are dropped before degree n-1 starts.
+    For each degree n from the top down, each differential of basis n is
+    re-keyed into a row-index column as soon as diff_fn returns it, one
+    lookup per term, so one raw dict is alive at a time.  Rows are numbered
+    by the seeds of degree n-1; a key the seeds lack (a truncated window)
+    gets the next number after them.  If any key was adopted, basis n-1
+    becomes the seeds and the adopted keys sorted once by ``key``, and the
+    degree's columns are renumbered through that permutation.  Each
+    degree's row index is dropped before degree n-1 starts.
     """
     bases, diffs = {}, {}
     gens = seeds.get(max_degree, ())
     for n in range(max_degree, 0, -1):
-        columns = [diff_fn(g) for g in gens]
         rows = seeds.get(n - 1, ())
         if gens:
             row_index = {g: i for i, g in enumerate(rows)}
-            for j, dg in enumerate(columns):
+            columns = []
+            for g in gens:
+                dg = diff_fn(g)
                 try:
-                    columns[j] = {row_index[k]: c for k, c in dg.items()}
+                    columns.append({row_index[k]: c for k, c in dg.items()})
                 except KeyError:
-                    adopted = sorted(set(rows).union(*columns[j:]), key=key)
-                    row_index = {g: i for i, g in enumerate(adopted)}
-                    moved = [row_index[g] for g in rows]
-                    for i in range(j):
-                        columns[i] = {moved[r]: c for r, c in columns[i].items()}
-                    rows = adopted
-                    columns[j] = {row_index[k]: c for k, c in dg.items()}
+                    for k in dg:
+                        row_index.setdefault(k, len(row_index))
+                    columns.append({row_index[k]: c for k, c in dg.items()})
+            if len(row_index) > len(rows):
+                rows = sorted(row_index, key=key)
+                moved = [0] * len(rows)  # provisional row number -> sorted one
+                for i, g in enumerate(rows):
+                    moved[row_index[g]] = i
+                for j, col in enumerate(columns):
+                    columns[j] = {moved[r]: c for r, c in col.items()}
             del row_index
             bases[n] = gens
             diffs[n] = SparseIntMatrix(len(rows), columns)

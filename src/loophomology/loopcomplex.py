@@ -13,9 +13,10 @@ when w is empty).  Two differentials act on these generators:
 
 The two are computed by independent code paths and cross-checked term by
 term; see verify.run_verify.  Each map taken on every generator of a slice
-(the Hochschild and face differentials, phi with chi) is one kernel, built
-once per slice: it reads its tables once and maps a generator to a raw
-{key: coefficient} dict.  Its public function is a Chain wrapper.
+(the coalgebra-formula, Hochschild and face differentials, phi with chi)
+is one kernel, built once per slice: it reads its tables once and maps a
+generator to a raw {key: coefficient} dict.  Its public function is a
+Chain wrapper.
 
 The Hochschild complex of the cobar algebra, with the comparison maps phi
 and chi, the coalgebra section eta and the local contraction, completes
@@ -125,26 +126,25 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
 # The coalgebra-formula differential
 
 
-def cohoch_differential(space, gen, ring=ZZ, hat=False):
-    """Differential of a loop generator, four terms: simplex boundary, word
-    differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
-    coproduct of x, with degenerate factors dropped.  The simplex boundary
-    is the inner faces in the inverted setting (the outer faces reappear
-    as the i = 1 terms of the theta families), the full alternating sum
-    else."""
-    X, table, op_pairs = _loop_parts(space)
-    x, w = gen
-    p = X.dim(x)
-    terms = {}
-    for c, f in (table.inner_boundary if hat else table.boundary)[x]:
-        key = (f, w)
-        terms[key] = terms.get(key, 0) + c
-    # the word differential, each letter's rule spliced into its place with
-    # the Koszul sign of x and the letters before it; q ends as deg w
-    rules, shifted = table.rules[hat], table.shifted
-    sign = -1 if p & 1 else 1
-    q = 0
-    try:
+def _cohoch_kernel(space, hat):
+    """cohoch_differential as a function of one loop generator (x, w),
+    returning {generator: nonzero coefficient}: the four families over the
+    boundary, word rules and wrap pairs of the letter table, read once."""
+    _, table, op_pairs = _loop_parts(space)
+    dim, shifted = table.dim, table.shifted
+    boundary = table.inner_boundary if hat else table.boundary
+    rules, theta1, theta2 = table.rules[hat], table.theta1, table.theta2
+
+    def terms(gen):
+        x, w = gen
+        out = {}
+        for c, f in boundary[x]:
+            key = (f, w)
+            out[key] = out.get(key, 0) + c
+        # the word differential, each letter's rule spliced into its place
+        # with the Koszul sign of x and the letters before it; q ends as deg w
+        sign = -1 if dim[x] & 1 else 1
+        q = 0
         for i, a in enumerate(w):
             rule = rules[a]
             if rule:
@@ -152,20 +152,33 @@ def cohoch_differential(space, gen, ring=ZZ, hat=False):
                 head, tail = w[:i], w[i + 1 :]
                 for c, mid in rule:
                     key = (x, _splice(head, mid, tail, op_pairs))
-                    terms[key] = terms.get(key, 0) + s * c
+                    out[key] = out.get(key, 0) + s * c
             q += shifted[a]
-    except KeyError:
-        table.word_degree(w)  # names the entry that is not a letter
-        raise
-    for f, b, c in table.theta1[x]:
-        # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
-        key = (f, _splice((b,), w, (), op_pairs))
-        terms[key] = terms.get(key, 0) + c
-    for f, b, c in table.theta2[x][q & 1]:
-        # theta_2: front_j rotates to the word tail, back_j keeps the slot.
-        key = (b, _splice(w, (f,), (), op_pairs))
-        terms[key] = terms.get(key, 0) + c
-    return Chain(ring, terms)
+        for f, b, c in theta1[x]:
+            # theta_1: front_j keeps the simplex slot, back_j becomes the lead letter.
+            key = (f, _splice((b,), w, (), op_pairs))
+            out[key] = out.get(key, 0) + c
+        for f, b, c in theta2[x][q & 1]:
+            # theta_2: front_j rotates to the word tail, back_j keeps the slot.
+            key = (b, _splice(w, (f,), (), op_pairs))
+            out[key] = out.get(key, 0) + c
+        return _nonzero(out)
+
+    return terms
+
+
+def cohoch_differential(space, gen, ring=ZZ, hat=False):
+    """Differential of a loop generator, four terms: simplex boundary, word
+    differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
+    coproduct of x, with degenerate factors dropped.  The simplex boundary
+    is the inner faces in the inverted setting (the outer faces reappear
+    as the i = 1 terms of the theta families), the full alternating sum
+    else."""
+    X, table, _ = _loop_parts(space)
+    x, w = gen
+    X.dim(x)  # an unknown simplex or letter raises SimplicialError
+    table.word_degree(w)
+    return Chain(ring, _cohoch_kernel(space, hat)(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +361,9 @@ def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
         for n in range(max_degree + 1)
     }
 
-    def diff(g):
-        return cohoch_differential(space, g, hat=hat).terms
-
-    return _close_and_build(seeds, diff, max_degree, _loop_key, truncated_at)
+    return _close_and_build(
+        seeds, _cohoch_kernel(space, hat), max_degree, _loop_key, truncated_at
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ a time, reads faces, fronts and backs from the SimplexTable's raw face data
 (not from its per-letter rules, signs or shifted degrees), and freely
 reduces every new word by a full rescan with ``reduce_word`` (not at the
 seams).  The recursive generator sort key is the order oracle of the flat
-keys the slice builders pass, and the depth-first word enumerators, which
-sort what they find, are the oracles of the level-by-level word walk.
+keys the slice builders pass, the depth-first word enumerators, which
+sort what they find, are the oracles of the level-by-level word walk,
+and the two-pass slice builder, which takes every differential of a
+degree before it re-keys any, is the oracle of the streaming one.
 Tests assert that the package agrees with all of them.
 """
 
 from loophomology.cobar import reduce_word
-from loophomology.homalg import ZZ, Chain
+from loophomology.homalg import ZZ, Chain, ComplexSlice, SparseIntMatrix
 from loophomology.simplicial import OpExtension, SimplicialError
 
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
@@ -21,6 +23,47 @@ CHI_VARIANTS = ("index-low", "index-high", "rotation")
 def _generator_sort_key(g):
     # Nested tuples whose leaves are strings, shorter tuples first.
     return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
+
+
+def close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
+    """The two-pass slice builder: each degree's differentials are all
+    taken before the first is re-keyed, and a column naming a generator
+    the seeds lack makes the row basis the sorted union of the seeds and
+    the keys of the columns not yet re-keyed, moving the columns before
+    it to their rows' new positions."""
+    bases, diffs = {}, {}
+    gens = seeds.get(max_degree, ())
+    for n in range(max_degree, 0, -1):
+        columns = [diff_fn(g) for g in gens]
+        rows = seeds.get(n - 1, ())
+        if gens:
+            row_index = {g: i for i, g in enumerate(rows)}
+            for j, dg in enumerate(columns):
+                try:
+                    columns[j] = {row_index[k]: c for k, c in dg.items()}
+                except KeyError:
+                    adopted = sorted(set(rows).union(*columns[j:]), key=key)
+                    row_index = {g: i for i, g in enumerate(adopted)}
+                    moved = [row_index[g] for g in rows]
+                    for i in range(j):
+                        columns[i] = {moved[r]: c for r, c in columns[i].items()}
+                    rows = adopted
+                    columns[j] = {row_index[k]: c for k, c in dg.items()}
+            bases[n] = gens
+            diffs[n] = SparseIntMatrix(len(rows), columns)
+        gens = rows
+    if gens:
+        bases[0] = gens
+    return ComplexSlice(bases, diffs, truncated_at=truncated_at)
+
+
+def coordinates(sl, chain, n):
+    """A degree-n chain as {basis index: coefficient}, the form of a stored
+    column of the slice; None if one of its keys is not in its bases[n]."""
+    index = sl.basis_index(n)
+    if not all(key in index for key in chain.terms):
+        return None
+    return {index[key]: c for key, c in chain.terms.items()}
 
 
 def _letters(space):
@@ -376,7 +419,7 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     for n in hoch_slice.degrees():
         gens = hoch_slice.bases[n]
         here = {
-            v: [loop_slice.coordinates(phi(space, g, variant=v), n) for g in gens]
+            v: [coordinates(loop_slice, phi(space, g, variant=v), n) for g in gens]
             for v in variants
         }
         loop_cols = loop_slice.differential(n).columns
