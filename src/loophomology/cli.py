@@ -8,13 +8,11 @@ failure.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import freehedra
 from ._records import Record, Value
+from .complexes import COMPLEX_NAMES, build_complex_slice, complex_requires_one_reduced
 from .homalg import HomologySummary, homology_of_slice, parse_ring
 from .simplicial import (
     BUILTIN_NAMES,
@@ -22,12 +20,6 @@ from .simplicial import (
     builtin_space,
     presentation_from_json,
     validate,
-)
-from .verify import (
-    COMPLEX_NAMES,
-    build_complex_slice,
-    complex_requires_one_reduced,
-    run_verify,
 )
 
 EXIT_OK = 0
@@ -84,7 +76,11 @@ def load_space(name_or_path):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise SimplicialError(f"{name_or_path!r}: cannot read: {exc.strerror}") from None
+            raise SimplicialError(f"{path}: cannot read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise SimplicialError(
+                f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
         X = presentation_from_json(text, source=str(path))
     violations = validate(X)
     if violations:
@@ -127,6 +123,10 @@ def cmd_homology(config):
 
 def cmd_freehedron(n, mode="fvector", output="table"):
     """Freehedron data: the f-vector or the full face listing."""
+    import json
+
+    from . import freehedra
+
     if not 0 <= n <= 7:
         raise SimplicialError("freehedron index must be in 0..7")
     if mode == "fvector":
@@ -140,6 +140,8 @@ def cmd_freehedron(n, mode="fvector", output="table"):
 
 
 def cmd_verify(space, max_degree, max_word_length=None):
+    from .verify import run_verify
+
     X = load_space(space) if isinstance(space, str) else space
     return run_verify(X, max_degree, max_word_length)
 
@@ -148,6 +150,9 @@ def cmd_verify(space, max_degree, max_word_length=None):
 
 
 def _build_parser():
+    # imported here, after the package modules, which keeps peak RSS down
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loophomology",
         description="Exact homology of based and free loop spaces of finite "

@@ -585,6 +585,8 @@ def presentation_from_json(text, source="<json>"):
     dims = {}
     for d, ids in simplices.items():
         for s in ids:
+            if s in dims:
+                raise SimplicialError(f"{source}: duplicate simplex id {s!r}")
             dims[s] = d
     faces = {}
     for s, records in data["faces"].items():

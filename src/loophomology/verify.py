@@ -24,64 +24,12 @@ import json
 import random
 
 from . import cobar as cobar_mod
-from . import loopcomplex as loop_mod
+from . import comparison
+from .comparison import CHI_VARIANTS
+from .complexes import build_complex_slice, supported_complexes
 from .homalg import ZZ, Chain, check_d_squared, homology_of_slice, parse_ring
-from .loopcomplex import CHI_VARIANTS
-from .simplicial import SimplicialError, adjoin_inverses, builtin_space, chains_slice, validate
-
-COMPLEX_NAMES = (
-    "chains",
-    "cobar",
-    "hat-cobar",
-    "cohoch",
-    "hat-cohoch",
-    "hochschild-of-cobar",
-)
-
-
-def complex_requires_one_reduced(name):
-    return name in ("cobar", "cohoch")
-
-
-def build_complex_slice(X, complex_name, max_degree, max_word_length=None):
-    """Assemble the requested complex of a presentation through max_degree.
-
-    Hat complexes of spaces that are not 1-reduced demand a word-length
-    cap; the returned slice then carries ``truncated_at``.
-    """
-    one_reduced = X.is_one_reduced()
-    if complex_name == "chains":
-        return chains_slice(X, max_degree)
-    if complex_name == "cobar":
-        return cobar_mod.cobar_slice(X, max_degree)
-    if complex_name == "hat-cobar":
-        return cobar_mod.cobar_slice(
-            adjoin_inverses(X), max_degree, max_word_length=max_word_length
-        )
-    if complex_name == "cohoch":
-        return loop_mod.cohoch_slice(X, max_degree, hat=False)
-    if complex_name == "hat-cohoch":
-        return loop_mod.cohoch_slice(
-            adjoin_inverses(X), max_degree, hat=True, max_word_length=max_word_length
-        )
-    if complex_name == "hochschild-of-cobar":
-        if one_reduced:
-            return loop_mod.hochschild_slice(X, max_degree)
-        return loop_mod.hochschild_slice(
-            adjoin_inverses(X), max_degree, hat=True, word_cap=max_word_length
-        )
-    raise SimplicialError(
-        f"unknown complex {complex_name!r}; choices: {', '.join(COMPLEX_NAMES)}"
-    )
-
-
-def supported_complexes(X):
-    one_reduced = X.is_one_reduced()
-    return [
-        name
-        for name in COMPLEX_NAMES
-        if one_reduced or not complex_requires_one_reduced(name)
-    ]
+from .loopcomplex import format_loop_generator
+from .simplicial import SimplicialError, adjoin_inverses, builtin_space, validate
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +50,7 @@ def select_chi_variant(max_degree=5):
     if max_degree in _chi_selection_cache:
         return _chi_selection_cache[max_degree]
     fixture = builtin_space("collapsed-delta3")
-    bad = loop_mod.chi_chain_map_mismatches(fixture, CHI_VARIANTS, max_degree)
+    bad = comparison.chi_chain_map_mismatches(fixture, CHI_VARIANTS, max_degree)
     mismatches = {variant: len(bad[variant]) for variant in CHI_VARIANTS}
     passing = [v for v in CHI_VARIANTS if mismatches[v] == 0]
     winner = passing[0] if passing else min(CHI_VARIANTS, key=lambda v: mismatches[v])
@@ -216,7 +164,7 @@ def _check_differential_agreement(X, slices):
     sl = slices.get("hat-cohoch")
     if sl is None:
         return CheckResult("face-vs-formula-differential", "skip", "no hat complex")
-    face_terms = loop_mod._necklical_kernel(adjoin_inverses(X))
+    face_terms = comparison._necklical_kernel(adjoin_inverses(X))
     mismatched = 0
     first = None
     total = 0
@@ -237,7 +185,7 @@ def _check_differential_agreement(X, slices):
             "face-vs-formula-differential",
             "fail",
             f"{mismatched}/{total} generators disagree, first "
-            + loop_mod.format_loop_generator(first),
+            + format_loop_generator(first),
         )
     return CheckResult(
         "face-vs-formula-differential", "pass", f"{total} generators agree"
@@ -248,7 +196,7 @@ def _check_phi_chain_map(X, slices, chi_variant):
     if not X.is_one_reduced():
         return CheckResult("phi-chain-map", "skip", "skipped: not 1-reduced")
     # Both slices are exact for a 1-reduced space, so step 2 built them.
-    bad = loop_mod.phi_slice_mismatches(
+    bad = comparison.phi_slice_mismatches(
         X, (chi_variant,), slices["hochschild-of-cobar"], slices["cohoch"]
     )[chi_variant]
     if bad:
@@ -267,7 +215,7 @@ def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026
     kernel = []
     for n in range(min(max_degree, 5) + 1):
         for b, u in bases.get(n, ()):
-            if u == () and loop_mod.in_rho_kernel(b):
+            if u == () and comparison.in_rho_kernel(b):
                 kernel.append(b)
     if not kernel:
         return CheckResult("contraction-nilpotency", "pass", "kernel empty")
@@ -276,9 +224,9 @@ def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026
     def homotopy_minus_id(chain):
         out = Chain(ZZ)
         out.add_chain(
-            loop_mod.contraction_s_chain(algebra, _bar_d(algebra, chain)), 1
+            comparison.contraction_s_chain(algebra, _bar_d(algebra, chain)), 1
         )
-        out.add_chain(_bar_d(algebra, loop_mod.contraction_s_chain(algebra, chain)), 1)
+        out.add_chain(_bar_d(algebra, comparison.contraction_s_chain(algebra, chain)), 1)
         out.add_chain(chain, -1)
         return out
 

@@ -8,13 +8,8 @@ from loophomology.cli import RunConfig, cmd_homology
 from loophomology.homalg import SparseIntMatrix, check_d_squared, smith_normal_form
 from loophomology.simplicial import adjoin_inverses, builtin_space
 from loophomology.freehedra import f_vector, label_faces, top_label
-from loophomology.loopcomplex import (
-    chi_chain_map_mismatches,
-    cohoch_basis,
-    cohoch_differential,
-    cohoch_slice,
-    necklical_differential,
-)
+from loophomology.comparison import chi_chain_map_mismatches, necklical_differential
+from loophomology.loopcomplex import cohoch_basis, cohoch_differential, cohoch_slice
 from loophomology.verify import _check_contraction, build_complex_slice, run_verify
 
 

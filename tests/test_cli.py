@@ -89,33 +89,45 @@ SAME_DIMENSION = {
     "simplices": {"0": ["b"], "00": ["a"]},
     "faces": {},
 }
+TWO_DIMENSIONS = {
+    "name": "two-dimensions",
+    "basepoint": "a",
+    "simplices": {"0": ["a"], "1": ["a"]},
+    "faces": {"a": [{"deg": [], "base": "a"}, {"deg": [], "base": "a"}]},
+}
+NOT_UTF8 = b"\xff" + json.dumps(INTERVAL).encode()
 
 
 @pytest.mark.parametrize(
-    "bad, must_reject",
+    "bad, must_reject, names_path",
     [
-        pytest.param(_replaced(path, value), True, id=name)
+        pytest.param(_replaced(path, value), True, False, id=name)
         for name, (path, value) in MUST_REJECT.items()
     ]
     + [
         pytest.param(
             _replaced(path, value),
             path in STRING_FIELDS and not isinstance(value, str),
+            False,
             id=f"{path[-1]}={value!r}",
         )
         for path in FUZZ_FIELDS
         for value in FUZZ_JUNK
         if (path, value) not in MUST_REJECT.values()
     ]
-    + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")]
-    + [pytest.param(SAME_DIMENSION, True, id="same-dimension")]
-    + [pytest.param(None, True, id="directory")],
+    + [pytest.param(HUGE_DIMENSION, True, False, id="huge-dimension")]
+    + [pytest.param(SAME_DIMENSION, True, False, id="same-dimension")]
+    + [pytest.param(TWO_DIMENSIONS, True, True, id="id-in-two-dimensions")]
+    + [pytest.param(NOT_UTF8, True, True, id="not-utf-8")]
+    + [pytest.param(None, True, True, id="directory")],
 )
-def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
+def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject, names_path):
     """Malformed input either loads or ends with one error line, never a traceback."""
     space = tmp_path / "bad.json"
     if bad is None:  # a path that exists but cannot be read as a file
         space.mkdir()
+    elif isinstance(bad, bytes):
+        space.write_bytes(bad)
     else:
         space.write_text(json.dumps(bad), encoding="utf-8")
     for command in ("homology", "verify"):
@@ -124,6 +136,8 @@ def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
         if must_reject or code != EXIT_OK:
             assert code == EXIT_INPUT
             assert err.startswith("error:") and err.count("\n") == 1
+            if names_path:
+                assert err.startswith(f"error: {space}: ")
         else:
             assert err == ""
 
@@ -340,6 +354,50 @@ def test_cli_import_never_loads_dataclasses():
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert done.returncode == 0, done.stderr
+
+
+UNUSED_BY_HOMOLOGY = (
+    "loophomology.verify",
+    "loophomology.freehedra",
+    "loophomology.comparison",
+)
+
+
+@pytest.mark.parametrize(
+    "space, complex_name", [("torus", "hat-cohoch"), ("sphere2", "cohoch")]
+)
+def test_commands_import_only_what_they_run(space, complex_name):
+    # every child of the benchmark compiles the package from source, so a
+    # module a command does not run must not be imported
+    import subprocess
+    import sys
+
+    script = f"""
+import io, sys
+from contextlib import redirect_stdout
+
+import loophomology
+submodules = [m for m in sys.modules if m.startswith("loophomology.")]
+assert not submodules, submodules
+from loophomology.cli import main
+
+with redirect_stdout(io.StringIO()):
+    assert main(["homology", "--space", {space!r}, "--complex", {complex_name!r},
+                 "--max-degree", "2", "--max-word-length", "2"]) == 0
+loaded = [m for m in {UNUSED_BY_HOMOLOGY!r} if m in sys.modules]
+assert not loaded, loaded
+with redirect_stdout(io.StringIO()) as out:
+    assert main(["verify", "--space", {space!r}, "--max-degree", "2",
+                 "--max-word-length", "2"]) == 0
+assert "result: OK" in out.getvalue()
+assert "loophomology.verify" in sys.modules and "loophomology.comparison" in sys.modules
+assert "loophomology.freehedra" not in sys.modules
+with redirect_stdout(io.StringIO()):
+    assert main(["freehedron", "--n", "3"]) == 0
+assert "loophomology.freehedra" in sys.modules
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_cli_json_output_roundtrip(capsys):

@@ -28,7 +28,7 @@ from loophomology.homalg import (
     rank_mod_p,
     smith_normal_form,
 )
-from loophomology import cobar, homalg, loopcomplex, verify
+from loophomology import cobar, complexes, homalg, loopcomplex
 from loophomology.simplicial import (
     BUILTIN_NAMES,
     adjoin_inverses,
@@ -521,7 +521,7 @@ def _assert_builders_agree(monkeypatch, X, max_degree, max_word_length):
         with monkeypatch.context() as m:
             m.setattr(cobar, "_close_and_build", _reference_close_and_build)
             m.setattr(loopcomplex, "_close_and_build", _reference_close_and_build)
-            m.setattr(verify, "chains_slice", _reference_chains_slice)
+            m.setattr(complexes, "chains_slice", _reference_chains_slice)
             bases, diffs, truncated_at = build_complex_slice(
                 X, complex_name, max_degree, max_word_length
             )

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in the package, and a pinned public API."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -103,12 +104,28 @@ def test_no_unused_imports(path):
 
 
 def test_public_names_are_pinned():
+    # The package root resolves its names on first access (PEP 562), so
+    # they are pinned through __all__ and dir(), not the module dict.
+    assert set(loophomology.__all__) == PUBLIC_NAMES
     public = {
         name
-        for name, value in vars(loophomology).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(loophomology)
+        if not name.startswith("_")
+        and not isinstance(getattr(loophomology, name), types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+def test_public_names_are_their_modules_objects():
+    for name in sorted(PUBLIC_NAMES):
+        home = importlib.import_module(f"loophomology.{loophomology._HOME[name]}")
+        value = getattr(loophomology, name)
+        assert value is getattr(home, name), name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__, name
+        assert vars(loophomology)[name] is value  # resolved once, then cached
+    with pytest.raises(AttributeError, match="no attribute 'cohoch'"):
+        loophomology.cohoch
 
 
 def matrix_format_leaks(source, module):

@@ -18,23 +18,26 @@ from loophomology.cobar import (
     hochschild_basis,
     word_degree,
 )
+from loophomology import comparison
 from loophomology import loopcomplex as loop_mod
-from loophomology.loopcomplex import (
+from loophomology.comparison import (
     CHI_VARIANTS,
     chi,
     chi_chain_map_mismatches,
-    cohoch_basis,
-    cohoch_differential,
-    cohoch_slice,
     contraction_s,
     eta,
-    hochschild_differential,
-    hochschild_slice,
     in_rho_kernel,
     necklical_differential,
     necklical_face,
     phi,
     phi_chain,
+)
+from loophomology.loopcomplex import (
+    cohoch_basis,
+    cohoch_differential,
+    cohoch_slice,
+    hochschild_differential,
+    hochschild_slice,
 )
 
 S2 = builtin_space("sphere2")
@@ -387,7 +390,7 @@ def test_chi_walk_splices_each_rotation_once_whatever_the_readings(monkeypatch):
         for i in range(1, len(a) + 1)
     )
     assert expected
-    real = loop_mod._splice
+    real = comparison._splice
     for variants in (("rotation",), CHI_VARIANTS):
         calls = Counter()
 
@@ -395,8 +398,8 @@ def test_chi_walk_splices_each_rotation_once_whatever_the_readings(monkeypatch):
             calls[head, mid, tail] += 1
             return real(head, mid, tail, op_pairs)
 
-        monkeypatch.setattr(loop_mod, "_splice", counted)
-        loop_mod.phi_slice_mismatches(X, variants, hoch, loop)
+        monkeypatch.setattr(comparison, "_splice", counted)
+        comparison.phi_slice_mismatches(X, variants, hoch, loop)
         assert calls == expected
 
 

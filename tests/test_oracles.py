@@ -16,19 +16,21 @@ from loophomology.cobar import (
     cobar_differential,
     reduce_word,
 )
-from loophomology import loopcomplex as loop_mod
-from loophomology.homalg import ZZ, prime_field
-from loophomology.loopcomplex import (
+from loophomology import comparison
+from loophomology.comparison import (
     CHI_VARIANTS,
     chi,
-    cohoch_differential,
-    cohoch_slice,
-    hochschild_differential,
-    hochschild_slice,
     necklical_differential,
     necklical_face,
     phi,
     phi_slice_mismatches,
+)
+from loophomology.homalg import ZZ, prime_field
+from loophomology.loopcomplex import (
+    cohoch_differential,
+    cohoch_slice,
+    hochschild_differential,
+    hochschild_slice,
 )
 from loophomology.simplicial import BUILTIN_NAMES, adjoin_inverses, builtin_space
 from loophomology.verify import build_complex_slice, supported_complexes
@@ -199,7 +201,7 @@ def test_one_pass_sweep_matches_one_walk_per_reading(
         # phi of one generator gains a key outside the free-loop basis,
         # under two of the three readings only
         target = _stray_target(hoch)
-        real_phi, real_kernel = ref.phi, loop_mod._phi_kernel
+        real_phi, real_kernel = ref.phi, comparison._phi_kernel
 
         def ref_phi(space, gen, ring=ZZ, variant="rotation"):
             out = real_phi(space, gen, ring, variant)
@@ -214,7 +216,7 @@ def test_one_pass_sweep_matches_one_walk_per_reading(
                 out = kernel(gen)
                 if gen == target:
                     out[STRAY] = sum(
-                        1 << (loop_mod._LANE * k)
+                        1 << (comparison._LANE * k)
                         for k, v in enumerate(variants)
                         if v in STRAY_READINGS
                     )
@@ -223,7 +225,7 @@ def test_one_pass_sweep_matches_one_walk_per_reading(
             return terms
 
         monkeypatch.setattr(ref, "phi", ref_phi)
-        monkeypatch.setattr(loop_mod, "_phi_kernel", phi_kernel)
+        monkeypatch.setattr(comparison, "_phi_kernel", phi_kernel)
     walk = phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
     assert list(walk) == list(CHI_VARIANTS)
     assert walk == ref.phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)

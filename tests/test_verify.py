@@ -1,15 +1,13 @@
 import gc
 import weakref
 
+from loophomology import comparison
 from loophomology import loopcomplex as loop_mod
 from loophomology.cli import EXIT_OK, main
 from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
-from loophomology.loopcomplex import (
-    format_loop_generator,
-    hochschild_slice,
-    necklical_differential,
-)
+from loophomology.comparison import necklical_differential
+from loophomology.loopcomplex import format_loop_generator, hochschild_slice
 from loophomology.simplicial import (
     SimplicialSetPresentation,
     adjoin_inverses,
@@ -126,8 +124,8 @@ def test_chi_sweep_keeps_only_its_result(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(loop_mod, "hochschild_slice", recorded(loop_mod.hochschild_slice))
-    monkeypatch.setattr(loop_mod, "cohoch_slice", recorded(loop_mod.cohoch_slice))
+    monkeypatch.setattr(comparison, "hochschild_slice", recorded(comparison.hochschild_slice))
+    monkeypatch.setattr(comparison, "cohoch_slice", recorded(comparison.cohoch_slice))
     monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
     assert select_chi_variant()[0] == "rotation"
     gc.collect()
@@ -142,7 +140,7 @@ def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
     gens = [g for n in sl.degrees() if n for g in sl.bases[n]]
     touched = [g for g in gens if necklical_differential(ext, g).terms]
     assert touched
-    real = loop_mod._necklical_kernel
+    real = comparison._necklical_kernel
 
     def dropping(space):
         kernel = real(space)
@@ -155,7 +153,7 @@ def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
 
         return terms
 
-    monkeypatch.setattr(loop_mod, "_necklical_kernel", dropping)
+    monkeypatch.setattr(comparison, "_necklical_kernel", dropping)
     report = run_verify(X, 2, 2)
     (check,) = [r for r in report.results if r.name == "face-vs-formula-differential"]
     assert check.status == "fail"
@@ -171,19 +169,21 @@ def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
     X = builtin_space("sphere2")
     hoch = hochschild_slice(X, 3)
     gens = [g for n in hoch.degrees() for g in hoch.bases[n]]
-    real = loop_mod._phi_kernel
+    real = comparison._phi_kernel
 
     def stray(space, variants):
         kernel = real(space, variants)
 
         def terms(gen):
             out = kernel(gen)
-            out[("nowhere", ())] = sum(1 << (loop_mod._LANE * v) for v in range(len(variants)))
+            out[("nowhere", ())] = sum(
+                1 << (comparison._LANE * v) for v in range(len(variants))
+            )
             return out
 
         return terms
 
-    monkeypatch.setattr(loop_mod, "_phi_kernel", stray)
+    monkeypatch.setattr(comparison, "_phi_kernel", stray)
     report = run_verify(X, 3)
     (check,) = [r for r in report.results if r.name == "phi-chain-map"]
     assert check.status == "fail"
