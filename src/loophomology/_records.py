@@ -3,7 +3,7 @@ uses, without importing ``dataclasses``, which loads inspect, ast, dis and
 tokenize at every start-up.
 
 A subclass names two or more fields in ``__slots__`` and sets them in
-``__init__``, through ``object.__setattr__`` when it is frozen.
+``__init__``, through ``object.__setattr__`` when it is a frozen Value.
 """
 
 from __future__ import annotations
@@ -26,19 +26,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class FrozenRecord(Record):
-    """A record whose fields cannot be assigned or deleted after __init__;
-    equality is identity."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 def _compare(op):
     def compare(self, other):
         if other.__class__ is self.__class__:
@@ -48,11 +35,19 @@ def _compare(op):
     return compare
 
 
-class Value(FrozenRecord):
+class Value(Record):
     """A frozen record compared, ordered and hashed as the tuple of its
-    field values; records of different classes are not comparable."""
+    field values; records of different classes are not comparable.  Its
+    fields cannot be assigned or deleted after __init__."""
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     __eq__ = _compare(operator.eq)
     __lt__ = _compare(operator.lt)
     __le__ = _compare(operator.le)

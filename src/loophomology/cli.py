@@ -92,15 +92,14 @@ def load_space(name_or_path):
 def cmd_homology(config):
     """Per-degree homology of the configured complex, as a HomologySummary."""
     X = load_space(config.space)
-    hat = config.complex_name.startswith("hat-") or (
-        config.complex_name == "hochschild-of-cobar" and not X.is_one_reduced()
-    )
-    if complex_requires_one_reduced(config.complex_name) and not X.is_one_reduced():
-        # Surface the precondition with the offending simplex named.
-        from .loopcomplex import _require_one_reduced
-
-        _require_one_reduced(X, f"the {config.complex_name} complex")
-    if hat and not X.is_one_reduced() and config.max_word_length is None:
+    # Over a space which is not 1-reduced the builder refuses cobar and
+    # cohoch, and every other loop complex is degreewise infinite.
+    if (
+        config.max_word_length is None
+        and config.complex_name != "chains"
+        and not complex_requires_one_reduced(config.complex_name)
+        and not X.is_one_reduced()
+    ):
         raise SimplicialError(
             f"{config.complex_name} of {X.name} needs --max-word-length "
             f"(degree components are infinite)"

@@ -1,9 +1,10 @@
 """Tensor-word complexes on the chain coalgebra of a simplicial set.
 
 Words [a1|...|ak] are tuples of letter ids: nondegenerate simplices of
-dimension >= 1 (of Z(X) in the inverted setting, of X itself in the
-1-reduced setting).  The cobar differential acts as a derivation of the
-single-letter rule
+dimension >= 1 of the space the model is given.  That space decides the
+setting: Z(X), an OpExtension, gives the inverted ("hat") setting and a
+plain presentation the 1-reduced one; no call takes a flag for it.  The
+cobar differential acts as a derivation of the single-letter rule
 
     d[c] = -[d c] + sum (-1)^{|c'|} [c'|c'']
 
@@ -34,20 +35,12 @@ from .homalg import Chain, ZZ, _close_and_build, _nonzero
 from .simplicial import OpExtension, SimplicialError
 
 # ---------------------------------------------------------------------------
-# Letters
-
-
-def _letters(space):
-    """The presentation whose simplices are the letters, and the inverse
-    pairs of its 1-simplex letters (none outside the inverted setting)."""
-    if isinstance(space, OpExtension):
-        return space.space, space.op_pairs
-    return space, {}
+# Words
 
 
 def word_degree(space, w):
     """Degree of a cobar word: the sum of shifted letter dimensions."""
-    return _letters(space)[0].table.word_degree(w)
+    return space.table.word_degree(w)
 
 
 def _word_key(w):
@@ -107,13 +100,13 @@ def _splice(head, mid, tail, op_pairs):
 
 def truncated_boundary_dA(space, letter, ring=ZZ):
     """Inner-face boundary of a letter: sum_{0<i<n} (-1)^i d_i, normalized."""
-    table = _letters(space)[0].table
+    table = space.table
     if table.dim.get(letter, 0) < 1:
         raise SimplicialError(f"{letter!r} is not a letter (dimension >= 1)")
     return Chain(ring, ((f, c) for c, f in table.inner_boundary[letter]))
 
 
-def cobar_differential(space, w, ring=ZZ, hat=None):
+def cobar_differential(space, w, ring=ZZ):
     """Differential of a cobar word, as a Chain over reduced words.
 
     space is a presentation (1-reduced, letters of dimension >= 2) or an
@@ -122,7 +115,7 @@ def cobar_differential(space, w, ring=ZZ, hat=None):
     """
     w = tuple(w)
     word_degree(space, w)  # a non-letter raises SimplicialError
-    return Chain(ring, CobarAlgebra(space, hat).differential(w))
+    return Chain(ring, CobarAlgebra(space).differential(w))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,7 @@ def _exact_cap(X, degree):
 
 def cobar_basis(space, degree):
     """All cobar words of the given degree over a 1-reduced presentation."""
-    return hat_cobar_basis(space, degree, _exact_cap(_letters(space)[0], degree))
+    return hat_cobar_basis(space, degree, _exact_cap(space, degree))
 
 
 def words_between(space, start, end, degree, max_word_length):
@@ -155,8 +148,7 @@ def words_between(space, start, end, degree, max_word_length):
     """
     if max_word_length < 1:
         raise SimplicialError("max_word_length must be >= 1")
-    X, op_pairs = _letters(space)
-    table = X.table
+    table, op_pairs = space.table, space.op_pairs
     out_edges = {}
     for a in sorted(table.dim):
         if table.dim[a] >= 1:
@@ -181,7 +173,7 @@ def words_between(space, start, end, degree, max_word_length):
 
 def hat_cobar_basis(space, degree, max_word_length):
     """Reduced words of one degree based at the basepoint, length capped."""
-    base = _letters(space)[0].basepoint
+    base = space.basepoint
     return words_between(space, base, base, degree, max_word_length)
 
 
@@ -194,14 +186,15 @@ class CobarAlgebra:
 
     Provides exactly what the bar and Hochschild differentials consume:
     degrees, the internal differential, and the monomial product.  It
-    reads the word rules and shifted degrees once, at construction.
+    reads the word rules and shifted degrees once, at construction; the
+    space decides the setting (``hat``).
     """
 
-    def __init__(self, space, hat=None):
+    def __init__(self, space):
         self.space = space
-        self.hat = isinstance(space, OpExtension) if hat is None else hat
-        self.letters, self.op_pairs = _letters(space)
-        self.table = self.letters.table
+        self.hat = isinstance(space, OpExtension)
+        self.op_pairs = space.op_pairs
+        self.table = space.table
         self.rules, self.shifted = self.table.rules[self.hat], self.table.shifted
 
     def degree(self, w):
@@ -278,20 +271,18 @@ def cobar_slice(space, max_degree, max_word_length=None):
     OpExtension a word-length cap is mandatory and the slice is the
     d-closure of the capped enumeration, flagged via ``truncated_at``.
     """
-    hat = isinstance(space, OpExtension)
-    X = space.space if hat else space
     truncated_at = None
-    if hat and not X.is_one_reduced():
+    if isinstance(space, OpExtension) and not space.is_one_reduced():
         if max_word_length is None:
             raise SimplicialError(
-                f"{X.name}: the inverted cobar complex is degreewise infinite; "
+                f"{space.name}: the inverted cobar complex is degreewise infinite; "
                 f"a word-length cap is required"
             )
         cap = truncated_at = max_word_length
     else:
-        cap = _exact_cap(X, max_degree)
+        cap = _exact_cap(space, max_degree)
     seeds = {n: hat_cobar_basis(space, n, cap) for n in range(max_degree + 1)}
-    algebra = CobarAlgebra(space, hat)
+    algebra = CobarAlgebra(space)
 
     def diff(w):
         return _nonzero(algebra.differential(w))
@@ -308,15 +299,15 @@ def hochschild_basis(algebra, degree, word_cap=None):
     each is extended by the non-empty words in (length, word) order, so the
     generators come out in the order of their sort key, bar word first.
     """
-    X = algebra.letters
-    if word_cap is None and not X.is_one_reduced():
+    space = algebra.space
+    if word_cap is None and not space.is_one_reduced():
         raise SimplicialError(
-            f"{X.name}: Hochschild generators over the inverted algebra need a cap"
+            f"{space.name}: Hochschild generators over the inverted algebra need a cap"
         )
     if degree < 0:
         return []
     cap = max(degree, 1) if word_cap is None else word_cap
-    words_of = [hat_cobar_basis(algebra.space, d, cap) for d in range(degree + 1)]
+    words_of = [hat_cobar_basis(space, d, cap) for d in range(degree + 1)]
     # bar letters: the non-empty words in (length, word) order; with r
     # degrees left, those of degree < r
     letters = sorted((len(w), w, d) for d in range(degree) for w in words_of[d] if w)

@@ -9,6 +9,10 @@ free-loop complex, the coalgebra section eta and the local contraction on
 the kernel of the projection complete the identities that verify.run_verify
 checks; the chain-map sweep that pins the chi sign lives here too.
 
+Every map takes the space of the free-loop complex it lands in, and that
+space decides the setting: Z(X) for the inverted models, whose simplex
+slot ranges over X, or a plain 1-reduced presentation.
+
 Only the verify suite imports this module, so a homology run does not
 compile it.  As in loopcomplex, each map taken on every generator of a
 slice is one kernel, built once per slice, and its public function is a
@@ -21,7 +25,7 @@ from itertools import accumulate
 
 from .cobar import CobarAlgebra, _splice
 from .homalg import Chain, ZZ, _nonzero
-from .loopcomplex import _loop_parts, cohoch_slice, format_loop_generator, hochschild_slice
+from .loopcomplex import cohoch_slice, format_loop_generator, hochschild_slice
 from .simplicial import SimplicialError
 
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
@@ -41,7 +45,7 @@ def _necklace_faces(space):
     """The faces of a loop generator (x, w) as lists d0, d1 (i = 1..n) and
     d2 (i = 1..p), None where a component degenerates; the faces i > p
     split (d0) or inner-face (d1) one letter, each letter listed once."""
-    _, table, op_pairs = _loop_parts(space)
+    table, op_pairs = space.table, space.op_pairs
     dim, faces, fronts, backs = table.dim, table.faces, table.fronts, table.backs
 
     def faces_of(gen):
@@ -77,10 +81,9 @@ def necklical_face(space, eps, i, gen):
     d1 for 1 <= i <= n with d1_1 aliased to d2_1, d2 for 1 <= i <= p.
     Returns the new generator, or None when a component degenerates.
     """
-    X, table, _ = _loop_parts(space)
     x, w = gen
-    p = X.dim(x)
-    n = p + table.word_degree(w)
+    p = space.underlying.dim(x)
+    n = p + space.table.word_degree(w)
     if eps not in (0, 1, 2):
         raise SimplicialError(f"face family {eps!r} not in (0, 1, 2)")
     top = p if eps == 2 else n
@@ -123,10 +126,9 @@ def necklical_differential(space, gen, ring=ZZ):
     necklical_face; no coproduct formula enters, which is what makes the
     term-by-term comparison against cohoch_differential a real cross-check.
     """
-    X, table, _ = _loop_parts(space)
     x, w = gen
-    X.dim(x)  # an unknown simplex or letter raises SimplicialError
-    table.word_degree(w)
+    space.underlying.dim(x)  # an unknown simplex or letter raises SimplicialError
+    space.table.word_degree(w)
     return Chain(ring, _necklical_kernel(space)(gen))
 
 
@@ -148,8 +150,8 @@ def _phi_kernel(space, variants):
     one Hochschild generator (bar word, word) of tuples, returning {loop
     generator: packed coefficients}, a packed sum possibly 0.  Each
     rotation of a single bar letter is spliced once, whatever the readings."""
-    X, table, op_pairs = _loop_parts(space)
-    dim, base = table.dim, X.basepoint
+    table, op_pairs = space.table, space.op_pairs
+    dim, base = table.dim, space.basepoint
     readings = [(1 << (_LANE * v), variant) for v, variant in enumerate(variants)]
     lanes = sum(unit for unit, _ in readings)
     unknown = [v for v in variants if v not in CHI_VARIANTS]
@@ -224,11 +226,11 @@ def eta(space, x):
     """Coalgebra section C -> B(cobar C): the sum of all iterated reduced
     coproducts of x, each tensor factor a single-letter bar letter.
     Conilpotency (factor dimensions strictly drop) makes the sum finite."""
-    X, table, _ = _loop_parts(space)
-    if X.dim(x) < 1:
+    if space.underlying.dim(x) < 1:
         raise SimplicialError(
             f"{x!r} has dimension 0: not an element of the reduced coalgebra"
         )
+    aw_pairs = space.table.aw_pairs
     out = Chain(ZZ)
     level = [(x,)]
     while level:
@@ -236,7 +238,7 @@ def eta(space, x):
             out.add(tuple((c,) for c in parts), 1)
         nxt = []
         for parts in level:
-            for f, b in table.aw_pairs[parts[0]][1:-1]:
+            for f, b in aw_pairs[parts[0]][1:-1]:
                 nxt.append((f, b) + parts[1:])
         level = nxt
     return out

@@ -36,37 +36,30 @@ def supported_complexes(X):
 def build_complex_slice(X, complex_name, max_degree, max_word_length=None):
     """Assemble the requested complex of a presentation through max_degree.
 
-    Hat complexes of spaces that are not 1-reduced demand a word-length
-    cap; the returned slice then carries ``truncated_at``.
+    The hat complexes, and the Hochschild complex of a space that is not
+    1-reduced, are built over Z(X), the others over X.  Over Z(X) of a
+    space that is not 1-reduced a word-length cap is mandatory; the
+    returned slice then carries ``truncated_at``.
     """
+    if complex_name not in COMPLEX_NAMES:
+        raise SimplicialError(
+            f"unknown complex {complex_name!r}; choices: {', '.join(COMPLEX_NAMES)}"
+        )
     if complex_name == "chains":
         return chains_slice(X, max_degree)
-    if complex_name == "cobar":
+    space = X
+    if complex_requires_one_reduced(complex_name):
+        X.require_one_reduced(f"the {complex_name} complex")
+    elif complex_name.startswith("hat-") or not X.is_one_reduced():
+        space = adjoin_inverses(X)
+    if complex_name in ("cobar", "hat-cobar"):
         from .cobar import cobar_slice
 
-        return cobar_slice(X, max_degree)
-    if complex_name == "hat-cobar":
-        from .cobar import cobar_slice
-
-        return cobar_slice(adjoin_inverses(X), max_degree, max_word_length=max_word_length)
-    if complex_name == "cohoch":
+        return cobar_slice(space, max_degree, max_word_length=max_word_length)
+    if complex_name in ("cohoch", "hat-cohoch"):
         from .loopcomplex import cohoch_slice
 
-        return cohoch_slice(X, max_degree, hat=False)
-    if complex_name == "hat-cohoch":
-        from .loopcomplex import cohoch_slice
+        return cohoch_slice(space, max_degree, max_word_length=max_word_length)
+    from .loopcomplex import hochschild_slice
 
-        return cohoch_slice(
-            adjoin_inverses(X), max_degree, hat=True, max_word_length=max_word_length
-        )
-    if complex_name == "hochschild-of-cobar":
-        from .loopcomplex import hochschild_slice
-
-        if X.is_one_reduced():
-            return hochschild_slice(X, max_degree)
-        return hochschild_slice(
-            adjoin_inverses(X), max_degree, hat=True, word_cap=max_word_length
-        )
-    raise SimplicialError(
-        f"unknown complex {complex_name!r}; choices: {', '.join(COMPLEX_NAMES)}"
-    )
+    return hochschild_slice(space, max_degree, word_cap=max_word_length)

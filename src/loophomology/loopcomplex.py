@@ -10,6 +10,11 @@ wrap-around terms theta_1 / theta_2 built from the Alexander-Whitney
 coproduct of x.  The Hochschild complex of the cobar algebra is the second
 free-loop model, on the algebra side.
 
+The space a model is given decides its setting.  Over Z(X), an
+OpExtension, the simplex slot ranges over X (its ``underlying``), words are
+freely reduced and the boundaries are inner-face ("hat"); over a plain
+presentation, which must be 1-reduced, slot and letters are both X.
+
 Each differential taken on every generator of a slice is one kernel, built
 once per slice: it reads its tables once and maps a generator to a raw
 {key: coefficient} dict.  Its public function is a Chain wrapper.
@@ -45,50 +50,23 @@ def _loop_key(gen):
 
 
 # ---------------------------------------------------------------------------
-# Per-space machinery
-
-
-def _loop_parts(space):
-    """(X, table, op_pairs): the simplex slot lives in X, the word part in
-    the letters (Z(X) when inverted, X itself else).  The face table of the
-    letters covers the simplices of X too, since Z(X) only adds edges."""
-    if isinstance(space, OpExtension):
-        return space.underlying, space.space.table, space.op_pairs
-    return space, space.table, {}
-
-
-def _require_one_reduced(X, what):
-    if len(X.simplices.get(0, ())) != 1:
-        raise SimplicialError(
-            f"{what} needs a 1-reduced space; {X.name} has vertices "
-            f"{', '.join(X.simplices.get(0, ()))}"
-        )
-    edges = X.simplices.get(1, ())
-    if edges:
-        raise SimplicialError(
-            f"{what} needs a 1-reduced space; {X.name} has the nondegenerate "
-            f"1-simplex {edges[0]!r}"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Bases
 
 
-def cohoch_basis(space, degree, max_word_length=None, hat=False):
+def cohoch_basis(space, degree, max_word_length=None):
     """Loop generators of one degree, in _loop_key order: by simplex id
     whatever its dimension, then by word length, then letter by letter, so
     the slice builder takes them as they come.
 
-    Without the hat the space must be 1-reduced and the basis is exact;
-    with it the word length is capped at max_word_length (mandatory for
-    spaces that are not 1-reduced, where degree components are infinite).
+    A plain space must be 1-reduced and the basis is exact; over Z(X) the
+    word length is capped at max_word_length (mandatory for spaces that
+    are not 1-reduced, where degree components are infinite).  The face
+    table of Z(X) covers the simplices of X too, since Z(X) only adds edges.
     """
-    X, table, _ = _loop_parts(space)
-    if not hat:
-        _require_one_reduced(X, "the plain free-loop complex")
-    one_reduced = X.is_one_reduced()
-    if hat and not one_reduced and max_word_length is None:
+    X, table = space.underlying, space.table
+    if not isinstance(space, OpExtension):
+        X.require_one_reduced("the plain free-loop complex")
+    elif max_word_length is None and not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: word-length cap required (degree components are infinite)"
         )
@@ -111,11 +89,12 @@ def cohoch_basis(space, degree, max_word_length=None, hat=False):
 # The coalgebra-formula differential
 
 
-def _cohoch_kernel(space, hat):
+def _cohoch_kernel(space):
     """cohoch_differential as a function of one loop generator (x, w),
     returning {generator: nonzero coefficient}: the four families over the
     boundary, word rules and wrap pairs of the letter table, read once."""
-    _, table, op_pairs = _loop_parts(space)
+    table, op_pairs = space.table, space.op_pairs
+    hat = isinstance(space, OpExtension)
     dim, shifted = table.dim, table.shifted
     boundary = table.inner_boundary if hat else table.boundary
     rules, theta1, theta2 = table.rules[hat], table.theta1, table.theta2
@@ -152,18 +131,17 @@ def _cohoch_kernel(space, hat):
     return terms
 
 
-def cohoch_differential(space, gen, ring=ZZ, hat=False):
+def cohoch_differential(space, gen, ring=ZZ):
     """Differential of a loop generator, four terms: simplex boundary, word
     differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
     coproduct of x, with degenerate factors dropped.  The simplex boundary
     is the inner faces in the inverted setting (the outer faces reappear
     as the i = 1 terms of the theta families), the full alternating sum
     else."""
-    X, table, _ = _loop_parts(space)
     x, w = gen
-    X.dim(x)  # an unknown simplex or letter raises SimplicialError
-    table.word_degree(w)
-    return Chain(ring, _cohoch_kernel(space, hat)(gen))
+    space.underlying.dim(x)  # an unknown simplex or letter raises SimplicialError
+    space.table.word_degree(w)
+    return Chain(ring, _cohoch_kernel(space)(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +188,16 @@ def hochschild_differential(algebra, gen, ring=ZZ):
     return Chain(ring, _hochschild_kernel(algebra)((tuple(map(tuple, b)), tuple(u))))
 
 
-def hochschild_slice(space, max_degree, hat=False, word_cap=None):
+def hochschild_slice(space, max_degree, *, word_cap=None):
     """ComplexSlice of Hoch(A) for A the cobar algebra of the space."""
-    algebra = CobarAlgebra(space, hat=hat)
-    X = algebra.letters
+    algebra = CobarAlgebra(space)
     truncated_at = None
-    if X.is_one_reduced():
+    if space.is_one_reduced():
         word_cap = None  # bases are exact; a cap would silently shrink them
     else:
         if word_cap is None:
             raise SimplicialError(
-                f"{X.name}: Hochschild bases over the inverted algebra need a cap"
+                f"{space.name}: Hochschild bases over the inverted algebra need a cap"
             )
         truncated_at = word_cap
     seeds = {
@@ -233,22 +210,22 @@ def hochschild_slice(space, max_degree, hat=False, word_cap=None):
     )
 
 
-def cohoch_slice(space, max_degree, hat=False, max_word_length=None):
+def cohoch_slice(space, max_degree, *, max_word_length=None):
     """ComplexSlice of the free-loop complex through max_degree.
 
     Truncated bases are closed downward under the differential, so the
     matrices always present an honest subcomplex.
     """
     truncated_at = None
-    if _loop_parts(space)[0].is_one_reduced():
+    if space.is_one_reduced():
         max_word_length = None  # exact bases; cap independence holds
-    elif hat:
+    elif isinstance(space, OpExtension):
         truncated_at = max_word_length
     seeds = {
-        n: cohoch_basis(space, n, max_word_length=max_word_length, hat=hat)
+        n: cohoch_basis(space, n, max_word_length=max_word_length)
         for n in range(max_degree + 1)
     }
 
     return _close_and_build(
-        seeds, _cohoch_kernel(space, hat), max_degree, _loop_key, truncated_at
+        seeds, _cohoch_kernel(space), max_degree, _loop_key, truncated_at
     )

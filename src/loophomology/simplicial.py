@@ -11,6 +11,11 @@ front and back, boundary and coproduct term of a presentation once through
 the degeneracy calculus and is the only face data the loop models use; the
 boundary and Alexander-Whitney structure of normalized chains; and the
 extension Z(X) that formally inverts 1-simplices.
+
+Z(X) is a presentation itself (OpExtension), so the space handed to a loop
+model decides its setting: Z(X) gives the inverted ("hat") model, with
+inner-face internal differentials and freely reduced words, and a plain
+presentation the plain model over a 1-reduced space.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from ._records import FrozenRecord, Value
+from ._records import Value
 from .homalg import Chain, ZZ, _close_and_build
 
 
@@ -101,6 +106,7 @@ class SimplicialSetPresentation:
                     raise SimplicialError(f"duplicate simplex id {s!r}")
                 self._dims[s] = d
         self._face_cache = {}
+        self.op_pairs = {}  # inverse 1-simplex pairs; only Z(X) has any
 
     @cached_property
     def table(self):
@@ -110,20 +116,13 @@ class SimplicialSetPresentation:
     @cached_property
     def op_extension(self):
         """Z(X), built on first use; see adjoin_inverses."""
-        simplices = {d: list(ids) for d, ids in self.simplices.items()}
-        faces = dict(self.faces)
-        op_pairs = {}
-        for e in self.simplices.get(1, ()):
-            e_op = e + OP_SUFFIX
-            if e_op in self._dims:
-                raise SimplicialError(f"id {e_op!r} collides with the op alphabet")
-            simplices[1].append(e_op)
-            faces[(e_op, 0)] = self.faces[(e, 1)]
-            faces[(e_op, 1)] = self.faces[(e, 0)]
-            op_pairs[e] = e_op
-            op_pairs[e_op] = e
-        Z = SimplicialSetPresentation(f"Z({self.name})", self.basepoint, simplices, faces)
-        return OpExtension(underlying=self, space=Z, op_pairs=op_pairs)
+        return OpExtension(self)
+
+    @property
+    def underlying(self):
+        """The space whose simplices fill the slot of a loop generator: the
+        presentation itself, or X for Z(X)."""
+        return self
 
     # -- basic queries ----------------------------------------------------
 
@@ -144,9 +143,24 @@ class SimplicialSetPresentation:
     def is_one_reduced(self):
         return len(self.simplices.get(0, ())) == 1 and not self.simplices.get(1, ())
 
+    def require_one_reduced(self, what):
+        """Raise, naming the first obstruction, unless this is 1-reduced."""
+        vertices = self.simplices.get(0, ())
+        if len(vertices) != 1:
+            raise SimplicialError(
+                f"{what} needs a 1-reduced space; {self.name} has vertices "
+                f"{', '.join(vertices)}"
+            )
+        edges = self.simplices.get(1, ())
+        if edges:
+            raise SimplicialError(
+                f"{what} needs a 1-reduced space; {self.name} has the nondegenerate "
+                f"1-simplex {edges[0]!r}"
+            )
+
     def __repr__(self):
         counts = {d: len(ids) for d, ids in sorted(self.simplices.items())}
-        return f"SimplicialSetPresentation({self.name!r}, {counts})"
+        return f"{type(self).__name__}({self.name!r}, {counts})"
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +333,35 @@ def aw_coproduct(X, simplex_id, reduced=False):
 OP_SUFFIX = "~"
 
 
-class OpExtension(FrozenRecord):
-    """Z(X): the presentation X enlarged by a formal inverse per 1-simplex."""
+class OpExtension(SimplicialSetPresentation):
+    """Z(X): the presentation X enlarged by a formal inverse per 1-simplex.
 
-    __slots__ = ("underlying", "space", "op_pairs")
+    It is a presentation in its own right, named Z(<name of X>), whose
+    letters the word models read; ``underlying`` is X, whose simplices fill
+    the slot of a loop generator, and ``op_pairs`` maps each 1-simplex to
+    its inverse and back.
+    """
 
-    def __init__(
-        self,
-        underlying: SimplicialSetPresentation,
-        space: SimplicialSetPresentation,
-        op_pairs: dict,
-    ):
-        object.__setattr__(self, "underlying", underlying)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "op_pairs", op_pairs)
+    def __init__(self, X):
+        simplices = {d: list(ids) for d, ids in X.simplices.items()}
+        faces = dict(X.faces)
+        op_pairs = {}
+        for e in X.simplices.get(1, ()):
+            e_op = e + OP_SUFFIX
+            if e_op in X._dims:
+                raise SimplicialError(f"id {e_op!r} collides with the op alphabet")
+            simplices[1].append(e_op)
+            faces[(e_op, 0)] = X.faces[(e, 1)]
+            faces[(e_op, 1)] = X.faces[(e, 0)]
+            op_pairs[e] = e_op
+            op_pairs[e_op] = e
+        super().__init__(f"Z({X.name})", X.basepoint, simplices, faces)
+        self.op_pairs = op_pairs
+        self._underlying = X
+
+    @property
+    def underlying(self):
+        return self._underlying
 
     def op(self, simplex_id):
         return self.op_pairs.get(simplex_id)
@@ -353,8 +382,9 @@ def validate(X):
     """All invariant violations of a presentation, as human-readable strings.
 
     Empty means: faces have the right dimension, degeneracy words are
-    canonical and in range, the basepoint is a vertex, and the simplicial
-    identities d_i d_j = d_{j-1} d_i (i < j) hold.
+    canonical and in range, only simplices of dimension >= 1 have faces,
+    the basepoint is a vertex, and the simplicial identities
+    d_i d_j = d_{j-1} d_i (i < j) hold.
     """
     violations = []
     if X.basepoint not in X.simplices.get(0, ()):
@@ -362,6 +392,10 @@ def validate(X):
     records = {}
     for (s, i), entry in X.faces.items():
         records.setdefault(s, {})[i] = entry
+    for s, present in records.items():
+        if not X._dims.get(s):
+            what = "an unknown simplex" if s not in X._dims else "a vertex"
+            violations.append(f"{s}: {len(present)} face records for {what}")
     for d, ids in sorted(X.simplices.items()):
         if d < 0:
             violations.append(f"negative dimension {d}")
@@ -546,7 +580,8 @@ def presentation_from_json(text, source="<json>"):
 
     Top level: name, basepoint, simplices ({dimension: [ids]}), faces
     ({id: [face records 0..n]}) with each record {"deg": [j1 > j2 > ...],
-    "base": id}.  Non-canonical degeneracy words are rejected by name.
+    "base": id}.  A vertex has no faces: it may be left out of faces or
+    given [].  Non-canonical degeneracy words are rejected by name.
     """
     try:
         data = json.loads(text)
@@ -593,9 +628,11 @@ def presentation_from_json(text, source="<json>"):
         if s not in dims:
             raise SimplicialError(f"{source}: faces lists unknown simplex {s!r}")
         d = dims[s]
-        if not isinstance(records, list) or len(records) != d + 1:
+        need = d + 1 if d else 0  # a vertex has no faces
+        if not isinstance(records, list) or len(records) != need:
             raise SimplicialError(
-                f"{source}: {s!r} needs exactly {d + 1} face records, "
+                f"{source}: {s!r} needs exactly {need} face records"
+                f"{'' if d else ' (a vertex has no faces)'}, "
                 f"got {len(records) if isinstance(records, list) else records!r}"
             )
         for i, rec in enumerate(records):

@@ -67,15 +67,11 @@ def coordinates(sl, chain, n):
 
 
 def _letters(space):
-    if isinstance(space, OpExtension):
-        return space.space, space.op_pairs
-    return space, {}
+    return space, space.op_pairs
 
 
 def _loop_parts(space):
-    if isinstance(space, OpExtension):
-        return space.underlying, space.space.table, space.op_pairs
-    return space, space.table, {}
+    return space.underlying, space.table, space.op_pairs
 
 
 def word_degree(space, w):
@@ -223,7 +219,7 @@ def words_between(space, start, end, degree, max_word_length):
 
 
 def hochschild_basis(algebra, degree, word_cap=None):
-    X = algebra.letters
+    X = algebra.space
     if word_cap is None and not X.is_one_reduced():
         raise SimplicialError(
             f"{X.name}: Hochschild generators over the inverted algebra need a cap"

@@ -67,11 +67,10 @@ def test_criterion_3_differential_agreement():
     for name in ("circle", "sphere2", "torus"):
         space = adjoin_inverses(builtin_space(name))
         for n in range(5):
-            for gen in cohoch_basis(space, n, max_word_length=4, hat=True):
+            for gen in cohoch_basis(space, n, max_word_length=4):
                 total += 1
-                if necklical_differential(space, gen) != cohoch_differential(
-                    space, gen, hat=True
-                ):
+                formula = cohoch_differential(space, gen)
+                if necklical_differential(space, gen) != formula:
                     mismatches += 1
                     first = first or (name, gen)
     ok = mismatches == 0 and total > 20000

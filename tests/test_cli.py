@@ -37,6 +37,9 @@ def test_load_json_file(tmp_path):
     config = RunConfig(space=str(path), complex_name="chains", max_degree=2)
     summary = cmd_homology(config)
     assert [e.free_rank for e in summary.entries] == [1, 0, 0]
+    # a vertex may also be listed with no face records
+    path.write_text(json.dumps(_replaced(("faces", "a"), [])), encoding="utf-8")
+    assert load_space(str(path)).faces == X.faces
 
 
 def test_load_rejects_bad_degeneracy_word(tmp_path):
@@ -96,6 +99,9 @@ TWO_DIMENSIONS = {
     "faces": {"a": [{"deg": [], "base": "a"}, {"deg": [], "base": "a"}]},
 }
 NOT_UTF8 = b"\xff" + json.dumps(INTERVAL).encode()
+# a vertex has no faces: [] loads, a face record is refused
+VERTEX_NO_FACES = _replaced(("faces", "a"), [])
+VERTEX_WITH_FACE = _replaced(("faces", "a"), [{"base": "nowhere"}])
 
 
 @pytest.mark.parametrize(
@@ -119,6 +125,8 @@ NOT_UTF8 = b"\xff" + json.dumps(INTERVAL).encode()
     + [pytest.param(SAME_DIMENSION, True, False, id="same-dimension")]
     + [pytest.param(TWO_DIMENSIONS, True, True, id="id-in-two-dimensions")]
     + [pytest.param(NOT_UTF8, True, True, id="not-utf-8")]
+    + [pytest.param(VERTEX_NO_FACES, False, False, id="vertex-no-faces")]
+    + [pytest.param(VERTEX_WITH_FACE, True, True, id="vertex-with-face")]
     + [pytest.param(None, True, True, id="directory")],
 )
 def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject, names_path):

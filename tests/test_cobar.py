@@ -119,7 +119,7 @@ def test_words_between_chain_condition():
     from loophomology.simplicial import endpoints, nondeg
 
     for w in words_between(bd, "0", "3", 0, 3):
-        ends = [endpoints(bd.space, nondeg(a)) for a in w]
+        ends = [endpoints(bd, nondeg(a)) for a in w]
         assert ends[0][0] == "0" and ends[-1][1] == "3"
         assert all(ends[i][1] == ends[i + 1][0] for i in range(len(w) - 1))
         assert reduce_word(w, bd.op_pairs) == w
@@ -184,8 +184,8 @@ def test_hat_basis_degrees_and_basedness():
             if w:
                 from loophomology.simplicial import endpoints, nondeg
 
-                assert endpoints(bd.space, nondeg(w[0]))[0] == "0"
-                assert endpoints(bd.space, nondeg(w[-1]))[1] == "0"
+                assert endpoints(bd, nondeg(w[0]))[0] == "0"
+                assert endpoints(bd, nondeg(w[-1]))[1] == "0"
 
 
 def test_cobar_slice_requires_cap_for_loops():
@@ -301,7 +301,7 @@ def test_word_walk_matches_the_depth_first_reference(name):
                     assert _outcome(words_between, *args) == _outcome(
                         ref.words_between, *args
                     )
-    for algebra in (CobarAlgebra(ZX, hat=True), CobarAlgebra(X)):
+    for algebra in (CobarAlgebra(ZX), CobarAlgebra(X)):
         for degree in range(6):
             for cap in (None, 1, 2, 3):
                 args = (algebra, degree, cap)
@@ -319,7 +319,7 @@ def test_word_enumerations_leave_no_reference_cycles():
         lambda: cobar_basis(cd, 4),
         lambda: hat_cobar_basis(torus, 2, 2),
         lambda: hochschild_basis(CobarAlgebra(cd), 4),
-        lambda: hochschild_basis(CobarAlgebra(torus, hat=True), 2, word_cap=2),
+        lambda: hochschild_basis(CobarAlgebra(torus), 2, word_cap=2),
     ]
     gc.collect()
     gc.disable()

@@ -609,23 +609,23 @@ def _strictly_ordered(gens, key):
 def _seed_lists(X, degree):
     """(enumerator, key, seeds) for every seed list a builder takes: plain
     and hat, word caps 1-3."""
-    hat = adjoin_inverses(X)
+    Z = adjoin_inverses(X)
     yield "chains", None, chains_slice(X, degree).bases.get(degree, [])
-    settings = [(hat, True, cap) for cap in (1, 2, 3)]
+    settings = [(Z, cap) for cap in (1, 2, 3)]
     if X.is_one_reduced():
-        settings.append((X, False, None))
-    for space, is_hat, cap in settings:
+        settings.append((X, None))
+    for space, cap in settings:
         if cap is None:
             words = cobar.cobar_basis(space, degree)
         else:
             words = cobar.hat_cobar_basis(space, degree, cap)
         yield "words", cobar._word_key, words
-        algebra = cobar.CobarAlgebra(space, hat=is_hat)
+        algebra = cobar.CobarAlgebra(space)
         yield "hochschild", cobar._hochschild_key, cobar.hochschild_basis(
             algebra, degree, word_cap=cap
         )
         yield "loops", loopcomplex._loop_key, loopcomplex.cohoch_basis(
-            space, degree, max_word_length=cap, hat=is_hat
+            space, degree, max_word_length=cap
         )
 
 
@@ -641,7 +641,7 @@ def test_every_seed_list_comes_in_strict_key_order(name):
 
 
 def _hat_cohoch(X, degree, cap):
-    return cohoch_slice(adjoin_inverses(X), degree, hat=True, max_word_length=cap)
+    return cohoch_slice(adjoin_inverses(X), degree, max_word_length=cap)
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,7 @@ def test_cohoch_basis_sphere2_degree3():
 
 def test_cohoch_basis_circle_hat():
     ext = circle_ext()
-    assert cohoch_basis(ext, 0, max_word_length=1, hat=True) == [
+    assert cohoch_basis(ext, 0, max_word_length=1) == [
         ("v", ()),
         ("v", ("t",)),
         ("v", ("t~",)),
@@ -98,17 +98,17 @@ def test_cohoch_basis_circle_hat():
 
 
 def test_cohoch_basis_point():
-    assert cohoch_basis(POINT, 0, hat=True, max_word_length=1) == [("v", ())]
+    assert cohoch_basis(adjoin_inverses(POINT), 0, max_word_length=1) == [("v", ())]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_cohoch_basis_comes_in_loop_key_order(monkeypatch, name):
     X = builtin_space(name)
-    spaces = [(adjoin_inverses(X), True)]
+    spaces = [adjoin_inverses(X)]
     if X.is_one_reduced():
-        spaces.append((X, False))
+        spaces.append(X)
     real = loop_mod.words_between
-    for space, hat in spaces:
+    for space in spaces:
         for n in range(5):
             calls = Counter()
 
@@ -117,7 +117,7 @@ def test_cohoch_basis_comes_in_loop_key_order(monkeypatch, name):
                 return real(*args)
 
             monkeypatch.setattr(loop_mod, "words_between", counted)
-            basis = cohoch_basis(space, n, max_word_length=2, hat=hat)
+            basis = cohoch_basis(space, n, max_word_length=2)
             monkeypatch.undo()
             assert basis == sorted(set(basis), key=loop_mod._loop_key)
             # one enumeration per distinct (start, end, degree, cap)
@@ -132,8 +132,8 @@ def test_cohoch_basis_requires_one_reduced():
 
 def test_cohoch_basis_cap_independent_when_one_reduced():
     for n in range(5):
-        small = cohoch_basis(S2, n, max_word_length=n or 1, hat=True)
-        large = cohoch_basis(S2, n, max_word_length=n + 3, hat=True)
+        small = cohoch_basis(adjoin_inverses(S2), n, max_word_length=n or 1)
+        large = cohoch_basis(adjoin_inverses(S2), n, max_word_length=n + 3)
         assert small == large
 
 
@@ -152,13 +152,13 @@ def test_cohoch_differential_sphere2_family():
 
 def test_cohoch_differential_vertex():
     assert cohoch_differential(S2, ("v", ())).is_zero
-    assert cohoch_differential(POINT, ("v", ()), hat=True).is_zero
+    assert cohoch_differential(adjoin_inverses(POINT), ("v", ())).is_zero
 
 
 def test_cohoch_differential_circle_cancellation():
     ext = circle_ext()
     for k in range(4):
-        assert cohoch_differential(ext, ("t", ("t",) * k), hat=True).is_zero
+        assert cohoch_differential(ext, ("t", ("t",) * k)).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_necklical_face_index_errors():
 
 def test_necklical_differential_examples():
     assert necklical_differential(S2, ("s", ("s",))) == cohoch_differential(
-        S2, ("s", ("s",)), hat=True
+        adjoin_inverses(S2), ("s", ("s",))
     )
     assert necklical_differential(S2, ("s", ("s",))) == Chain(
         ZZ, {("v", ("s", "s")): -2}
@@ -201,7 +201,7 @@ def test_necklical_differential_examples():
 def test_necklical_squares_to_zero_circle():
     ext = circle_ext()
     for n in range(4):
-        for gen in cohoch_basis(ext, n, max_word_length=4, hat=True):
+        for gen in cohoch_basis(ext, n, max_word_length=4):
             total = Chain(ZZ)
             for key, c in necklical_differential(ext, gen).terms.items():
                 total.add_chain(necklical_differential(ext, key), c)
@@ -211,21 +211,17 @@ def test_necklical_squares_to_zero_circle():
 def test_agreement_small_torus():
     ext = adjoin_inverses(builtin_space("torus"))
     for n in range(3):
-        for gen in cohoch_basis(ext, n, max_word_length=2, hat=True):
-            assert necklical_differential(ext, gen) == cohoch_differential(
-                ext, gen, hat=True
-            )
+        for gen in cohoch_basis(ext, n, max_word_length=2):
+            assert necklical_differential(ext, gen) == cohoch_differential(ext, gen)
 
 
 def test_agreement_boundary_delta3():
     ext = adjoin_inverses(builtin_space("boundary-delta3"))
     total = 0
     for n in range(4):
-        for gen in cohoch_basis(ext, n, max_word_length=3, hat=True):
+        for gen in cohoch_basis(ext, n, max_word_length=3):
             total += 1
-            assert necklical_differential(ext, gen) == cohoch_differential(
-                ext, gen, hat=True
-            )
+            assert necklical_differential(ext, gen) == cohoch_differential(ext, gen)
     assert total > 100
 
 
@@ -238,7 +234,7 @@ def _satisfies_endpoint_condition(ext, gen):
     lo, hi = endpoints(ext.underlying, x)
     if not w:
         return lo == hi
-    ends = [endpoints(ext.space, a) for a in w]
+    ends = [endpoints(ext, a) for a in w]
     if ends[0][0] != hi or ends[-1][1] != lo:
         return False
     return all(ends[k][1] == ends[k + 1][0] for k in range(len(w) - 1))
@@ -248,11 +244,11 @@ def test_differential_outputs_stay_valid():
     # every output generator satisfies the cyclic endpoint condition
     ext = adjoin_inverses(builtin_space("boundary-delta3"))
     for n in range(1, 4):
-        for gen in cohoch_basis(ext, n, max_word_length=3, hat=True):
+        for gen in cohoch_basis(ext, n, max_word_length=3):
             assert _satisfies_endpoint_condition(ext, gen)
             for key in necklical_differential(ext, gen).terms:
                 assert _satisfies_endpoint_condition(ext, key)
-            for key in cohoch_differential(ext, gen, hat=True).terms:
+            for key in cohoch_differential(ext, gen).terms:
                 assert _satisfies_endpoint_condition(ext, key)
 
 
@@ -540,7 +536,7 @@ def test_hochschild_and_cohoch_agree_on_collapsed_delta3():
 
 
 def test_cohoch_slice_d_squared_and_truncation_label():
-    sl = cohoch_slice(adjoin_inverses(builtin_space("torus")), 3, hat=True, max_word_length=2)
+    sl = cohoch_slice(adjoin_inverses(builtin_space("torus")), 3, max_word_length=2)
     assert sl.truncated_at == 2
     assert check_d_squared(sl) == []
     sl = cohoch_slice(S2, 5)
@@ -556,7 +552,7 @@ def test_truncated_free_loops_of_boundary_delta3_connected():
 
     ext = adjoin_inverses(builtin_space("boundary-delta3"))
     for L in (2, 3):
-        sl = cohoch_slice(ext, 2, hat=True, max_word_length=L)
+        sl = cohoch_slice(ext, 2, max_word_length=L)
         entry = homology_of_slice(sl, 0)
         assert entry.free_rank == 1 and entry.torsion == ()
 
@@ -565,11 +561,11 @@ def test_hochschild_slice_over_inverted_algebra():
     # Hochschild of the inverted word algebra of the circle, capped: the
     # degree-0 rank is the 2L+1 window onto the Laurent group algebra.
     ext = adjoin_inverses(builtin_space("circle"))
-    sl = hochschild_slice(ext, 2, hat=True, word_cap=2)
+    sl = hochschild_slice(ext, 2, word_cap=2)
     assert sl.truncated_at == 2
     assert check_d_squared(sl) == []
     from loophomology.homalg import homology_of_slice
 
     assert homology_of_slice(sl, 0).free_rank == 5
     with pytest.raises(SimplicialError):
-        hochschild_slice(ext, 2, hat=True)
+        hochschild_slice(ext, 2)

@@ -54,21 +54,18 @@ def _pairs(X, complex_name, gen):
         ]
     if complex_name in ("cohoch", "hat-cohoch"):
         space = _word_space(X, complex_name)
-        pairs = [
-            (lambda r, hat=hat: cohoch_differential(space, gen, r, hat=hat),
-             lambda r, hat=hat: ref.cohoch_differential(space, gen, r, hat=hat))
-            for hat in (False, True)
-        ]
-        pairs.append(
+        hat = complex_name == "hat-cohoch"
+        return [
+            (lambda r: cohoch_differential(space, gen, r),
+             lambda r: ref.cohoch_differential(space, gen, r, hat=hat)),
             (lambda r: necklical_differential(space, gen, r),
-             lambda r: ref.necklical_differential(space, gen, r))
-        )
-        return pairs
+             lambda r: ref.necklical_differential(space, gen, r)),
+        ]
     assert complex_name == "hochschild-of-cobar"
     if X.is_one_reduced():
         algebra = CobarAlgebra(X)
     else:
-        algebra = CobarAlgebra(adjoin_inverses(X), hat=True)
+        algebra = CobarAlgebra(adjoin_inverses(X))
     space = algebra.space
     b, u = gen
     pairs = [

@@ -1,0 +1,28 @@
+"""The README's examples work: its python fence runs and its json fence
+loads as a valid presentation."""
+
+import re
+from pathlib import Path
+
+from loophomology.simplicial import presentation_from_json, validate
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def fences(language):
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
+
+
+def test_python_fence_runs(capsys):
+    (code,) = fences("python")
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == code.count("print(")
+    assert printed[1].startswith("2 [")  # the hat slice is truncated at length 2
+
+
+def test_json_fence_loads():
+    (text,) = fences("json")
+    X = presentation_from_json(text, source=str(README))
+    assert validate(X) == []

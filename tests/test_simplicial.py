@@ -2,12 +2,18 @@ from functools import cached_property
 
 import pytest
 
-from loophomology.cobar import cobar_differential
+from loophomology.cobar import CobarAlgebra, cobar_differential
 from loophomology.homalg import Chain, ZZ
-from loophomology.loopcomplex import cohoch_differential
+from loophomology.loopcomplex import (
+    cohoch_basis,
+    cohoch_differential,
+    cohoch_slice,
+    hochschild_slice,
+)
 from loophomology.simplicial import (
     BUILTIN_NAMES,
     FormalSimplex,
+    OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
     adjoin_inverses,
@@ -130,25 +136,45 @@ def test_endpoints():
     assert endpoints(bd, nondeg("02")) == ("0", "2")
     assert endpoints(bd, nondeg("123")) == ("1", "3")
     ext = adjoin_inverses(bd)
-    assert endpoints(ext.space, nondeg("02~")) == ("2", "0")
+    assert endpoints(ext, nondeg("02~")) == ("2", "0")
 
 
 def test_adjoin_inverses():
     assert adjoin_inverses(builtin_space("point")).op_pairs == {}
     assert adjoin_inverses(builtin_space("sphere2")).op_pairs == {}
-    circle_ext = adjoin_inverses(builtin_space("circle"))
+    circle = builtin_space("circle")
+    circle_ext = adjoin_inverses(circle)
     assert circle_ext.op_pairs == {"t": "t~", "t~": "t"}
     assert circle_ext.op("t~") == "t"
+    # Z(X) is a presentation; its loop slot is X, and X is its own slot
+    assert isinstance(circle_ext, SimplicialSetPresentation)
+    assert circle_ext.name == "Z(circle)"
+    assert circle_ext.underlying is circle
+    assert circle.underlying is circle
+    assert circle.op_pairs == {}
+    assert not isinstance(circle, OpExtension)
+    # the space picks the model: no builder takes a hat flag
+    builders = [
+        lambda: CobarAlgebra(circle_ext, hat=True),
+        lambda: cobar_differential(circle_ext, ("t",), hat=True),
+        lambda: cohoch_basis(circle_ext, 0, max_word_length=1, hat=True),
+        lambda: cohoch_differential(circle_ext, ("v", ()), hat=True),
+        lambda: cohoch_slice(circle_ext, 1, hat=True, max_word_length=1),
+        lambda: hochschild_slice(circle_ext, 1, hat=True, word_cap=1),
+    ]
+    for build in builders:
+        with pytest.raises(TypeError, match="hat"):
+            build()
     # one fresh 1-simplex per original, other dimensions untouched
     bd = builtin_space("boundary-delta3")
     ext = adjoin_inverses(bd)
     for d, ids in bd.simplices.items():
         expected = 2 * len(ids) if d == 1 else len(ids)
-        assert len(ext.space.simplices[d]) == expected
+        assert len(ext.simplices[d]) == expected
     for e in bd.simplices[1]:
         assert ext.op_pairs[ext.op_pairs[e]] == e
         lo, hi = endpoints(bd, nondeg(e))
-        assert endpoints(ext.space, nondeg(ext.op_pairs[e])) == (hi, lo)
+        assert endpoints(ext, nondeg(ext.op_pairs[e])) == (hi, lo)
 
 
 def test_boundary_examples():
@@ -235,6 +261,16 @@ def test_validate_identity_violation():
 def test_validate_missing_basepoint():
     X = SimplicialSetPresentation("nopt", "w", {0: ["v"]}, {})
     assert any("basepoint" in v for v in validate(X))
+
+
+def test_validate_refuses_faces_of_vertices_and_unknown_ids():
+    v = nondeg("v")
+    faces = {("v", 0): nondeg("nowhere"), ("zz", 0): v, ("zz", 1): v}
+    X = SimplicialSetPresentation("stray", "v", {0: ["v"]}, faces)
+    assert validate(X) == [
+        "v: 1 face records for a vertex",
+        "zz: 2 face records for an unknown simplex",
+    ]
 
 
 def test_validate_reports_faceless_simplex_once():
@@ -348,7 +384,7 @@ def _table_spaces():
     for name in BUILTIN_NAMES:
         X = builtin_space(name)
         yield X
-        yield adjoin_inverses(X).space
+        yield adjoin_inverses(X)
 
 
 @pytest.mark.parametrize("X", list(_table_spaces()), ids=lambda X: X.name)
@@ -377,7 +413,7 @@ def test_table_is_built_once_per_presentation():
     assert X.table is X.table
     assert adjoin_inverses(X) is adjoin_inverses(X)
     # Z(X) only adds edges, so its table covers every simplex of X
-    Z = adjoin_inverses(X).space
+    Z = adjoin_inverses(X)
     for s in X.ids():
         assert Z.table.faces[s] == X.table.faces[s]
         assert Z.table.fronts[s] == X.table.fronts[s]
@@ -388,32 +424,35 @@ def test_letter_rule_drops_vertex_faces():
     # the full boundary of an edge letter is two vertices, which are not
     # letters: the cobar differential drops them
     bd = builtin_space("boundary-delta3")
-    assert cobar_differential(bd, ("01",), hat=False).is_zero
-    assert cobar_differential(bd, ("01", "12"), hat=False).is_zero
-    assert cobar_differential(bd, ("012",), hat=False) == Chain(
+    assert cobar_differential(bd, ("01",)).is_zero
+    assert cobar_differential(bd, ("01", "12")).is_zero
+    assert cobar_differential(bd, ("012",)) == Chain(
         ZZ, {("12",): -1, ("02",): 1, ("01",): -1, ("01", "12"): -1}
     )
 
 
 def test_simplex_slot_keeps_vertex_faces():
-    # the simplex slot of a loop generator takes the full boundary, vertices
-    # included; the inner-face (hat) boundary of an edge is empty
-    ext = adjoin_inverses(builtin_space("boundary-delta3"))
-    gen = ("01", ("01~",))
-    assert cohoch_differential(ext, gen, hat=False) == Chain(
-        ZZ,
-        {("1", ("01~",)): 1, ("0", ("01~",)): -1, ("0", ()): -1, ("1", ()): 1},
+    # the simplex slot of a loop generator over a plain space takes the full
+    # boundary, vertices included; over Z(X) the inner-face (hat) boundary
+    # of an edge is empty and only the wrap terms are left
+    bd = builtin_space("boundary-delta3")
+    gen = ("01", ())
+    wraps = {("0", ("01",)): -1, ("1", ("01",)): 1}
+    assert cohoch_differential(bd, gen) == Chain(
+        ZZ, {("1", ()): 1, ("0", ()): -1, **wraps}
     )
-    assert cohoch_differential(ext, gen, hat=True) == Chain(
-        ZZ, {("0", ()): -1, ("1", ()): 1}
-    )
+    assert cohoch_differential(adjoin_inverses(bd), gen) == Chain(ZZ, wraps)
 
 
-def _attributes_after_init_and_cached(X):
-    fresh = SimplicialSetPresentation(X.name, X.basepoint, X.simplices, X.faces)
+def _attributes_after_init_and_cached(P):
+    if isinstance(P, OpExtension):
+        fresh = OpExtension(P.underlying)
+    else:
+        fresh = SimplicialSetPresentation(P.name, P.basepoint, P.simplices, P.faces)
     cached = {
         name
-        for name, value in vars(type(X)).items()
+        for cls in type(P).__mro__
+        for name, value in vars(cls).items()
         if isinstance(value, cached_property)
     }
     return set(vars(fresh)), cached
@@ -427,6 +466,6 @@ def test_nothing_is_patched_onto_a_presentation(name):
     run_verify(X, 2, max_word_length=2)
     for complex_name in supported_complexes(X):
         build_complex_slice(X, complex_name, 3, max_word_length=2)
-    for P in (X, adjoin_inverses(X).space):
+    for P in (X, adjoin_inverses(X)):
         init, cached = _attributes_after_init_and_cached(P)
         assert init <= set(vars(P)) <= init | cached

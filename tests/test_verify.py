@@ -100,7 +100,7 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch):
         kernel = real(algebra)
 
         def terms(gen):
-            key = (algebra.letters.name, gen)
+            key = (algebra.space.name, gen)
             calls[key] = calls.get(key, 0) + 1
             return kernel(gen)
 
