@@ -215,13 +215,6 @@ def phi(space, gen, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     return Chain(ring, _phi_kernel(space, (variant,))((tuple(map(tuple, b)), tuple(u))))
 
 
-def phi_chain(space, chain, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
-    out = Chain(ring)
-    for gen, c in chain.terms.items():
-        out.add_chain(phi(space, gen, ring, variant), c)
-    return out
-
-
 def eta(space, x):
     """Coalgebra section C -> B(cobar C): the sum of all iterated reduced
     coproducts of x, each tensor factor a single-letter bar letter.

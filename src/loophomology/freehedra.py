@@ -73,26 +73,6 @@ def label_faces(label):
     return faces
 
 
-def validate_label(label, n):
-    """Check the block grammar inside F_n; raises ValueError on failure."""
-    blocks = (label.f_block,) + label.cube_blocks
-    if len(label.f_block) < 1 or any(len(b) < 2 for b in label.cube_blocks):
-        raise ValueError(f"{label}: malformed blocks")
-    wraps = 0
-    for k, block in enumerate(blocks):
-        if any(x < 0 or x > n for x in block):
-            raise ValueError(f"{label}: entries escape 0..{n}")
-        if any(block[t] >= block[t + 1] for t in range(len(block) - 1)):
-            raise ValueError(f"{label}: block {block} is not increasing")
-        nxt = blocks[(k + 1) % len(blocks)]
-        if block[-1] == n and nxt[0] == 0:
-            wraps += 1
-        elif block[-1] != nxt[0]:
-            raise ValueError(f"{label}: blocks {block} and {nxt} do not chain")
-    if wraps != 1:
-        raise ValueError(f"{label}: expected exactly one n->0 wrap, saw {wraps}")
-
-
 def face_poset(n):
     """All cells of F_n with covering relations.
 

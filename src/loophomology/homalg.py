@@ -16,21 +16,23 @@ what its columns name beyond the seeds, and only then is a basis sorted.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix finds its connected
-blocks once and is reduced block by block, each block's rows dropped
-before the next.  One sparse elimination core pivots on units (+-1 over
-Z, any nonzero entry mod p): it computes ranks over odd F_p outright, and
-over Z it splits off the unit invariant factors before a general Smith
-normal form loop handles what is left; a gcd/lcm repair across blocks
-restores the divisibility chain.  Over F2 an XOR kernel on bit-packed
-columns does the work.  Q reads its rank off the Z reduction, and each
-differential is reduced at most once per slice and characteristic.
+blocks once and is reduced block by block, each block's pivots dropped
+before the next.  One left-looking kernel takes a block's columns
+shortest first and reduces each against the pivots so far, keyed by
+leading (largest) row; a unit lead (+-1 over Z, any nonzero entry mod p)
+makes a new pivot.  Over odd F_p the pivots count the rank.  Over Z a
+column with any other lead joins a small residual, which a general Smith
+normal form loop takes once it is cleared against the unit pivots; a
+gcd/lcm repair across blocks restores the divisibility chain.  Over F2 an
+XOR kernel on bit-packed columns does the same walk.  Q reads its rank
+off the Z reduction, and each differential is reduced at most once per
+slice and characteristic.
 Everything is deterministic: bases are ordered lists and every reduction
 uses a fixed pivot rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from array import array
 from math import gcd
@@ -278,80 +280,60 @@ def _nearest_quotient(a, v):
     return q
 
 
-def _row_dicts(matrix, p=None, block=None):
-    """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p;
-    only the columns of ``block`` when one is given."""
-    if isinstance(matrix, SparseIntMatrix):
-        columns = matrix.columns
-        pairs = (
-            (i, j, v)
-            for j in (range(matrix.ncols) if block is None else block)
-            for i, v in columns[j].items()
-        )
-    else:
-        pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
-    rows = {}
-    for i, j, v in pairs:
-        if p is not None:
-            v %= p
-        if v:
-            rows.setdefault(i, {})[j] = v
-    return rows
+def _unit_pivots(columns, p=None):
+    """Split the unit pivots off a block's columns, left-looking.
 
-
-def _eliminate_units(rows, p=None):
-    """Pivot on units until none is left; returns the number of pivots.
-
-    Units are +-1 over Z (p None) and every nonzero entry mod p.  The
-    shortest live row goes first, and within it the unit whose column has
-    the fewest entries (ties by index).  Each pivot clears its column from
-    the other rows, then its row and column are dropped: over Z this splits
-    off an invariant factor 1, so ``rows`` is left holding a matrix with
-    the remaining invariant factors.  Rows are reduced in place.
+    Columns go shortest first.  Each is reduced against the pivots so far,
+    keyed by their leading row, the largest row index, until its leading
+    row is free.  Over F_p (p given) every lead is a unit, so the column
+    becomes a pivot scaled to lead 1; over Z a +-1 lead makes a pivot and
+    any other lead sends the column to the residual.  Pivots with unit
+    leads at distinct rows span a direct summand, so once each residual
+    column is cleared against them, in descending pivot row, the block's
+    invariant factors are one 1 per pivot followed by those of the
+    residual on the other rows.  Returns the number of pivots and the
+    residual as {row: {column: value}}, empty over F_p.
     """
-    col_index = {}
-    for i, r in rows.items():
-        for j in r:
-            col_index.setdefault(j, set()).add(i)
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        length, pi = heapq.heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != length:
-            continue  # stale: the row was dropped or re-queued with a new length
-        units = [j for j, v in prow.items() if p is not None or v in (1, -1)]
-        if not units:
-            continue  # re-queued if a later pivot changes the row
-        pj = min(units, key=lambda j: (len(col_index[j]), j))
-        # +-1 is its own inverse over Z
-        inv = prow[pj] if p is None else pow(prow[pj], -1, p)
-        for i in col_index[pj] - {pi}:
-            row = rows[i]
-            q = row[pj] * inv
-            for j, v in prow.items():
-                w = row.get(j, 0) - q * v
-                if p is not None:
+    pivots, residual = {}, []
+    for col in sorted(columns, key=len):
+        col = {i: v % p for i, v in col.items() if v % p} if p else dict(col)
+        while col and (lead := max(col)) in pivots:
+            pivot = pivots[lead]
+            q = col[lead] * pivot[lead]  # a pivot's lead is its own inverse
+            for i, v in pivot.items():
+                w = col.get(i, 0) - q * v
+                if p:
                     w %= p
                 if w:
-                    if j not in row:
-                        col_index[j].add(i)
-                    row[j] = w
-                elif j in row:
-                    del row[j]
-                    col_index[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                del rows[i]
-        for j in prow:
-            col_index[j].discard(pi)
-            if not col_index[j]:
-                del col_index[j]
-        del rows[pi]
-        pivots += 1
-    return pivots
+                    col[i] = w
+                else:
+                    del col[i]
+        if not col:
+            continue
+        v = col[lead]
+        if p:
+            inv = pow(v, -1, p)
+            pivots[lead] = {i: w * inv % p for i, w in col.items()}
+        elif v in (1, -1):
+            pivots[lead] = col
+        else:
+            residual.append(col)
+    rows = {}
+    for j, col in enumerate(residual):
+        # a pivot reaches only rows at or below its lead, so clearing the
+        # highest pivot row first never refills a row already cleared
+        while (lead := max((i for i in col if i in pivots), default=None)) is not None:
+            pivot = pivots[lead]
+            q = col[lead] * pivot[lead]
+            for i, v in pivot.items():
+                w = col.get(i, 0) - q * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    return len(pivots), rows
 
 
 def _snf_rows(rows):
@@ -448,24 +430,31 @@ def _divisibility_chain(factors):
     return factors, len(factors)
 
 
+def _column_blocks(matrix):
+    """The columns of a matrix, block by block: a SparseIntMatrix's blocks,
+    or the columns of a list of dense rows as one block."""
+    if isinstance(matrix, SparseIntMatrix):
+        columns = matrix.columns
+        return ([columns[j] for j in block] for block in matrix.blocks)
+    ncols = len(matrix[0]) if matrix else 0
+    return [[{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(ncols)]]
+
+
 def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix.
 
     Accepts a SparseIntMatrix or a list of dense rows.  Returns
     ``(factors, rank)`` where factors is the full divisibility chain
-    d1 | d2 | ... | d_rank (units included, all positive).  Unit pivots
-    come off first; the rest goes through the general pivot loop.  A
-    SparseIntMatrix goes block by block, and the factors above 1 of all
+    d1 | d2 | ... | d_rank (units included, all positive).  Each block
+    gives one factor 1 per unit pivot of _unit_pivots and the factors of
+    its residual from the general pivot loop; the factors above 1 of all
     blocks are brought into one chain at the end.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        parts = (_row_dicts(matrix, block=block) for block in matrix.blocks)
-    else:
-        parts = [_row_dicts(matrix)]
     units, factors = 0, []
-    for rows in parts:
-        units += _eliminate_units(rows)
-        factors += _snf_rows(rows)[0]
+    for columns in _column_blocks(matrix):
+        pivots, residual = _unit_pivots(columns)
+        units += pivots
+        factors += _snf_rows(residual)[0]
     chain, rank = _divisibility_chain([d for d in factors if d > 1])
     units += len(factors) - rank
     return [1] * units + chain, units + rank
@@ -492,13 +481,12 @@ def _rank_f2(columns, block):
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p: every nonzero entry is a unit, so the core does it all,
-    block by block; over F2 the XOR kernel takes each block instead."""
-    if not isinstance(matrix, SparseIntMatrix):
-        return _eliminate_units(_row_dicts(matrix, p), p)
-    if p == 2:
+    """Rank over F_p: the number of pivots of _unit_pivots mod p, block by
+    block, where every nonzero entry is a unit; over F2 the XOR kernel
+    takes each block of a SparseIntMatrix instead."""
+    if p == 2 and isinstance(matrix, SparseIntMatrix):
         return sum(_rank_f2(matrix.columns, b) for b in matrix.blocks)
-    return sum(_eliminate_units(_row_dicts(matrix, p, b), p) for b in matrix.blocks)
+    return sum(_unit_pivots(columns, p)[0] for columns in _column_blocks(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +499,19 @@ class ComplexSlice:
     bases[n] is the ordered generator list in degree n and diffs[n] the
     matrix of d_n with rows indexed by bases[n-1] and columns by bases[n]:
     ``diffs[n].columns[j]`` is d of ``bases[n][j]`` as {row index:
-    coefficient}.  Degrees absent from ``bases`` are zero modules.  The
-    package builds slices with _close_and_build, top-down.
+    coefficient}.  The package builds slices with _close_and_build,
+    top-down, which records the degree it built through as
+    ``built_through``: nothing above it is known, so d_n for n above it
+    is missing.  In a slice made by hand (``built_through`` None) degrees
+    absent from ``bases`` are zero modules.
     """
 
-    def __init__(self, bases, diffs, truncated_at=None):
+    def __init__(self, bases, diffs, truncated_at=None, built_through=None):
         self.bases = {n: tuple(b) for n, b in bases.items()}
         self.index = {}  # degree -> {generator: position}, built on first use
         self.diffs = dict(diffs)
         self.truncated_at = truncated_at
+        self.built_through = built_through
         # (degree, p) -> (invariant factors, rank) of d_n; p is None over Z and Q
         self.reductions = {}
         for n, mat in self.diffs.items():
@@ -544,6 +536,11 @@ class ComplexSlice:
     def differential(self, n):
         if n in self.diffs:
             return self.diffs[n]
+        top = self.built_through
+        if top is not None and n > top:
+            raise IncompleteSliceError(
+                f"no differential at degree {n}: the slice is built through degree {top}"
+            )
         if self.bases.get(n) and self.bases.get(n - 1):
             raise IncompleteSliceError(f"no differential stored at degree {n}")
         return SparseIntMatrix(
@@ -600,7 +597,7 @@ def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
         gens = rows
     if gens:
         bases[0] = gens
-    return ComplexSlice(bases, diffs, truncated_at=truncated_at)
+    return ComplexSlice(bases, diffs, truncated_at, built_through=max_degree)
 
 
 def check_d_squared(sl):
@@ -682,15 +679,15 @@ def homology_of_slice(sl, degree, ring=ZZ):
 
     Over Z the result is the free rank together with the invariant factors
     exceeding 1; over a field only the dimension is reported.  Q shares the
-    Z reduction, whose rank is the rank over Q.
+    Z reduction, whose rank is the rank over Q.  H_n needs d_(n+1), so a
+    slice built through degree n gives H_0 .. H_(n-1) and raises
+    IncompleteSliceError from degree n on.
     """
-    gens = sl.bases.get(degree, ())
-    if not gens:
-        return HomologyEntry(degree, 0)
     factors_in, rank_in = _reduction(sl, degree + 1, ring.p)
     _, rank_out = _reduction(sl, degree, ring.p)
     torsion = [d for d in factors_in if d > 1] if ring.kind == "Z" else ()
-    return HomologyEntry(degree, len(gens) - rank_out - rank_in, torsion)
+    free = len(sl.bases.get(degree, ())) - rank_out - rank_in
+    return HomologyEntry(degree, free, torsion)
 
 
 class HomologySummary:

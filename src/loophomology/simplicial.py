@@ -383,6 +383,7 @@ def validate(X):
 
     Empty means: faces have the right dimension, degeneracy words are
     canonical and in range, only simplices of dimension >= 1 have faces,
+    a d-simplex has face records at 0..d only,
     the basepoint is a vertex, and the simplicial identities
     d_i d_j = d_{j-1} d_i (i < j) hold.
     """
@@ -403,7 +404,10 @@ def validate(X):
         for s in ids:
             if d == 0:
                 continue
-            present = {i: e for i, e in records.get(s, {}).items() if 0 <= i <= d}
+            present = records.get(s, {})
+            for i in sorted(i for i in present if not 0 <= i <= d):
+                violations.append(f"{s}: face record {i} outside 0..{d}")
+            present = {i: e for i, e in present.items() if 0 <= i <= d}
             if not present:
                 violations.append(f"{s}: missing all {d + 1} faces")
                 continue

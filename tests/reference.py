@@ -9,9 +9,15 @@ seams).  The recursive generator sort key is the order oracle of the flat
 keys the slice builders pass, the depth-first word enumerators, which
 sort what they find, are the oracles of the level-by-level word walk,
 and the two-pass slice builder, which takes every differential of a
-degree before it re-keys any, is the oracle of the streaming one.
+degree before it re-keys any, is the oracle of the streaming one.  The
+right-looking unit elimination over row dicts, with a heap of rows by
+length, is the oracle of the left-looking unit-pivot kernel, and the
+helpers only tests call (phi summed over a chain, the freehedral label
+grammar) live here too.
 Tests assert that the package agrees with all of them.
 """
+
+import heapq
 
 from loophomology.cobar import reduce_word
 from loophomology.homalg import ZZ, Chain, ComplexSlice, SparseIntMatrix
@@ -54,7 +60,7 @@ def close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
         gens = rows
     if gens:
         bases[0] = gens
-    return ComplexSlice(bases, diffs, truncated_at=truncated_at)
+    return ComplexSlice(bases, diffs, truncated_at, built_through=max_degree)
 
 
 def coordinates(sl, chain, n):
@@ -402,6 +408,13 @@ def phi(space, gen, ring=ZZ, variant="rotation"):
     return out
 
 
+def phi_chain(space, chain, ring=ZZ, variant="rotation"):
+    out = Chain(ring)
+    for gen, c in chain.terms.items():
+        out.add_chain(phi(space, gen, ring, variant), c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the chain-map sweep
 
@@ -439,3 +452,108 @@ def _combination(coefficients, columns):
         for i, e in column.items():
             out[i] = out.get(i, 0) + c * e
     return {i: e for i, e in out.items() if e}
+
+
+# ---------------------------------------------------------------------------
+# unit elimination over row dicts
+
+
+def _row_dicts(matrix, p=None, block=None):
+    """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p;
+    only the columns of ``block`` when one is given."""
+    if isinstance(matrix, SparseIntMatrix):
+        columns = matrix.columns
+        pairs = (
+            (i, j, v)
+            for j in (range(matrix.ncols) if block is None else block)
+            for i, v in columns[j].items()
+        )
+    else:
+        pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
+    rows = {}
+    for i, j, v in pairs:
+        if p is not None:
+            v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def _eliminate_units(rows, p=None):
+    """Pivot on units until none is left; returns the number of pivots.
+
+    Units are +-1 over Z (p None) and every nonzero entry mod p.  The
+    shortest live row goes first, and within it the unit whose column has
+    the fewest entries (ties by index).  Each pivot clears its column from
+    the other rows, then its row and column are dropped: over Z this splits
+    off an invariant factor 1, so ``rows`` is left holding a matrix with
+    the remaining invariant factors.  Rows are reduced in place.
+    """
+    col_index = {}
+    for i, r in rows.items():
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue  # stale: the row was dropped or re-queued with a new length
+        units = [j for j, v in prow.items() if p is not None or v in (1, -1)]
+        if not units:
+            continue  # re-queued if a later pivot changes the row
+        pj = min(units, key=lambda j: (len(col_index[j]), j))
+        # +-1 is its own inverse over Z
+        inv = prow[pj] if p is None else pow(prow[pj], -1, p)
+        for i in col_index[pj] - {pi}:
+            row = rows[i]
+            q = row[pj] * inv
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if p is not None:
+                    w %= p
+                if w:
+                    if j not in row:
+                        col_index[j].add(i)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    col_index[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                del rows[i]
+        for j in prow:
+            col_index[j].discard(pi)
+            if not col_index[j]:
+                del col_index[j]
+        del rows[pi]
+        pivots += 1
+    return pivots
+
+
+# ---------------------------------------------------------------------------
+# freehedral labels
+
+
+def validate_label(label, n):
+    """Check the block grammar of a freehedral label inside F_n; raises
+    ValueError on failure."""
+    blocks = (label.f_block,) + label.cube_blocks
+    if len(label.f_block) < 1 or any(len(b) < 2 for b in label.cube_blocks):
+        raise ValueError(f"{label}: malformed blocks")
+    wraps = 0
+    for k, block in enumerate(blocks):
+        if any(x < 0 or x > n for x in block):
+            raise ValueError(f"{label}: entries escape 0..{n}")
+        if any(block[t] >= block[t + 1] for t in range(len(block) - 1)):
+            raise ValueError(f"{label}: block {block} is not increasing")
+        nxt = blocks[(k + 1) % len(blocks)]
+        if block[-1] == n and nxt[0] == 0:
+            wraps += 1
+        elif block[-1] != nxt[0]:
+            raise ValueError(f"{label}: blocks {block} and {nxt} do not chain")
+    if wraps != 1:
+        raise ValueError(f"{label}: expected exactly one n->0 wrap, saw {wraps}")

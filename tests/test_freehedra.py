@@ -7,8 +7,8 @@ from loophomology.freehedra import (
     label_faces,
     project_to_simplex,
     top_label,
-    validate_label,
 )
+from reference import validate_label
 
 
 def test_top_label_examples():

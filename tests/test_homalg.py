@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import _generator_sort_key, coordinates
+from reference import _eliminate_units, _generator_sort_key, _row_dicts, coordinates
 from loophomology.homalg import (
     Chain,
     ComplexSlice,
@@ -18,9 +18,8 @@ from loophomology.homalg import (
     IncompleteSliceError,
     SparseIntMatrix,
     ZZ,
-    _eliminate_units,
-    _row_dicts,
     _snf_rows,
+    _unit_pivots,
     check_d_squared,
     homology_of_slice,
     parse_ring,
@@ -178,8 +177,8 @@ def test_rank_functions_agree_with_smith():
 
 
 def _assert_blocks_agree_with_whole_matrix(matrix):
-    # Oracle: the unit core and the general loop run on the whole matrix at
-    # once, as the package ran them before it reduced block by block.
+    # Oracle: the right-looking heap core that the unit-pivot kernel
+    # replaced and the general loop, run on the whole matrix at once.
     rows = _row_dicts(matrix)
     units = _eliminate_units(rows)
     factors, rank = _snf_rows(rows)
@@ -257,6 +256,37 @@ def test_block_reduction_matches_the_whole_matrix(data):
         assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(dense, p), p)
 
 
+def test_unit_pivots_match_the_heap_core():
+    # Mostly +-1 with some 2, 3, 4 and 6: the kernel's unit pivots plus the
+    # general loop on its residual against the heap core plus the general
+    # loop, over Z; the pivot counts against the heap core mod 3 and 5.
+    residuals = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        nrows = data.draw(st.integers(1, 9))
+        ncols = data.draw(st.integers(1, 9))
+        entry = st.sampled_from([0] * 12 + [1, -1] * 4 + [2, -2, 3, 4, -6])
+        dense = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        columns = [
+            {i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)
+        ]
+        pivots, residual = _unit_pivots(columns)
+        residuals.append(len(residual))
+        factors, rank = _snf_rows(residual)
+        rows = _row_dicts(dense)
+        units = _eliminate_units(rows)
+        ref_factors, ref_rank = _snf_rows(rows)
+        assert [1] * pivots + factors == [1] * units + ref_factors
+        assert pivots + rank == units + ref_rank
+        for p in (3, 5):
+            assert _unit_pivots(columns, p) == (_eliminate_units(_row_dicts(dense, p), p), {})
+
+    check()
+    assert any(residuals)  # the general loop after the kernel is exercised
+
+
 def test_homology_reduces_each_differential_once(monkeypatch):
     calls = {}
 
@@ -292,7 +322,7 @@ def test_homology_examples():
     )
     assert homology_of_slice(times_two, 0) == HomologyEntry(0, 0, (2,))
     assert homology_of_slice(times_two, 1) == HomologyEntry(1, 0)
-    sl = chains_slice(builtin_space("sphere2"), 2)
+    sl = chains_slice(builtin_space("sphere2"), 3)
     assert [homology_of_slice(sl, n) for n in range(3)] == [
         HomologyEntry(0, 1),
         HomologyEntry(1, 0),
@@ -311,7 +341,7 @@ def test_homology_field_rings():
 
 
 def test_homology_permutation_invariance():
-    sl = chains_slice(builtin_space("boundary-delta3"), 2)
+    sl = chains_slice(builtin_space("boundary-delta3"), 3)
     base = [homology_of_slice(sl, n) for n in range(3)]
     # permute the edge basis and conjugate the matrices accordingly
     perm = [3, 0, 4, 1, 5, 2]
@@ -331,7 +361,7 @@ def test_homology_permutation_invariance():
 
 def test_homology_builds_no_index_and_coordinates_build_one_per_degree():
     sl = build_complex_slice(builtin_space("torus"), "hat-cohoch", 4, max_word_length=2)
-    for n in sl.degrees():
+    for n in sl.degrees()[:-1]:  # H_n reads d_n and d_(n+1)
         homology_of_slice(sl, n)
         homology_of_slice(sl, n, prime_field(2))
     assert sl.index == {}
@@ -352,6 +382,27 @@ def test_incomplete_slice_error():
     sl = ComplexSlice({0: ["a"], 1: ["b"]}, {})
     with pytest.raises(IncompleteSliceError):
         homology_of_slice(sl, 0)
+    # a slice made by hand has zero modules where it has no basis
+    assert homology_of_slice(ComplexSlice({0: ["a"]}, {}), 5) == HomologyEntry(5, 0)
+
+
+def test_homology_needs_the_differential_above_the_slice():
+    # H_6 of the free loops of S^2 is Z + Z/2; the Z/2 is the cokernel of
+    # d_7, which a slice built through degree 6 does not hold
+    S2 = builtin_space("sphere2")
+    sl = cohoch_slice(S2, 6)
+    assert sl.built_through == 6
+    for n in (6, 7, 9):
+        with pytest.raises(IncompleteSliceError, match="built through degree 6"):
+            homology_of_slice(sl, n)
+    assert homology_of_slice(sl, 5) == HomologyEntry(5, 1)
+    assert homology_of_slice(cohoch_slice(S2, 7), 6) == HomologyEntry(6, 1, (2,))
+    # the same holds where the basis of the top degree is empty
+    sl = chains_slice(S2, 4)
+    assert not sl.bases.get(4)
+    with pytest.raises(IncompleteSliceError):
+        homology_of_slice(sl, 4)
+    assert homology_of_slice(sl, 3) == HomologyEntry(3, 0)
 
 
 def test_check_d_squared_clean_and_empty():
@@ -673,9 +724,9 @@ def test_build_peak_stays_near_what_the_slice_keeps(space, build, degree, cap):
 
 
 def test_reduction_peak_stays_small_beside_the_slice():
-    # Each block's row dicts are built, reduced and dropped before the next
-    # block starts, so the reduction's transient is bounded by the largest
-    # block; whole-matrix row dicts took two thirds of what the slice keeps.
+    # Each block's pivots are built and dropped before the next block
+    # starts, so the reduction's transient is bounded by the largest block;
+    # whole-matrix row dicts took two thirds of what the slice keeps.
     X = builtin_space("torus")
     _hat_cohoch(X, 1, 1)
     gc.collect()
@@ -687,7 +738,7 @@ def test_reduction_peak_stays_small_beside_the_slice():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         for ring in (ZZ, prime_field(2)):
-            for n in sl.degrees():
+            for n in sl.degrees()[:-1]:  # H_n reads d_n and d_(n+1)
                 homology_of_slice(sl, n, ring)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -30,7 +30,6 @@ from loophomology.comparison import (
     necklical_differential,
     necklical_face,
     phi,
-    phi_chain,
 )
 from loophomology.loopcomplex import (
     cohoch_basis,
@@ -39,6 +38,7 @@ from loophomology.loopcomplex import (
     hochschild_differential,
     hochschild_slice,
 )
+from reference import phi_chain
 
 S2 = builtin_space("sphere2")
 POINT = builtin_space("point")

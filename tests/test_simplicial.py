@@ -273,6 +273,20 @@ def test_validate_refuses_faces_of_vertices_and_unknown_ids():
     ]
 
 
+def test_validate_reports_face_indices_outside_the_simplex():
+    # a presentation built in Python can carry records the loader refuses
+    v = nondeg("v")
+    faces = {("t", 0): v, ("t", 1): v, ("t", 7): nondeg("nowhere"), ("t", -1): v}
+    X = SimplicialSetPresentation("c", "v", {0: ["v"], 1: ["t"]}, faces)
+    assert validate(X) == [
+        "t: face record -1 outside 0..1",
+        "t: face record 7 outside 0..1",
+    ]
+    only_strays = {("t", 2): v}
+    X = SimplicialSetPresentation("c", "v", {0: ["v"], 1: ["t"]}, only_strays)
+    assert validate(X) == ["t: face record 2 outside 0..1", "t: missing all 2 faces"]
+
+
 def test_validate_reports_faceless_simplex_once():
     X = SimplicialSetPresentation("huge", "a", {0: ["a"], 10**6: ["q"]}, {})
     assert validate(X) == ["q: missing all 1000001 faces"]
