@@ -267,20 +267,23 @@ def _tensor_terms(algebra, b, degs, u, out):
 def cobar_slice(space, max_degree, max_word_length=None):
     """ComplexSlice of the cobar construction through max_degree.
 
-    For a 1-reduced presentation the bases are exact per degree; for an
-    OpExtension a word-length cap is mandatory and the slice is the
-    d-closure of the capped enumeration, flagged via ``truncated_at``.
+    A plain presentation must be 1-reduced.  Over a 1-reduced space the
+    bases are exact per degree; over Z(X) of a space that is not, a
+    word-length cap is mandatory and the slice is the d-closure of the
+    capped enumeration, flagged via ``truncated_at``.
     """
     truncated_at = None
-    if isinstance(space, OpExtension) and not space.is_one_reduced():
-        if max_word_length is None:
-            raise SimplicialError(
-                f"{space.name}: the inverted cobar complex is degreewise infinite; "
-                f"a word-length cap is required"
-            )
-        cap = truncated_at = max_word_length
-    else:
+    if not isinstance(space, OpExtension):
+        space.require_one_reduced("the plain cobar complex")
+    if space.is_one_reduced():
         cap = _exact_cap(space, max_degree)
+    elif max_word_length is None:
+        raise SimplicialError(
+            f"{space.name}: the inverted cobar complex is degreewise infinite; "
+            f"a word-length cap is required"
+        )
+    else:
+        cap = truncated_at = max_word_length
     seeds = {n: hat_cobar_basis(space, n, cap) for n in range(max_degree + 1)}
     algebra = CobarAlgebra(space)
 

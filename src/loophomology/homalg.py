@@ -15,18 +15,19 @@ shape, so a closed window takes them as they come; a truncated one adopts
 what its columns name beyond the seeds, and only then is a basis sorted.
 
 The free loop space splits over free homotopy classes, so a differential
-is block-diagonal up to permutation: each matrix finds its connected
-blocks once and is reduced block by block, each block's pivots dropped
-before the next.  One left-looking kernel takes a block's columns
+is block-diagonal up to permutation: each matrix (dense rows are made a
+SparseIntMatrix once) finds its connected blocks once and is reduced
+block by block.  One left-looking kernel takes a block's columns
 shortest first and reduces each against the pivots so far, keyed by
 leading (largest) row; a unit lead (+-1 over Z, any nonzero entry mod p)
 makes a new pivot.  Over odd F_p the pivots count the rank.  Over Z a
-column with any other lead joins a small residual, which a general Smith
-normal form loop takes once it is cleared against the unit pivots; a
-gcd/lcm repair across blocks restores the divisibility chain.  Over F2 an
-XOR kernel on bit-packed columns does the same walk.  Q reads its rank
-off the Z reduction, and each differential is reduced at most once per
-slice and characteristic.
+column with any other lead joins a residual of a few columns or rows;
+cleared against the unit pivots, it goes to a short Smith normal form
+loop (least entry as pivot, clear its column, then its row), and one
+gcd/lcm pass across blocks makes the divisibility chain.  F2 always
+takes an XOR kernel on bit-packed columns, which does the same walk.  Q
+reads its rank off the Z reduction, and each differential is reduced at
+most once per slice and characteristic.
 Everything is deterministic: bases are ordered lists and every reduction
 uses a fixed pivot rule.
 """
@@ -337,122 +338,92 @@ def _unit_pivots(columns, p=None):
 
 
 def _snf_rows(rows):
-    """Invariant factors and rank of the matrix held in ``rows``.
+    """Invariant factors and rank of the matrix held in ``rows``, as
+    {row: {column: value}}; consumes ``rows``.
 
-    Pivots are chosen by minimal absolute value, then minimal fill, so the
-    reduction is deterministic and coefficient growth stays tame.  Consumes
-    ``rows``.
+    The pivot is an entry of least absolute value, ties broken by position.
+    Row operations clear its column, then column operations clear its row,
+    each by the nearest quotient; a nonzero remainder is smaller than the
+    pivot and becomes the pivot, so each round ends.
     """
-    rows = {i: r for i, r in rows.items() if r}
-    col_index = {}
-    for i, r in rows.items():
-        for j in r:
-            col_index.setdefault(j, set()).add(i)
-
-    def drop_entry(i, j):
-        del rows[i][j]
-        col_index[j].discard(i)
-        if not col_index[j]:
-            del col_index[j]
-        if not rows[i]:
-            del rows[i]
-
-    def set_entry(i, j, v):
-        if v:
-            if j not in rows.setdefault(i, {}):
-                col_index.setdefault(j, set()).add(i)
-            rows[i][j] = v
-        elif i in rows and j in rows[i]:
-            drop_entry(i, j)
-
     diagonal = []
-    while rows:
-        # Deterministic pivot: minimal |value|, then minimal fill, then
-        # position; a unit pivot with no fill ends the scan early.
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                key = (abs(v), (len(r) - 1) * (len(col_index[j]) - 1), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best[0][0] == 1 and best[0][1] == 0:
-                break
-        _, pi, pj = best
-        # Clear the pivot column, then the pivot row; a surviving remainder
-        # hands the pivot to a strictly smaller entry, so this terminates.
+    while pivot := min(
+        ((abs(v), i, j) for i, r in rows.items() for j, v in r.items()), default=None
+    ):
+        _, pi, pj = pivot
         while True:
-            pv = rows[pi][pj]
-            others_col = [i for i in col_index[pj] if i != pi]
-            if others_col:
-                for i in others_col:
-                    a = rows[i][pj]
-                    q = _nearest_quotient(a, pv)
-                    if q:
-                        for j, v in list(rows[pi].items()):
-                            set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
-                leftovers = [i for i in col_index.get(pj, set()) if i != pi]
-                if leftovers:
-                    pi = min(leftovers, key=lambda i: (abs(rows[i][pj]), i))
+            prow = rows[pi]
+            pv = prow[pj]
+            left = []
+            for i, r in rows.items():
+                if i != pi and pj in r:
+                    q = _nearest_quotient(r[pj], pv)
+                    if q:  # 0 if r[pj] is under half a pivot that has moved
+                        for j, v in prow.items():
+                            w = r.get(j, 0) - q * v
+                            if w:
+                                r[j] = w
+                            else:
+                                del r[j]
+                    if pj in r:
+                        left.append((abs(r[pj]), i))
+            if left:
+                pi = min(left)[1]
                 continue
-            others_row = [j for j in rows[pi] if j != pj]
-            if others_row:
-                # The pivot column is zero outside the pivot row now, so the
-                # column operation col_j -= q * col_pj only touches row pi.
-                for j in others_row:
-                    a = rows[pi][j]
-                    q = _nearest_quotient(a, pv)
-                    set_entry(pi, j, a - q * pv)
-                leftovers = [j for j in rows.get(pi, {}) if j != pj]
-                if leftovers:
-                    pj = min(leftovers, key=lambda j: (abs(rows[pi][j]), j))
-                continue
-            break
-        diagonal.append(abs(rows[pi][pj]))
-        drop_entry(pi, pj)
-
-    return _divisibility_chain([d for d in diagonal if d])
+            # column pj is zero off row pi: column operations change row pi
+            for j, a in list(prow.items()):
+                if j != pj:
+                    w = a - _nearest_quotient(a, pv) * pv
+                    if w:
+                        prow[j] = w
+                        left.append((abs(w), j))
+                    else:
+                        del prow[j]
+            if not left:
+                break
+            pj = min(left)[1]
+        diagonal.append(abs(pv))
+        del rows[pi]
+    return _divisibility_chain(diagonal)
 
 
 def _divisibility_chain(factors):
-    """Sorted invariant factors of diag(factors): the pairwise repair
-    diag(a, b) ~ diag(gcd, lcm) until each factor divides the next."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-    factors.sort()
+    """Invariant factors of diag(factors), ascending: the pairwise repair
+    diag(a, b) ~ diag(gcd, lcm) in one pass over the pairs (i, j), i < j.
+    After pair (i, j) f_i divides f_j, and later pairs keep that."""
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            if b % a:
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a * b // g
     return factors, len(factors)
 
 
-def _column_blocks(matrix):
-    """The columns of a matrix, block by block: a SparseIntMatrix's blocks,
-    or the columns of a list of dense rows as one block."""
+def _sparse(matrix):
+    """A SparseIntMatrix as it is, or one made once from a list of dense rows."""
     if isinstance(matrix, SparseIntMatrix):
-        columns = matrix.columns
-        return ([columns[j] for j in block] for block in matrix.blocks)
-    ncols = len(matrix[0]) if matrix else 0
-    return [[{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(ncols)]]
+        return matrix
+    columns = [{i: v for i, v in enumerate(col) if v} for col in zip(*matrix)]
+    return SparseIntMatrix(len(matrix), columns)
 
 
 def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix.
 
-    Accepts a SparseIntMatrix or a list of dense rows.  Returns
-    ``(factors, rank)`` where factors is the full divisibility chain
-    d1 | d2 | ... | d_rank (units included, all positive).  Each block
-    gives one factor 1 per unit pivot of _unit_pivots and the factors of
-    its residual from the general pivot loop; the factors above 1 of all
-    blocks are brought into one chain at the end.
+    Accepts a SparseIntMatrix or a list of dense rows, which is made sparse
+    once.  Returns ``(factors, rank)`` where factors is the full
+    divisibility chain d1 | d2 | ... | d_rank (units included, all
+    positive).  Block by block, _unit_pivots splits off one factor 1 per
+    unit pivot, and the short pivot loop of _snf_rows takes the cleared
+    residual; the factors above 1 of all blocks are brought into one chain
+    at the end.
     """
+    matrix = _sparse(matrix)
+    columns = matrix.columns
     units, factors = 0, []
-    for columns in _column_blocks(matrix):
-        pivots, residual = _unit_pivots(columns)
+    for block in matrix.blocks:
+        pivots, residual = _unit_pivots([columns[j] for j in block])
         units += pivots
         factors += _snf_rows(residual)[0]
     chain, rank = _divisibility_chain([d for d in factors if d > 1])
@@ -481,12 +452,15 @@ def _rank_f2(columns, block):
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p: the number of pivots of _unit_pivots mod p, block by
-    block, where every nonzero entry is a unit; over F2 the XOR kernel
-    takes each block of a SparseIntMatrix instead."""
-    if p == 2 and isinstance(matrix, SparseIntMatrix):
-        return sum(_rank_f2(matrix.columns, b) for b in matrix.blocks)
-    return sum(_unit_pivots(columns, p)[0] for columns in _column_blocks(matrix))
+    """Rank over F_p of a SparseIntMatrix or a list of dense rows, which is
+    made sparse once.  Block by block, F2 takes the XOR kernel of _rank_f2
+    and odd p counts the pivots of _unit_pivots mod p, where every nonzero
+    entry is a unit."""
+    matrix = _sparse(matrix)
+    columns = matrix.columns
+    if p == 2:
+        return sum(_rank_f2(columns, b) for b in matrix.blocks)
+    return sum(_unit_pivots([columns[j] for j in b], p)[0] for b in matrix.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,10 @@ def hochschild_differential(algebra, gen, ring=ZZ):
 
 
 def hochschild_slice(space, max_degree, *, word_cap=None):
-    """ComplexSlice of Hoch(A) for A the cobar algebra of the space."""
+    """ComplexSlice of Hoch(A) for A the cobar algebra of the space; a plain
+    space must be 1-reduced."""
+    if not isinstance(space, OpExtension):
+        space.require_one_reduced("the plain Hochschild complex")
     algebra = CobarAlgebra(space)
     truncated_at = None
     if space.is_one_reduced():

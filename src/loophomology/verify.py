@@ -45,7 +45,10 @@ def select_chi_variant(max_degree=5):
     The sweep runs over the Hochschild generators of a 1-reduced fixture
     whose letters mix even and odd degrees (a collapsed 3-simplex), which
     is what separates the two adjacent-index readings; single-generator
-    spheres cannot tell them apart.  Returns (variant, details).
+    spheres cannot tell them apart.  Returns (variant, detail, mismatches):
+    the first reading with no mismatch (else the one with fewest), the
+    sweep's report line, and {reading: number of failing generators}.
+    Cached per max_degree.
     """
     if max_degree in _chi_selection_cache:
         return _chi_selection_cache[max_degree]

@@ -11,16 +11,26 @@ sort what they find, are the oracles of the level-by-level word walk,
 and the two-pass slice builder, which takes every differential of a
 degree before it re-keys any, is the oracle of the streaming one.  The
 right-looking unit elimination over row dicts, with a heap of rows by
-length, is the oracle of the left-looking unit-pivot kernel, and the
-helpers only tests call (phi summed over a chain, the freehedral label
-grammar) live here too.
+length, is the oracle of the left-looking unit-pivot kernel; the general
+pivot loop built for whole matrices (minimal value, then minimal fill,
+over a column index of sets) and its repeated divisibility repair are the
+oracles of the short loop on the cleared residual and of its one-pass
+repair.  The helpers only tests call (phi summed over a chain, the
+freehedral label grammar) live here too.
 Tests assert that the package agrees with all of them.
 """
 
 import heapq
+from math import gcd
 
 from loophomology.cobar import reduce_word
-from loophomology.homalg import ZZ, Chain, ComplexSlice, SparseIntMatrix
+from loophomology.homalg import (
+    ZZ,
+    Chain,
+    ComplexSlice,
+    SparseIntMatrix,
+    _nearest_quotient,
+)
 from loophomology.simplicial import OpExtension, SimplicialError
 
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
@@ -532,6 +542,121 @@ def _eliminate_units(rows, p=None):
         del rows[pi]
         pivots += 1
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# the general pivot loop over row dicts
+
+
+def _snf_rows(rows):
+    """Invariant factors and rank of the matrix held in ``rows``.
+
+    Pivots are chosen by minimal absolute value, then minimal fill, so the
+    reduction is deterministic and coefficient growth stays tame.  Consumes
+    ``rows``.
+    """
+    rows = {i: r for i, r in rows.items() if r}
+    col_index = {}
+    for i, r in rows.items():
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
+
+    def drop_entry(i, j):
+        del rows[i][j]
+        col_index[j].discard(i)
+        if not col_index[j]:
+            del col_index[j]
+        if not rows[i]:
+            del rows[i]
+
+    def set_entry(i, j, v):
+        if v:
+            if j not in rows.setdefault(i, {}):
+                col_index.setdefault(j, set()).add(i)
+            rows[i][j] = v
+        elif i in rows and j in rows[i]:
+            drop_entry(i, j)
+
+    diagonal = []
+    while rows:
+        # Deterministic pivot: minimal |value|, then minimal fill, then
+        # position; a unit pivot with no fill ends the scan early.
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                key = (abs(v), (len(r) - 1) * (len(col_index[j]) - 1), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+            if best[0][0] == 1 and best[0][1] == 0:
+                break
+        _, pi, pj = best
+        # Clear the pivot column, then the pivot row; a surviving remainder
+        # hands the pivot to a strictly smaller entry, so this terminates.
+        while True:
+            pv = rows[pi][pj]
+            others_col = [i for i in col_index[pj] if i != pi]
+            if others_col:
+                for i in others_col:
+                    a = rows[i][pj]
+                    q = _nearest_quotient(a, pv)
+                    if q:
+                        for j, v in list(rows[pi].items()):
+                            set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
+                leftovers = [i for i in col_index.get(pj, set()) if i != pi]
+                if leftovers:
+                    pi = min(leftovers, key=lambda i: (abs(rows[i][pj]), i))
+                continue
+            others_row = [j for j in rows[pi] if j != pj]
+            if others_row:
+                # The pivot column is zero outside the pivot row now, so the
+                # column operation col_j -= q * col_pj only touches row pi.
+                for j in others_row:
+                    a = rows[pi][j]
+                    q = _nearest_quotient(a, pv)
+                    set_entry(pi, j, a - q * pv)
+                leftovers = [j for j in rows.get(pi, {}) if j != pj]
+                if leftovers:
+                    pj = min(leftovers, key=lambda j: (abs(rows[pi][j]), j))
+                continue
+            break
+        diagonal.append(abs(rows[pi][pj]))
+        drop_entry(pi, pj)
+
+    return _divisibility_chain([d for d in diagonal if d])
+
+
+def _divisibility_chain(factors):
+    """Sorted invariant factors of diag(factors): the pairwise repair
+    diag(a, b) ~ diag(gcd, lcm) until each factor divides the next."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                if b % a:
+                    g = gcd(a, b)
+                    factors[i], factors[j] = g, a * b // g
+                    changed = True
+    factors.sort()
+    return factors, len(factors)
+
+
+def _divisibility_chain(factors):
+    """Sorted invariant factors of diag(factors): the pairwise repair
+    diag(a, b) ~ diag(gcd, lcm) until each factor divides the next."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                if b % a:
+                    g = gcd(a, b)
+                    factors[i], factors[j] = g, a * b // g
+                    changed = True
+    factors.sort()
+    return factors, len(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from loophomology.homalg import (
     IncompleteSliceError,
     SparseIntMatrix,
     ZZ,
-    _snf_rows,
     _unit_pivots,
     check_d_squared,
     homology_of_slice,
@@ -131,7 +130,7 @@ def test_smith_against_minor_gcds():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         factors, rank = smith_normal_form(rows)
         # the unit pass must not change what the general pivot loop finds
-        assert (factors, rank) == _snf_rows(_row_dicts(rows))
+        assert (factors, rank) == reference._snf_rows(_row_dicts(rows))
         gcds = _minor_gcds(rows, n)
         # rank = largest k with a nonzero k x k minor
         expected_rank = max((k for k, g in enumerate(gcds, 1) if g), default=0)
@@ -148,7 +147,7 @@ def _assert_reductions_agree(matrix):
     # Oracles: the general pivot loop on the whole matrix for the invariant
     # factors, and universal coefficients for the ranks mod p.
     factors, rank = smith_normal_form(matrix)
-    assert (factors, rank) == _snf_rows(_row_dicts(matrix))
+    assert (factors, rank) == reference._snf_rows(_row_dicts(matrix))
     for p in (2, 3, 5):
         assert rank_mod_p(matrix, p) == sum(1 for d in factors if d % p)
     return factors
@@ -181,7 +180,7 @@ def _assert_blocks_agree_with_whole_matrix(matrix):
     # replaced and the general loop, run on the whole matrix at once.
     rows = _row_dicts(matrix)
     units = _eliminate_units(rows)
-    factors, rank = _snf_rows(rows)
+    factors, rank = reference._snf_rows(rows)
     assert smith_normal_form(matrix) == ([1] * units + factors, units + rank)
     for p in (2, 3):
         assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(matrix, p), p)
@@ -251,7 +250,7 @@ def test_block_reduction_matches_the_whole_matrix(data):
         nrows,
         [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)],
     )
-    assert smith_normal_form(matrix) == _snf_rows(_row_dicts(dense))
+    assert smith_normal_form(matrix) == reference._snf_rows(_row_dicts(dense))
     for p in (2, 3):
         assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(dense, p), p)
 
@@ -274,10 +273,10 @@ def test_unit_pivots_match_the_heap_core():
         ]
         pivots, residual = _unit_pivots(columns)
         residuals.append(len(residual))
-        factors, rank = _snf_rows(residual)
+        factors, rank = reference._snf_rows(residual)
         rows = _row_dicts(dense)
         units = _eliminate_units(rows)
-        ref_factors, ref_rank = _snf_rows(rows)
+        ref_factors, ref_rank = reference._snf_rows(rows)
         assert [1] * pivots + factors == [1] * units + ref_factors
         assert pivots + rank == units + ref_rank
         for p in (3, 5):
@@ -285,6 +284,43 @@ def test_unit_pivots_match_the_heap_core():
 
     check()
     assert any(residuals)  # the general loop after the kernel is exercised
+
+
+def test_residual_loop_matches_the_general_loop():
+    # The short loop against the one built for whole matrices: small dense
+    # matrices, and wide and tall sparse ones with no +-1 entry, the shapes
+    # of a residual cleared against the unit pivots.
+    # Here the pivot moves to -2 in row 1, and row 2's -1 under it has
+    # nearest quotient 0; row 2 has no entry in the pivot row's other
+    # column, so a row operation by 0 would delete an absent entry.
+    pinned = [[-2, 4, 1], [0, 2, -2], [0, 1, -2]]
+    assert homalg._snf_rows(_row_dicts(pinned)) == ([1, 1, 4], 3)
+    assert _minor_gcds(pinned, 3) == [1, 1, 4]
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.data())
+    def check(data):
+        shape = data.draw(st.sampled_from(["dense", "wide", "tall"]))
+        if shape == "dense":
+            nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+            entry = st.integers(-9, 9)
+        else:
+            short, long = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+            nrows, ncols = (short, long) if shape == "wide" else (long, short)
+            entry = st.sampled_from([0] * 12 + [2, -2, 3, -3, 4, 6, -9])
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        dense = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+        expected = reference._snf_rows(_row_dicts(dense))
+        assert homalg._snf_rows(_row_dicts(dense)) == expected
+
+    check()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 72), max_size=8))
+def test_divisibility_chain_takes_one_pass(factors):
+    expected = reference._divisibility_chain(list(factors))
+    assert homalg._divisibility_chain(list(factors)) == expected
 
 
 def test_homology_reduces_each_differential_once(monkeypatch):

@@ -15,6 +15,7 @@ from loophomology.cobar import (
     CobarAlgebra,
     bar_differential,
     cobar_differential,
+    cobar_slice,
     hochschild_basis,
     word_degree,
 )
@@ -569,3 +570,18 @@ def test_hochschild_slice_over_inverted_algebra():
     assert homology_of_slice(sl, 0).free_rank == 5
     with pytest.raises(SimplicialError):
         hochschild_slice(ext, 2)
+
+
+@pytest.mark.parametrize("name", ["circle", "torus", "boundary-delta3"])
+def test_plain_slices_refuse_a_space_that_is_not_one_reduced(name):
+    # a cap does not make a plain complex of such a space honest: all three
+    # refuse alike, naming the first obstruction; Z(X) takes the cap
+    X = builtin_space(name)
+    for build in (
+        lambda: cobar_slice(X, 3, max_word_length=2),
+        lambda: hochschild_slice(X, 3, word_cap=2),
+        lambda: cohoch_slice(X, 3, max_word_length=2),
+    ):
+        with pytest.raises(SimplicialError, match=f"needs a 1-reduced space; {name} has"):
+            build()
+    assert cobar_slice(adjoin_inverses(X), 3, max_word_length=2).truncated_at == 2
