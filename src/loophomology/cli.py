@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from ._records import Record, Value
-from .complexes import COMPLEX_NAMES, build_complex_slice, complex_requires_one_reduced
-from .homalg import HomologySummary, homology_of_slice, parse_ring
+from .complexes import COMPLEX_NAMES, complex_recipe, complex_requires_one_reduced
+from .homalg import HomologySummary, homology_pass, parse_ring
 from .simplicial import (
     BUILTIN_NAMES,
     SimplicialError,
@@ -104,19 +104,14 @@ def cmd_homology(config):
             f"{config.complex_name} of {X.name} needs --max-word-length "
             f"(degree components are infinite)"
         )
-    sl = build_complex_slice(
-        X, config.complex_name, config.max_degree + 1, config.max_word_length
-    )
+    recipe = complex_recipe(X, config.complex_name, config.max_word_length)
     ring = parse_ring(config.ring)
-    entries = [
-        homology_of_slice(sl, n, ring) for n in range(config.max_degree + 1)
-    ]
     return HomologySummary(
-        entries,
+        homology_pass(recipe, config.max_degree, ring),
         ring=ring,
         space=X.name,
         complex_name=config.complex_name,
-        truncated_at=sl.truncated_at,
+        truncated_at=recipe[3],
     )
 
 

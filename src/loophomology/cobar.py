@@ -122,19 +122,15 @@ def cobar_differential(space, w, ring=ZZ):
 # Word bases
 
 
-def _exact_cap(X, degree):
-    """A word-length cap that never binds in degrees up to ``degree``: over
-    a 1-reduced space every letter has shifted degree >= 1."""
-    if not X.is_one_reduced():
-        raise SimplicialError(
-            f"{X.name}: cobar words without a length cap need a 1-reduced space"
-        )
-    return max(degree, 1)
-
-
 def cobar_basis(space, degree):
-    """All cobar words of the given degree over a 1-reduced presentation."""
-    return hat_cobar_basis(space, degree, _exact_cap(space, degree))
+    """All cobar words of the given degree over a 1-reduced presentation,
+    where every letter has shifted degree >= 1, so the cap max(degree, 1)
+    never binds."""
+    if not space.is_one_reduced():
+        raise SimplicialError(
+            f"{space.name}: cobar words without a length cap need a 1-reduced space"
+        )
+    return hat_cobar_basis(space, degree, max(degree, 1))
 
 
 def words_between(space, start, end, degree, max_word_length):
@@ -264,33 +260,40 @@ def _tensor_terms(algebra, b, degs, u, out):
 # Complex slices
 
 
-def cobar_slice(space, max_degree, max_word_length=None):
-    """ComplexSlice of the cobar construction through max_degree.
+def cobar_recipe(space, max_word_length=None):
+    """(seeds, differential, key, truncated_at) of the cobar construction.
 
     A plain presentation must be 1-reduced.  Over a 1-reduced space the
     bases are exact per degree; over Z(X) of a space that is not, a
-    word-length cap is mandatory and the slice is the d-closure of the
+    word-length cap is mandatory and a slice is the d-closure of the
     capped enumeration, flagged via ``truncated_at``.
     """
     truncated_at = None
     if not isinstance(space, OpExtension):
         space.require_one_reduced("the plain cobar complex")
-    if space.is_one_reduced():
-        cap = _exact_cap(space, max_degree)
-    elif max_word_length is None:
-        raise SimplicialError(
-            f"{space.name}: the inverted cobar complex is degreewise infinite; "
-            f"a word-length cap is required"
-        )
-    else:
-        cap = truncated_at = max_word_length
-    seeds = {n: hat_cobar_basis(space, n, cap) for n in range(max_degree + 1)}
+    if not space.is_one_reduced():
+        if max_word_length is None:
+            raise SimplicialError(
+                f"{space.name}: the inverted cobar complex is degreewise infinite; "
+                f"a word-length cap is required"
+            )
+        truncated_at = max_word_length
     algebra = CobarAlgebra(space)
+
+    def seeds(n):
+        cap = max(n, 1) if truncated_at is None else truncated_at
+        return hat_cobar_basis(space, n, cap)
 
     def diff(w):
         return _nonzero(algebra.differential(w))
 
-    return _close_and_build(seeds, diff, max_degree, _word_key, truncated_at)
+    return seeds, diff, _word_key, truncated_at
+
+
+def cobar_slice(space, max_degree, max_word_length=None):
+    """ComplexSlice of the cobar construction through max_degree (see
+    cobar_recipe)."""
+    return _close_and_build(cobar_recipe(space, max_word_length), max_degree)
 
 
 def hochschild_basis(algebra, degree, word_cap=None):

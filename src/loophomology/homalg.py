@@ -9,10 +9,13 @@ columns, one {row: value} dict per generator, which is how a differential
 is computed and how every reader wants it.  One builder owns generator
 order: it closes a slice's bases under the differential top-down, one
 degree at a time, and re-keys each differential into an index column as
-soon as it is taken, so it holds one raw column at a time.  Its callers
-enumerate seeds in the order of the flat key they give for the generator
-shape, so a closed window takes them as they come; a truncated one adopts
-what its columns name beyond the seeds, and only then is a basis sorted.
+soon as it is taken, so it holds one raw column at a time.  Each complex
+is a recipe (seeds by degree, differential, flat key, cap) whose seeds
+come in key order, so a closed window takes them as they come; a
+truncated one adopts what its columns name beyond the seeds, and only
+then is a basis sorted.  The builder stores a slice or feeds the homology
+pass, which reduces each d_n as soon as it is built and never builds the
+column of a generator that leads a unit pivot of d_(n+1) (clearing).
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix (dense rows are made a
@@ -292,8 +295,8 @@ def _unit_pivots(columns, p=None):
     leads at distinct rows span a direct summand, so once each residual
     column is cleared against them, in descending pivot row, the block's
     invariant factors are one 1 per pivot followed by those of the
-    residual on the other rows.  Returns the number of pivots and the
-    residual as {row: {column: value}}, empty over F_p.
+    residual on the other rows.  Returns the pivots as {leading row:
+    column} and the residual as {row: {column: value}}, empty over F_p.
     """
     pivots, residual = {}, []
     for col in sorted(columns, key=len):
@@ -334,7 +337,7 @@ def _unit_pivots(columns, p=None):
                     del col[i]
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-    return len(pivots), rows
+    return pivots, rows
 
 
 def _snf_rows(rows):
@@ -419,22 +422,14 @@ def smith_normal_form(matrix):
     residual; the factors above 1 of all blocks are brought into one chain
     at the end.
     """
-    matrix = _sparse(matrix)
-    columns = matrix.columns
-    units, factors = 0, []
-    for block in matrix.blocks:
-        pivots, residual = _unit_pivots([columns[j] for j in block])
-        units += pivots
-        factors += _snf_rows(residual)[0]
-    chain, rank = _divisibility_chain([d for d in factors if d > 1])
-    units += len(factors) - rank
-    return [1] * units + chain, units + rank
+    return _reduce(_sparse(matrix))[:2]
 
 
 def _rank_f2(columns, block):
-    """Rank over F2 of a block's columns, by a left-looking XOR kernel: a
-    column's odd entries are bits, its rows numbered in first-seen order,
-    and it is reduced against the pivots so far, keyed by their top bit."""
+    """Leading rows of the F2 pivots of a block's columns, by a
+    left-looking XOR kernel: a column's odd entries are bits, its rows
+    numbered in first-seen order, and it is reduced against the pivots so
+    far, keyed by their top bit."""
     bits, pivots = {}, {}
     for j in block:
         c = 0
@@ -448,7 +443,8 @@ def _rank_f2(columns, block):
                 pivots[top] = c
                 break
             c ^= pivot
-    return len(pivots)
+    rows = list(bits)  # bit -> row
+    return [rows[top - 1] for top in pivots]
 
 
 def rank_mod_p(matrix, p):
@@ -456,11 +452,27 @@ def rank_mod_p(matrix, p):
     made sparse once.  Block by block, F2 takes the XOR kernel of _rank_f2
     and odd p counts the pivots of _unit_pivots mod p, where every nonzero
     entry is a unit."""
-    matrix = _sparse(matrix)
+    return _reduce(_sparse(matrix), p)[1]
+
+
+def _reduce(matrix, p=None):
+    """(invariant factors, rank, leading rows of the unit pivots) of a
+    SparseIntMatrix over Z (p None) or F_p, where the factors are []."""
     columns = matrix.columns
-    if p == 2:
-        return sum(_rank_f2(columns, b) for b in matrix.blocks)
-    return sum(_unit_pivots([columns[j] for j in b], p)[0] for b in matrix.blocks)
+    leads, factors = [], []
+    for block in matrix.blocks:
+        if p == 2:
+            leads += _rank_f2(columns, block)
+            continue
+        pivots, residual = _unit_pivots([columns[j] for j in block], p)
+        leads += pivots
+        factors += _snf_rows(residual)[0]
+        del pivots  # the next block's pivots start from nothing
+    if p:
+        return [], len(leads), leads
+    chain, rank = _divisibility_chain([d for d in factors if d > 1])
+    units = len(leads) + len(factors) - rank
+    return [1] * units + chain, units + rank, leads
 
 
 # ---------------------------------------------------------------------------
@@ -522,35 +534,34 @@ class ComplexSlice:
         )
 
 
-def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
-    """Build a ComplexSlice top-down, closing the bases under d.
+def _closed_degrees(recipe, top, bases=None, cleared=frozenset()):
+    """Close a recipe's bases under d from degree ``top`` down, yielding
+    (n, size of basis n, d_n) for n = top .. 1.
 
-    seeds[n] holds the generators enumerated in degree n and diff_fn(g) is
-    d(g) as a {generator: nonzero coefficient} dict.  Seeds need not be
-    closed under d (truncated word enumerations are not): every generator
-    that appears in a differential is adopted into the basis below, so the
-    stored matrices form an honest subcomplex and d.d = 0 holds exactly.
-    Every basis is in the order of ``key``, the flat sort key of the
-    builder's generator shape (None sorts generators as they are), and each
-    seed list must arrive in that order, without repeats.
-
-    For each degree n from the top down, each differential of basis n is
-    re-keyed into a row-index column as soon as diff_fn returns it, one
-    lookup per term, so one raw dict is alive at a time.  Rows are numbered
-    by the seeds of degree n-1; a key the seeds lack (a truncated window)
-    gets the next number after them.  If any key was adopted, basis n-1
-    becomes the seeds and the adopted keys sorted once by ``key``, and the
-    degree's columns are renumbered through that permutation.  Each
-    degree's row index is dropped before degree n-1 starts.
+    A recipe is (seeds, diff_fn, key, truncated_at): seeds(n) lists degree
+    n's generators in the order of ``key``, the flat sort key of their
+    shape (None sorts them as they are), without repeats, and diff_fn(g) is
+    d(g) as a {generator: nonzero coefficient} dict.  Each differential of
+    basis n is re-keyed into a column of row indices as soon as it is
+    taken, so one raw dict is alive at a time.  Rows are numbered by the
+    seeds of degree n-1, enumerated one degree ahead; a key they lack (a
+    truncated window) is adopted with the next number, so the matrices
+    form an honest subcomplex.  Basis n goes into ``bases`` (a dict, if
+    given) and is dropped; then basis n-1 is sorted once by ``key`` and
+    the columns renumbered.  Before it asks for the next degree, the
+    consumer may fill the set ``cleared`` with rows of d_n: d_(n-1) then
+    has no column for those generators, and their differentials are never
+    taken.
     """
-    bases, diffs = {}, {}
-    gens = seeds.get(max_degree, ())
-    for n in range(max_degree, 0, -1):
-        rows = seeds.get(n - 1, ())
+    seeds, diff_fn, key, _ = recipe
+    gens = seeds(top)
+    for n in range(top, 0, -1):
+        columns, rows, size = [], seeds(n - 1), len(gens)
         if gens:
             row_index = {g: i for i, g in enumerate(rows)}
-            columns = []
-            for g in gens:
+            for j, g in enumerate(gens):
+                if j in cleared:
+                    continue
                 dg = diff_fn(g)
                 try:
                     columns.append({row_index[k]: c for k, c in dg.items()})
@@ -558,6 +569,9 @@ def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
                     for k in dg:
                         row_index.setdefault(k, len(row_index))
                     columns.append({row_index[k]: c for k, c in dg.items()})
+            if bases is not None:
+                bases[n] = gens
+            del gens  # not needed to sort basis n-1
             if len(row_index) > len(rows):
                 rows = sorted(row_index, key=key)
                 moved = [0] * len(rows)  # provisional row number -> sorted one
@@ -566,12 +580,45 @@ def _close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
                 for j, col in enumerate(columns):
                     columns[j] = {moved[r]: c for r, c in col.items()}
             del row_index
-            bases[n] = gens
-            diffs[n] = SparseIntMatrix(len(rows), columns)
         gens = rows
-    if gens:
+        yield n, size, SparseIntMatrix(len(rows), columns)
+    if bases is not None and gens:
         bases[0] = gens
-    return ComplexSlice(bases, diffs, truncated_at, built_through=max_degree)
+
+
+def _close_and_build(recipe, max_degree):
+    """The ComplexSlice of a recipe (see _closed_degrees) through
+    max_degree: every nonempty basis, and d_n wherever basis n is."""
+    bases = {}
+    diffs = {n: d for n, size, d in _closed_degrees(recipe, max_degree, bases) if size}
+    return ComplexSlice(bases, diffs, recipe[3], built_through=max_degree)
+
+
+def homology_pass(recipe, max_degree, ring=ZZ):
+    """H_0 .. H_max_degree of a recipe's complex over ``ring``, in one
+    top-down pass that reduces each d_n as soon as it is built (the kernels
+    of homology_of_slice) and keeps only its factors, rank and sizes.
+
+    Clearing: a unit-lead pivot of d_(n+1) at row r is a boundary whose
+    other entries lie below r in the kernel's order, so d_n of generator r
+    is in the span of the columns below it, and d_n is built without it:
+    its image, rank and invariant factors stay.  Over Z (and Q) the span
+    is integral, so the rows d_n adopts stay too; mod p a row named only by
+    multiples of p could go unadopted, so a truncated window clears nothing.
+    """
+    clears = ring.p is None or recipe[3] is None  # Z, Q or an exact window
+    cleared, size, found = set(), {}, {0: ([], 0)}
+    for n, count, d in _closed_degrees(recipe, max_degree + 1, cleared=cleared):
+        factors, rank, leads = _reduce(d, ring.p)
+        size[n], size[n - 1], found[n] = count, d.nrows, (factors, rank)
+        del d  # d_(n-1) is built without d_n alive
+        cleared.clear()
+        if clears:
+            cleared.update(leads)
+    return [
+        _homology_entry(n, size[n], found[n + 1], found[n][1], ring)
+        for n in range(max_degree + 1)
+    ]
 
 
 def check_d_squared(sl):
@@ -657,11 +704,17 @@ def homology_of_slice(sl, degree, ring=ZZ):
     slice built through degree n gives H_0 .. H_(n-1) and raises
     IncompleteSliceError from degree n on.
     """
-    factors_in, rank_in = _reduction(sl, degree + 1, ring.p)
+    reduction_in = _reduction(sl, degree + 1, ring.p)
     _, rank_out = _reduction(sl, degree, ring.p)
+    return _homology_entry(
+        degree, len(sl.bases.get(degree, ())), reduction_in, rank_out, ring
+    )
+
+
+def _homology_entry(degree, size, reduction_in, rank_out, ring):
+    factors_in, rank_in = reduction_in
     torsion = [d for d in factors_in if d > 1] if ring.kind == "Z" else ()
-    free = len(sl.bases.get(degree, ())) - rank_out - rank_in
-    return HomologyEntry(degree, free, torsion)
+    return HomologyEntry(degree, size - rank_out - rank_in, torsion)
 
 
 class HomologySummary:

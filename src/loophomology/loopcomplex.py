@@ -188,9 +188,9 @@ def hochschild_differential(algebra, gen, ring=ZZ):
     return Chain(ring, _hochschild_kernel(algebra)((tuple(map(tuple, b)), tuple(u))))
 
 
-def hochschild_slice(space, max_degree, *, word_cap=None):
-    """ComplexSlice of Hoch(A) for A the cobar algebra of the space; a plain
-    space must be 1-reduced."""
+def hochschild_recipe(space, word_cap=None):
+    """(seeds, differential, key, truncated_at) of Hoch(A) for A the cobar
+    algebra of the space; a plain space must be 1-reduced."""
     if not isinstance(space, OpExtension):
         space.require_one_reduced("the plain Hochschild complex")
     algebra = CobarAlgebra(space)
@@ -203,18 +203,20 @@ def hochschild_slice(space, max_degree, *, word_cap=None):
                 f"{space.name}: Hochschild bases over the inverted algebra need a cap"
             )
         truncated_at = word_cap
-    seeds = {
-        n: hochschild_basis(algebra, n, word_cap=word_cap)
-        for n in range(max_degree + 1)
-    }
 
-    return _close_and_build(
-        seeds, _hochschild_kernel(algebra), max_degree, _hochschild_key, truncated_at
-    )
+    def seeds(n):
+        return hochschild_basis(algebra, n, word_cap=word_cap)
+
+    return seeds, _hochschild_kernel(algebra), _hochschild_key, truncated_at
 
 
-def cohoch_slice(space, max_degree, *, max_word_length=None):
-    """ComplexSlice of the free-loop complex through max_degree.
+def hochschild_slice(space, max_degree, *, word_cap=None):
+    """ComplexSlice of Hoch(A) through max_degree (see hochschild_recipe)."""
+    return _close_and_build(hochschild_recipe(space, word_cap), max_degree)
+
+
+def cohoch_recipe(space, max_word_length=None):
+    """(seeds, differential, key, truncated_at) of the free-loop complex.
 
     Truncated bases are closed downward under the differential, so the
     matrices always present an honest subcomplex.
@@ -224,11 +226,14 @@ def cohoch_slice(space, max_degree, *, max_word_length=None):
         max_word_length = None  # exact bases; cap independence holds
     elif isinstance(space, OpExtension):
         truncated_at = max_word_length
-    seeds = {
-        n: cohoch_basis(space, n, max_word_length=max_word_length)
-        for n in range(max_degree + 1)
-    }
 
-    return _close_and_build(
-        seeds, _cohoch_kernel(space), max_degree, _loop_key, truncated_at
-    )
+    def seeds(n):
+        return cohoch_basis(space, n, max_word_length=max_word_length)
+
+    return seeds, _cohoch_kernel(space), _loop_key, truncated_at
+
+
+def cohoch_slice(space, max_degree, *, max_word_length=None):
+    """ComplexSlice of the free-loop complex through max_degree (see
+    cohoch_recipe)."""
+    return _close_and_build(cohoch_recipe(space, max_word_length), max_degree)

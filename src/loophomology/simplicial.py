@@ -460,10 +460,16 @@ def validate(X):
 # Normalized chain complex slice
 
 
+def chains_recipe(X):
+    """(seeds, differential, key, truncated_at) of the normalized chains."""
+    return (
+        lambda d: sorted(X.simplices.get(d, ())), lambda s: boundary(X, s).terms, None, None
+    )
+
+
 def chains_slice(X, max_degree):
     """The normalized chain complex of X through the given degree."""
-    seeds = {d: sorted(X.simplices.get(d, ())) for d in range(max_degree + 1)}
-    return _close_and_build(seeds, lambda s: boundary(X, s).terms, max_degree, key=None)
+    return _close_and_build(chains_recipe(X), max_degree)
 
 
 # ---------------------------------------------------------------------------

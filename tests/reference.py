@@ -41,17 +41,18 @@ def _generator_sort_key(g):
     return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
 
 
-def close_and_build(seeds, diff_fn, max_degree, key, truncated_at=None):
+def close_and_build(recipe, max_degree):
     """The two-pass slice builder: each degree's differentials are all
     taken before the first is re-keyed, and a column naming a generator
     the seeds lack makes the row basis the sorted union of the seeds and
     the keys of the columns not yet re-keyed, moving the columns before
     it to their rows' new positions."""
+    seeds, diff_fn, key, truncated_at = recipe
     bases, diffs = {}, {}
-    gens = seeds.get(max_degree, ())
+    gens = seeds(max_degree)
     for n in range(max_degree, 0, -1):
         columns = [diff_fn(g) for g in gens]
-        rows = seeds.get(n - 1, ())
+        rows = seeds(n - 1)
         if gens:
             row_index = {g: i for i, g in enumerate(rows)}
             for j, dg in enumerate(columns):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -35,6 +36,7 @@ from loophomology.simplicial import (
     chains_slice,
 )
 from loophomology.loopcomplex import cohoch_slice, hochschild_slice
+from loophomology.complexes import complex_recipe
 from loophomology.verify import build_complex_slice, supported_complexes
 
 
@@ -271,16 +273,17 @@ def test_unit_pivots_match_the_heap_core():
         columns = [
             {i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)
         ]
-        pivots, residual = _unit_pivots(columns)
+        leads, residual = _unit_pivots(columns)
         residuals.append(len(residual))
         factors, rank = reference._snf_rows(residual)
         rows = _row_dicts(dense)
         units = _eliminate_units(rows)
         ref_factors, ref_rank = reference._snf_rows(rows)
-        assert [1] * pivots + factors == [1] * units + ref_factors
-        assert pivots + rank == units + ref_rank
+        assert [1] * len(leads) + factors == [1] * units + ref_factors
+        assert len(leads) + rank == units + ref_rank
         for p in (3, 5):
-            assert _unit_pivots(columns, p) == (_eliminate_units(_row_dicts(dense, p), p), {})
+            leads, residual = _unit_pivots(columns, p)
+            assert (len(leads), residual) == (_eliminate_units(_row_dicts(dense, p), p), {})
 
     check()
     assert any(residuals)  # the general loop after the kernel is exercised
@@ -547,13 +550,12 @@ class _ReferenceMatrix:
         return cols
 
 
-def _reference_close_and_build(
-    bases_by_degree, diff_fn, max_degree, key=None, truncated_at=None
-):
+def _reference_close_and_build(recipe, max_degree):
     # Bottom-up: close every degree while caching each differential, sort
     # every basis by the recursive key (ignoring the builder's flat key),
     # then assemble all matrices from the cache.
-    bases = {n: list(gens) for n, gens in bases_by_degree.items()}
+    seeds, diff_fn, _, truncated_at = recipe
+    bases = {n: list(seeds(n)) for n in range(max_degree + 1)}
     diff_cache = {}
     for n in range(max_degree, 0, -1):
         lower = dict.fromkeys(bases.get(n - 1, ()))
@@ -605,13 +607,14 @@ def _reference_chains_slice(X, max_degree):
 def _assert_builders_agree(monkeypatch, X, max_degree, max_word_length):
     for complex_name in supported_complexes(X):
         sl = build_complex_slice(X, complex_name, max_degree, max_word_length)
-        with monkeypatch.context() as m:
-            m.setattr(cobar, "_close_and_build", _reference_close_and_build)
-            m.setattr(loopcomplex, "_close_and_build", _reference_close_and_build)
-            m.setattr(complexes, "chains_slice", _reference_chains_slice)
-            bases, diffs, truncated_at = build_complex_slice(
-                X, complex_name, max_degree, max_word_length
-            )
+        if complex_name == "chains":
+            bases, diffs, truncated_at = _reference_chains_slice(X, max_degree)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(complexes, "_close_and_build", _reference_close_and_build)
+                bases, diffs, truncated_at = build_complex_slice(
+                    X, complex_name, max_degree, max_word_length
+                )
         assert sl.bases == {n: tuple(b) for n, b in bases.items()}, complex_name
         assert sl.truncated_at == truncated_at
         assert sorted(sl.diffs) == sorted(diffs)
@@ -659,14 +662,13 @@ def test_streaming_build_matches_two_pass_builder(
     # two-pass one it replaced: same bases, same column dicts.
     builds = []
 
-    def both(seeds, diff_fn, max_degree, key, truncated_at=None):
-        sl = homalg._close_and_build(seeds, diff_fn, max_degree, key, truncated_at)
-        ref = reference.close_and_build(seeds, diff_fn, max_degree, key, truncated_at)
-        builds.append((seeds, diff_fn, sl, ref))
+    def both(recipe, max_degree):
+        sl = homalg._close_and_build(recipe, max_degree)
+        ref = reference.close_and_build(recipe, max_degree)
+        builds.append((*recipe[:2], sl, ref))
         return sl
 
-    monkeypatch.setattr(cobar, "_close_and_build", both)
-    monkeypatch.setattr(loopcomplex, "_close_and_build", both)
+    monkeypatch.setattr(complexes, "_close_and_build", both)
     build_complex_slice(builtin_space(space), complex_name, degree, cap)
     ((seeds, diff_fn, sl, ref),) = builds
     assert sl.bases == ref.bases
@@ -678,7 +680,7 @@ def test_streaming_build_matches_two_pass_builder(
     # the first column of each degree that names a row the seeds lack
     first_adopting = []
     for n in sl.diffs:
-        rows = set(seeds.get(n - 1, ()))
+        rows = set(seeds(n - 1))
         first_adopting.append(
             next((j for j, g in enumerate(sl.bases[n]) if not rows.issuperset(diff_fn(g))), None)
         )
@@ -781,3 +783,178 @@ def test_reduction_peak_stays_small_beside_the_slice():
         tracemalloc.stop()
     kept = base - start
     assert peak - base <= 0.3 * kept, (peak - base, kept)
+
+
+# ---------------------------------------------------------------------------
+# The homology pass against the stored slice
+
+
+def _golden_homology_windows():
+    """(space, complex, max degree, cap, rings) of the homology rows of the
+    golden sweep, one entry per window."""
+    from test_golden_cli import sweep
+
+    windows = {}
+    for argv in sweep():
+        if argv[0] == "homology":
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            cap = opts.get("--max-word-length")
+            window = (
+                opts["--space"], opts["--complex"], int(opts["--max-degree"]), cap and int(cap)
+            )
+            windows.setdefault(window, []).append(opts.get("--ring", "Z"))
+    return [(*window, tuple(rings)) for window, rings in windows.items()]
+
+
+GOLDEN_HOMOLOGY_WINDOWS = _golden_homology_windows()
+
+
+def _assert_pass_matches_the_slice(X, complex_name, max_degree, cap, rings):
+    # the pass through H_max_degree builds d_(max_degree + 1), as the
+    # stored slice does when built one degree up
+    try:
+        sl = build_complex_slice(X, complex_name, max_degree + 1, cap)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            homalg.homology_pass(complex_recipe(X, complex_name, cap), max_degree)
+        return
+    for ring in map(parse_ring, rings):
+        recipe = complex_recipe(X, complex_name, cap)
+        assert recipe[3] == sl.truncated_at
+        expected = [homology_of_slice(sl, n, ring) for n in range(max_degree + 1)]
+        assert homalg.homology_pass(recipe, max_degree, ring) == expected, ring
+
+
+@pytest.mark.parametrize(
+    "space, complex_name, max_degree, cap, rings",
+    GOLDEN_HOMOLOGY_WINDOWS,
+    ids=["-".join(map(str, w[:4])) for w in GOLDEN_HOMOLOGY_WINDOWS],
+)
+def test_homology_pass_matches_the_slice_on_the_golden_sweep(
+    space, complex_name, max_degree, cap, rings
+):
+    _assert_pass_matches_the_slice(builtin_space(space), complex_name, max_degree, cap, rings)
+
+
+@pytest.mark.parametrize(
+    "space, complex_name, degree, cap, adopts",
+    BUILD_WINDOWS,
+    ids=["-".join(map(str, w[:4])) for w in BUILD_WINDOWS],
+)
+def test_homology_pass_matches_the_slice_on_the_build_windows(
+    space, complex_name, degree, cap, adopts
+):
+    # the window's slice is built through ``degree``, as there
+    _assert_pass_matches_the_slice(
+        builtin_space(space), complex_name, degree - 1, cap, ("Z", "Q", "F2", "F3")
+    )
+
+
+def _without(matrix, rows):
+    # the matrix without the columns of the given generators
+    return SparseIntMatrix(
+        matrix.nrows, [col for j, col in enumerate(matrix.columns) if j not in rows]
+    )
+
+
+def test_clearing_leaves_every_reduction_unchanged():
+    # A unit-lead pivot of d_(n+1) at row r makes generator r's column of
+    # d_n redundant: dropping all of them changes no reduction of d_n.
+    cleared = 0
+    for name in BUILTIN_NAMES:
+        X = builtin_space(name)
+        for complex_name in supported_complexes(X):
+            sl = build_complex_slice(X, complex_name, 5, max_word_length=2)
+            for n in sl.degrees()[1:-1]:
+                up, down = sl.diffs.get(n + 1), sl.diffs[n]
+                if up is None:
+                    continue
+                for p in (None, 2, 3):
+                    _, rank, leads = homalg._reduce(up, p)
+                    assert len(set(leads)) == len(leads) <= rank
+                    assert p is None or len(leads) == rank
+                    dropped = _without(down, set(leads))
+                    cleared += down.ncols - dropped.ncols
+                    if p is None:  # Z's relations hold mod every p too
+                        assert smith_normal_form(dropped) == smith_normal_form(down)
+                    for q in (2, 3) if p is None else (p,):
+                        assert rank_mod_p(dropped, q) == rank_mod_p(down, q)
+                    if p == 2:
+                        continue
+                    # each pivot is in the span of its block's columns, and
+                    # its lead is a unit with every other entry below it
+                    for block in up.blocks:
+                        columns = [up.columns[j] for j in block]
+                        pivots, _ = _unit_pivots(columns, p)
+                        for r, pivot in pivots.items():
+                            assert max(pivot) == r
+                            assert pivot[r] in ((1, -1) if p is None else (1,))
+                        both = SparseIntMatrix(up.nrows, columns + list(pivots.values()))
+                        alone = SparseIntMatrix(up.nrows, columns)
+                        if p is None:
+                            assert smith_normal_form(both) == smith_normal_form(alone)
+                        else:
+                            assert rank_mod_p(both, p) == rank_mod_p(alone, p)
+    assert cleared > 1000
+    # a Z block whose only lead is 2 reports no pivot row, even where its
+    # residual has a unit factor; mod 3 it does
+    assert homalg._reduce(SparseIntMatrix(1, [{0: 2}])) == ([2], 1, [])
+    two = SparseIntMatrix(2, [{1: 2, 0: 1}])
+    assert homalg._reduce(two) == ([1], 1, [])
+    assert homalg._reduce(two, 3) == ([], 1, [1])
+
+
+@pytest.mark.parametrize(
+    "space, complex_name, max_degree, cap, ring, passed, stored",
+    [
+        ("torus", "hat-cohoch", 3, 2, "Z", 822, 1253),
+        # mod p a truncated window clears nothing
+        ("torus", "hat-cohoch", 3, 2, "F2", 1253, 1253),
+        ("collapsed-delta3", "cohoch", 5, None, "F2", 7258, 8853),
+    ],
+)
+def test_the_pass_never_takes_the_differentials_it_clears(
+    space, complex_name, max_degree, cap, ring, passed, stored
+):
+    # kernel calls: the stored build takes d of every generator of degrees
+    # 1 .. max_degree + 1, the pass skips the ones d_(n+1) clears
+    seeds, diff_fn, key, truncated_at = complex_recipe(builtin_space(space), complex_name, cap)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return diff_fn(g)
+
+    recipe = (seeds, counted, key, truncated_at)
+    homalg.homology_pass(recipe, max_degree, parse_ring(ring))
+    assert len(calls) == len(set(calls)) == passed
+    calls.clear()
+    sl = homalg._close_and_build(recipe, max_degree + 1)
+    assert len(calls) == sum(len(sl.bases.get(n, ())) for n in range(1, max_degree + 2))
+    assert len(calls) == stored
+
+
+def test_the_pass_peaks_below_what_the_slice_keeps():
+    # measured as in test_reduction_peak_stays_small_beside_the_slice: the
+    # pass through H_3 builds what a slice through degree 4 stores
+    X = builtin_space("torus")
+    _hat_cohoch(X, 1, 1)
+    recipe = complex_recipe(X, "hat-cohoch", 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sl = _hat_cohoch(X, 4, 3)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+        del sl
+        gc.collect()
+        peaks = []
+        for ring in (ZZ, prime_field(2)):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            homalg.homology_pass(recipe, 3, ring)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < kept, (peaks, kept)
