@@ -111,7 +111,7 @@ def cmd_homology(config):
         ring=ring,
         space=X.name,
         complex_name=config.complex_name,
-        truncated_at=recipe[3],
+        truncated_at=recipe[2],
     )
 
 

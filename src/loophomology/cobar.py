@@ -43,17 +43,6 @@ def word_degree(space, w):
     return space.table.word_degree(w)
 
 
-def _word_key(w):
-    # flat sort key of a word: shorter first, then letter by letter
-    return len(w), w
-
-
-def _hochschild_key(gen):
-    # flat sort key of a Hochschild generator (bar word, word)
-    b, u = gen
-    return len(b), tuple(map(_word_key, b)), len(u), u
-
-
 def format_word(w):
     """The serialization [a1|a2|...|ak]; inverse letters carry their ~."""
     return "[" + "|".join(w) + "]"
@@ -181,9 +170,10 @@ class CobarAlgebra:
     """The tensor algebra of cobar words, with product = concatenation.
 
     Provides exactly what the bar and Hochschild differentials consume:
-    degrees, the internal differential, and the monomial product.  It
-    reads the word rules and shifted degrees once, at construction; the
-    space decides the setting (``hat``).
+    degrees, the internal differential, and the op pairs with which
+    _splice takes the monomial product.  It reads the word rules and
+    shifted degrees once, at construction; the space decides the setting
+    (``hat``).
     """
 
     def __init__(self, space):
@@ -201,10 +191,6 @@ class CobarAlgebra:
         terms = {}
         _tensor_terms(self, (), (), tuple(w), terms)
         return {dw: c for (_, dw), c in terms.items()}
-
-    def multiply(self, u, v):
-        """The product of two reduced words: their reduced concatenation."""
-        return _splice(tuple(u), tuple(v), (), self.op_pairs)
 
 
 def bar_differential(algebra, barword, ring=ZZ):
@@ -261,7 +247,7 @@ def _tensor_terms(algebra, b, degs, u, out):
 
 
 def cobar_recipe(space, max_word_length=None):
-    """(seeds, differential, key, truncated_at) of the cobar construction.
+    """(seeds, differential, truncated_at) of the cobar construction.
 
     A plain presentation must be 1-reduced.  Over a 1-reduced space the
     bases are exact per degree; over Z(X) of a space that is not, a
@@ -287,7 +273,7 @@ def cobar_recipe(space, max_word_length=None):
     def diff(w):
         return _nonzero(algebra.differential(w))
 
-    return seeds, diff, _word_key, truncated_at
+    return seeds, diff, truncated_at
 
 
 def cobar_slice(space, max_degree, max_word_length=None):
@@ -303,7 +289,8 @@ def hochschild_basis(algebra, degree, word_cap=None):
     bounds the total number of alphabet letters across the bar word and u,
     mirroring the cobar truncation.  Bar words are built level by level:
     each is extended by the non-empty words in (length, word) order, so the
-    generators come out in the order of their sort key, bar word first.
+    generators come out by number of bar letters, then bar letter by bar
+    letter, then by u, each word in (length, word) order.
     """
     space = algebra.space
     if word_cap is None and not space.is_one_reduced():

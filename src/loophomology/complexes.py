@@ -35,7 +35,7 @@ def supported_complexes(X):
 
 
 def complex_recipe(X, complex_name, max_word_length=None):
-    """The recipe (seeds, differential, key, truncated_at) of the requested
+    """The recipe (seeds, differential, truncated_at) of the requested
     complex of a presentation, from which both build_complex_slice and the
     homology command build.
 

@@ -10,12 +10,13 @@ is computed and how every reader wants it.  One builder owns generator
 order: it closes a slice's bases under the differential top-down, one
 degree at a time, and re-keys each differential into an index column as
 soon as it is taken, so it holds one raw column at a time.  Each complex
-is a recipe (seeds by degree, differential, flat key, cap) whose seeds
-come in key order, so a closed window takes them as they come; a
-truncated one adopts what its columns name beyond the seeds, and only
-then is a basis sorted.  The builder stores a slice or feeds the homology
-pass, which reduces each d_n as soon as it is built and never builds the
-column of a generator that leads a unit pivot of d_(n+1) (clearing).
+is a recipe (seeds by degree, differential, cap).  A basis is its
+degree's seeds in the order they are enumerated, followed by what a
+truncated window's columns name beyond them, in the order the columns
+first name it; nothing is sorted.  The builder stores a slice or feeds
+the homology pass, which reduces each d_n as soon as it is built and
+never builds the column of a generator that leads a unit pivot of
+d_(n+1) (clearing).
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix (dense rows are made a
@@ -119,12 +120,12 @@ def prime_field(p):
 
 
 def parse_ring(text):
-    """Parse a ring spec: "Z", "Q", or "F<p>" with p prime."""
+    """Parse a ring spec: "Z", "Q", or "F<p>" with p prime in ASCII digits."""
     if text == "Z":
         return ZZ
     if text == "Q":
         return QQ
-    if text.startswith("F") and text[1:].isdigit():
+    if text.startswith("F") and text[1:].isascii() and text[1:].isdigit():
         return prime_field(int(text[1:]))
     raise ValueError(f"cannot parse ring {text!r} (expected Z, Q or F<p>)")
 
@@ -177,9 +178,6 @@ class Chain:
         for key, c in other.terms.items():
             self.add(key, scale * c)
         return self
-
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
 
     def items(self):
         return sorted(self.terms.items())
@@ -538,50 +536,35 @@ def _closed_degrees(recipe, top, bases=None, cleared=frozenset()):
     """Close a recipe's bases under d from degree ``top`` down, yielding
     (n, size of basis n, d_n) for n = top .. 1.
 
-    A recipe is (seeds, diff_fn, key, truncated_at): seeds(n) lists degree
-    n's generators in the order of ``key``, the flat sort key of their
-    shape (None sorts them as they are), without repeats, and diff_fn(g) is
-    d(g) as a {generator: nonzero coefficient} dict.  Each differential of
-    basis n is re-keyed into a column of row indices as soon as it is
-    taken, so one raw dict is alive at a time.  Rows are numbered by the
-    seeds of degree n-1, enumerated one degree ahead; a key they lack (a
-    truncated window) is adopted with the next number, so the matrices
-    form an honest subcomplex.  Basis n goes into ``bases`` (a dict, if
-    given) and is dropped; then basis n-1 is sorted once by ``key`` and
-    the columns renumbered.  Before it asks for the next degree, the
-    consumer may fill the set ``cleared`` with rows of d_n: d_(n-1) then
-    has no column for those generators, and their differentials are never
-    taken.
+    A recipe is (seeds, diff_fn, truncated_at): seeds(n) lists degree n's
+    generators without repeats, and diff_fn(g) is d(g) as a {generator:
+    nonzero coefficient} dict.  Each differential of basis n is re-keyed
+    into a column of row indices as soon as it is taken, so one raw dict
+    is alive at a time.  Basis n-1 is the seeds of degree n-1, enumerated
+    one degree ahead, followed by the generators the columns name beyond
+    them (a truncated window) in the order they are first named, so the
+    matrices form an honest subcomplex.  Basis n goes into ``bases`` (a
+    dict, if given) and is dropped.  Before it asks for the next degree,
+    the consumer may fill the set ``cleared`` with rows of d_n: d_(n-1)
+    then has no column for those generators, and their differentials are
+    never taken.
     """
-    seeds, diff_fn, key, _ = recipe
+    seeds, diff_fn, _ = recipe
     gens = seeds(top)
     for n in range(top, 0, -1):
-        columns, rows, size = [], seeds(n - 1), len(gens)
-        if gens:
-            row_index = {g: i for i, g in enumerate(rows)}
-            for j, g in enumerate(gens):
-                if j in cleared:
-                    continue
+        # d_(n+1)'s columns go before d_n's are taken
+        columns, row_index = [], {g: i for i, g in enumerate(seeds(n - 1))}
+        for j, g in enumerate(gens):
+            if j not in cleared:
                 dg = diff_fn(g)
-                try:
-                    columns.append({row_index[k]: c for k, c in dg.items()})
-                except KeyError:
-                    for k in dg:
-                        row_index.setdefault(k, len(row_index))
-                    columns.append({row_index[k]: c for k, c in dg.items()})
-            if bases is not None:
-                bases[n] = gens
-            del gens  # not needed to sort basis n-1
-            if len(row_index) > len(rows):
-                rows = sorted(row_index, key=key)
-                moved = [0] * len(rows)  # provisional row number -> sorted one
-                for i, g in enumerate(rows):
-                    moved[row_index[g]] = i
-                for j, col in enumerate(columns):
-                    columns[j] = {moved[r]: c for r, c in col.items()}
-            del row_index
-        gens = rows
-        yield n, size, SparseIntMatrix(len(rows), columns)
+                columns.append(
+                    {row_index.setdefault(k, len(row_index)): c for k, c in dg.items()}
+                )
+        if bases is not None and gens:
+            bases[n] = gens
+        size, gens = len(gens), list(row_index)
+        del row_index
+        yield n, size, SparseIntMatrix(len(gens), columns)
     if bases is not None and gens:
         bases[0] = gens
 
@@ -591,7 +574,7 @@ def _close_and_build(recipe, max_degree):
     max_degree: every nonempty basis, and d_n wherever basis n is."""
     bases = {}
     diffs = {n: d for n, size, d in _closed_degrees(recipe, max_degree, bases) if size}
-    return ComplexSlice(bases, diffs, recipe[3], built_through=max_degree)
+    return ComplexSlice(bases, diffs, recipe[2], built_through=max_degree)
 
 
 def homology_pass(recipe, max_degree, ring=ZZ):
@@ -606,7 +589,7 @@ def homology_pass(recipe, max_degree, ring=ZZ):
     is integral, so the rows d_n adopts stay too; mod p a row named only by
     multiples of p could go unadopted, so a truncated window clears nothing.
     """
-    clears = ring.p is None or recipe[3] is None  # Z, Q or an exact window
+    clears = ring.p is None or recipe[2] is None  # Z, Q or an exact window
     cleared, size, found = set(), {}, {0: ([], 0)}
     for n, count, d in _closed_degrees(recipe, max_degree + 1, cleared=cleared):
         factors, rank, leads = _reduce(d, ring.p)
@@ -727,12 +710,6 @@ class HomologySummary:
         self.complex_name = complex_name
         self.truncated_at = truncated_at
 
-    def entry(self, degree):
-        for e in self.entries:
-            if e.degree == degree:
-                return e
-        return HomologyEntry(degree, 0)
-
     def to_json_lines(self):
         lines = []
         for e in self.entries:
@@ -741,20 +718,6 @@ class HomologySummary:
                 record["truncated_at"] = self.truncated_at
             lines.append(json.dumps(record, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_json_lines(text):
-        entries = []
-        truncated_at = None
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            truncated_at = record.get("truncated_at", truncated_at)
-            entries.append(
-                HomologyEntry(record["degree"], record["free_rank"], record["torsion"])
-            )
-        return HomologySummary(entries, truncated_at=truncated_at)
 
     def to_table(self):
         head = f"homology of {self.complex_name}({self.space}) over {self.ring}"

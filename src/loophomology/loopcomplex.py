@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from .cobar import (
     CobarAlgebra,
-    _hochschild_key,
     _splice,
     _tensor_terms,
     format_word,
@@ -43,20 +42,14 @@ def format_loop_generator(gen):
     return f"({x} ; {format_word(w)})"
 
 
-def _loop_key(gen):
-    # flat sort key of a loop generator (x, w): by x, then as a word
-    x, w = gen
-    return x, len(w), w
-
-
 # ---------------------------------------------------------------------------
 # Bases
 
 
 def cohoch_basis(space, degree, max_word_length=None):
-    """Loop generators of one degree, in _loop_key order: by simplex id
-    whatever its dimension, then by word length, then letter by letter, so
-    the slice builder takes them as they come.
+    """Loop generators of one degree, by simplex id whatever its
+    dimension, then by word length, then letter by letter; a slice's basis
+    is this list as it comes, then what a truncated window adopts.
 
     A plain space must be 1-reduced and the basis is exact; over Z(X) the
     word length is capped at max_word_length (mandatory for spaces that
@@ -71,8 +64,8 @@ def cohoch_basis(space, degree, max_word_length=None):
             f"{X.name}: word-length cap required (degree components are infinite)"
         )
     cap = max_word_length if max_word_length is not None else max(degree, 1)
-    # _loop_key order: x by id over every dimension up to the degree, then
-    # each word list in (len, w) order, enumerated once per (ends, degree)
+    # x by id over every dimension up to the degree, then each word list
+    # in (len, w) order, enumerated once per (ends, degree)
     simplices = sorted(x for p, ids in X.simplices.items() if p <= degree for x in ids)
     gens = []
     words = {}
@@ -189,7 +182,7 @@ def hochschild_differential(algebra, gen, ring=ZZ):
 
 
 def hochschild_recipe(space, word_cap=None):
-    """(seeds, differential, key, truncated_at) of Hoch(A) for A the cobar
+    """(seeds, differential, truncated_at) of Hoch(A) for A the cobar
     algebra of the space; a plain space must be 1-reduced."""
     if not isinstance(space, OpExtension):
         space.require_one_reduced("the plain Hochschild complex")
@@ -207,7 +200,7 @@ def hochschild_recipe(space, word_cap=None):
     def seeds(n):
         return hochschild_basis(algebra, n, word_cap=word_cap)
 
-    return seeds, _hochschild_kernel(algebra), _hochschild_key, truncated_at
+    return seeds, _hochschild_kernel(algebra), truncated_at
 
 
 def hochschild_slice(space, max_degree, *, word_cap=None):
@@ -216,7 +209,7 @@ def hochschild_slice(space, max_degree, *, word_cap=None):
 
 
 def cohoch_recipe(space, max_word_length=None):
-    """(seeds, differential, key, truncated_at) of the free-loop complex.
+    """(seeds, differential, truncated_at) of the free-loop complex.
 
     Truncated bases are closed downward under the differential, so the
     matrices always present an honest subcomplex.
@@ -230,7 +223,7 @@ def cohoch_recipe(space, max_word_length=None):
     def seeds(n):
         return cohoch_basis(space, n, max_word_length=max_word_length)
 
-    return seeds, _cohoch_kernel(space), _loop_key, truncated_at
+    return seeds, _cohoch_kernel(space), truncated_at
 
 
 def cohoch_slice(space, max_degree, *, max_word_length=None):

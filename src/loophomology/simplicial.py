@@ -363,9 +363,6 @@ class OpExtension(SimplicialSetPresentation):
     def underlying(self):
         return self._underlying
 
-    def op(self, simplex_id):
-        return self.op_pairs.get(simplex_id)
-
 
 def adjoin_inverses(X):
     """Extend X by one fresh 1-simplex x~ per nondegenerate 1-simplex x,
@@ -461,10 +458,8 @@ def validate(X):
 
 
 def chains_recipe(X):
-    """(seeds, differential, key, truncated_at) of the normalized chains."""
-    return (
-        lambda d: sorted(X.simplices.get(d, ())), lambda s: boundary(X, s).terms, None, None
-    )
+    """(seeds, differential, truncated_at) of the normalized chains."""
+    return lambda d: sorted(X.simplices.get(d, ())), lambda s: boundary(X, s).terms, None
 
 
 def chains_slice(X, max_degree):

@@ -6,21 +6,24 @@ a time, reads faces, fronts and backs from the SimplexTable's raw face data
 (not from its per-letter rules, signs or shifted degrees), and freely
 reduces every new word by a full rescan with ``reduce_word`` (not at the
 seams).  The recursive generator sort key is the order oracle of the flat
-keys the slice builders pass, the depth-first word enumerators, which
-sort what they find, are the oracles of the level-by-level word walk,
-and the two-pass slice builder, which takes every differential of a
-degree before it re-keys any, is the oracle of the streaming one.  The
-right-looking unit elimination over row dicts, with a heap of rows by
-length, is the oracle of the left-looking unit-pivot kernel; the general
-pivot loop built for whole matrices (minimal value, then minimal fill,
-over a column index of sets) and its repeated divisibility repair are the
-oracles of the short loop on the cleared residual and of its one-pass
-repair.  The helpers only tests call (phi summed over a chain, the
-freehedral label grammar) live here too.
+keys each seed enumerator's order follows, the depth-first word
+enumerators, which sort what they find, are the oracles of the
+level-by-level word walk, and the two-pass slice builder, which takes
+every differential of a degree before it re-keys any, is the oracle of
+the streaming one.  The right-looking unit elimination over row dicts,
+with a heap of rows by length, is the oracle of the left-looking
+unit-pivot kernel; the general pivot loop built for whole matrices
+(minimal value, then minimal fill, over a column index of sets) and its
+repeated divisibility repair are the oracles of the short loop on the
+cleared residual and of its one-pass repair.  The helpers only tests call (phi summed over a chain, the
+freehedral label grammar, JSON lines read back into a summary, a chain's
+coefficient, the word product, a letter's inverse) live here too.
 Tests assert that the package agrees with all of them.
 """
 
 import heapq
+import itertools
+import json
 from math import gcd
 
 from loophomology.cobar import reduce_word
@@ -28,6 +31,8 @@ from loophomology.homalg import (
     ZZ,
     Chain,
     ComplexSlice,
+    HomologyEntry,
+    HomologySummary,
     SparseIntMatrix,
     _nearest_quotient,
 )
@@ -41,13 +46,30 @@ def _generator_sort_key(g):
     return g if type(g) is str else (len(g), tuple(map(_generator_sort_key, g)))
 
 
+def _word_key(w):
+    # flat sort key of a word: shorter first, then letter by letter
+    return len(w), w
+
+
+def _hochschild_key(gen):
+    # flat sort key of a Hochschild generator (bar word, word)
+    b, u = gen
+    return len(b), tuple(map(_word_key, b)), len(u), u
+
+
+def _loop_key(gen):
+    # flat sort key of a loop generator (x, w): by x, then as a word
+    x, w = gen
+    return x, len(w), w
+
+
 def close_and_build(recipe, max_degree):
     """The two-pass slice builder: each degree's differentials are all
     taken before the first is re-keyed, and a column naming a generator
-    the seeds lack makes the row basis the sorted union of the seeds and
-    the keys of the columns not yet re-keyed, moving the columns before
-    it to their rows' new positions."""
-    seeds, diff_fn, key, truncated_at = recipe
+    the seeds lack makes the row basis the seeds followed by the keys of
+    the columns not yet re-keyed, in first-seen order.  The columns
+    before it name seeds only, so they keep their rows."""
+    seeds, diff_fn, truncated_at = recipe
     bases, diffs = {}, {}
     gens = seeds(max_degree)
     for n in range(max_degree, 0, -1):
@@ -59,12 +81,8 @@ def close_and_build(recipe, max_degree):
                 try:
                     columns[j] = {row_index[k]: c for k, c in dg.items()}
                 except KeyError:
-                    adopted = sorted(set(rows).union(*columns[j:]), key=key)
-                    row_index = {g: i for i, g in enumerate(adopted)}
-                    moved = [row_index[g] for g in rows]
-                    for i in range(j):
-                        columns[i] = {moved[r]: c for r, c in columns[i].items()}
-                    rows = adopted
+                    rows = list(dict.fromkeys(itertools.chain(rows, *columns[j:])))
+                    row_index = {g: i for i, g in enumerate(rows)}
                     columns[j] = {row_index[k]: c for k, c in dg.items()}
             bases[n] = gens
             diffs[n] = SparseIntMatrix(len(rows), columns)
@@ -683,3 +701,47 @@ def validate_label(label, n):
             raise ValueError(f"{label}: blocks {block} and {nxt} do not chain")
     if wraps != 1:
         raise ValueError(f"{label}: expected exactly one n->0 wrap, saw {wraps}")
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests call
+
+
+def coefficient(chain, key):
+    """The coefficient of a key in a Chain, 0 where it is absent."""
+    return chain.terms.get(key, 0)
+
+
+def multiply(algebra, u, v):
+    """The product of two reduced words of a CobarAlgebra: their reduced
+    concatenation."""
+    return reduce_word(tuple(u) + tuple(v), algebra.op_pairs)
+
+
+def op(space, simplex_id):
+    """The formal inverse of a 1-simplex of an OpExtension, None for any
+    other simplex."""
+    return space.op_pairs.get(simplex_id)
+
+
+def parse_json_lines(text):
+    """The HomologySummary written as JSON lines by to_json_lines."""
+    entries = []
+    truncated_at = None
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        truncated_at = record.get("truncated_at", truncated_at)
+        entries.append(
+            HomologyEntry(record["degree"], record["free_rank"], record["torsion"])
+        )
+    return HomologySummary(entries, truncated_at=truncated_at)
+
+
+def summary_entry(summary, degree):
+    """A summary's entry in one degree; a degree it lacks is zero."""
+    for e in summary.entries:
+        if e.degree == degree:
+            return e
+    return HomologyEntry(degree, 0)

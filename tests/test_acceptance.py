@@ -11,6 +11,7 @@ from loophomology.freehedra import f_vector, label_faces, top_label
 from loophomology.comparison import chi_chain_map_mismatches, necklical_differential
 from loophomology.loopcomplex import cohoch_basis, cohoch_differential, cohoch_slice
 from loophomology.verify import _check_contraction, build_complex_slice, run_verify
+from reference import summary_entry
 
 
 def _report(num, ok, detail):
@@ -160,7 +161,7 @@ def test_criterion_6_circle_winding_components():
                 space="circle", complex_name="hat-cohoch", max_degree=0, max_word_length=L
             )
         )
-        entry = summary.entry(0)
+        entry = summary_entry(summary, 0)
         results.append((L, entry.free_rank))
         ok = ok and entry.free_rank == 2 * L + 1 and entry.torsion == ()
     _report(6, ok, f"degree-0 free ranks by cap: {results} (expect 2L+1)")

@@ -12,9 +12,9 @@ from loophomology.cli import (
     load_space,
     main,
 )
-from loophomology.homalg import HomologySummary
 from loophomology.simplicial import SimplicialError
 from loophomology.verify import CheckResult, VerifyReport, build_complex_slice, run_verify
+from reference import parse_json_lines
 
 INTERVAL = {
     "name": "interval",
@@ -171,7 +171,7 @@ def test_runconfig_validation():
 def test_homology_json_roundtrip():
     config = RunConfig(space="sphere2", complex_name="cohoch", max_degree=4, output="json")
     summary = cmd_homology(config)
-    parsed = HomologySummary.parse_json_lines(summary.to_json_lines())
+    parsed = parse_json_lines(summary.to_json_lines())
     assert parsed.entries == summary.entries
 
 
@@ -313,6 +313,16 @@ def test_cli_field_rings(capsys):
     assert out.count("F2^2") == 3 and "Z" not in out.replace("F2", "")
 
 
+@pytest.mark.parametrize("ring", ["F\u00b2", "F\u0663"], ids=["superscript-2", "arabic-indic-3"])
+def test_cli_rejects_a_modulus_in_non_ascii_digits(capsys, ring):
+    # str.isdigit accepts these, and int() reads the second as 3
+    rc = main(["homology", "--space", "sphere2", "--ring", ring, "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse ring {ring!r} (expected Z, Q or F<p>)\n"
+
+
 def test_cli_byte_identical_across_processes():
     import subprocess
     import sys
@@ -424,7 +434,7 @@ def test_cli_json_output_roundtrip(capsys):
     )
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    parsed = HomologySummary.parse_json_lines(out)
+    parsed = parse_json_lines(out)
     assert [(e.degree, e.free_rank, e.torsion) for e in parsed.entries] == [
         (0, 1, ()),
         (1, 1, ()),

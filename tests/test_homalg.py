@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import _eliminate_units, _generator_sort_key, _row_dicts, coordinates
+from reference import (
+    _eliminate_units,
+    _hochschild_key,
+    _loop_key,
+    _row_dicts,
+    _word_key,
+    coefficient,
+    coordinates,
+    parse_json_lines,
+)
 from loophomology.homalg import (
     Chain,
     ComplexSlice,
@@ -72,7 +81,7 @@ def test_chain_arithmetic():
     f2 = Chain(prime_field(2), {"a": 2})
     assert f2.is_zero
     c = Chain(ZZ, {"a": 1, "b": -3})
-    assert c.coefficient("b") == -3
+    assert coefficient(c, "b") == -3
     assert c.items() == [("a", 1), ("b", -3)]
 
 
@@ -514,12 +523,12 @@ def test_summary_json_roundtrip():
         complex_name="cohoch",
         truncated_at=None,
     )
-    parsed = HomologySummary.parse_json_lines(summary.to_json_lines())
+    parsed = parse_json_lines(summary.to_json_lines())
     assert parsed.entries == summary.entries
     truncated = HomologySummary(
         [HomologyEntry(0, 3)], space="circle", complex_name="hat-cohoch", truncated_at=2
     )
-    parsed = HomologySummary.parse_json_lines(truncated.to_json_lines())
+    parsed = parse_json_lines(truncated.to_json_lines())
     assert parsed.truncated_at == 2
     assert "truncated at word length 2" in truncated.to_table()
 
@@ -551,10 +560,10 @@ class _ReferenceMatrix:
 
 
 def _reference_close_and_build(recipe, max_degree):
-    # Bottom-up: close every degree while caching each differential, sort
-    # every basis by the recursive key (ignoring the builder's flat key),
-    # then assemble all matrices from the cache.
-    seeds, diff_fn, _, truncated_at = recipe
+    # Bottom-up: close every degree while caching each differential, each
+    # basis its seeds and then what the degree above names, first seen
+    # first, then assemble all matrices from the cache.
+    seeds, diff_fn, truncated_at = recipe
     bases = {n: list(seeds(n)) for n in range(max_degree + 1)}
     diff_cache = {}
     for n in range(max_degree, 0, -1):
@@ -566,8 +575,7 @@ def _reference_close_and_build(recipe, max_degree):
                 if key not in lower:
                     lower[key] = None
         bases[n - 1] = list(lower)
-    sort_key = _generator_sort_key
-    bases = {n: sorted(gens, key=sort_key) for n, gens in bases.items() if gens}
+    bases = {n: gens for n, gens in bases.items() if gens}
     diffs = {}
     for n in range(1, max_degree + 1):
         if n not in bases:
@@ -690,6 +698,34 @@ def test_streaming_build_matches_two_pass_builder(
         assert first_adopting == [None] * len(sl.diffs)
 
 
+def test_adopted_order_is_the_same_under_every_hash_seed():
+    # A truncated basis takes what it adopts in the order the columns first
+    # name it, so string hashing must not reach the bases or the columns:
+    # two interpreters under different hash seeds build the same slices of
+    # two windows that adopt mid-degree (see BUILD_WINDOWS).
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from loophomology.simplicial import builtin_space\n"
+        "from loophomology.verify import build_complex_slice\n"
+        "for space, name in [('torus', 'hat-cohoch'), ('boundary-delta3', 'hochschild-of-cobar')]:\n"
+        "    sl = build_complex_slice(builtin_space(space), name, 3, 3)\n"
+        "    print(sl.bases)\n"
+        "    print({n: d.columns for n, d in sl.diffs.items()})\n"
+    )
+    outs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, check=True
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 4
+
+
 def _strictly_ordered(gens, key):
     keys = list(map(key, gens)) if key else gens
     return all(a < b for a, b in zip(keys, keys[1:]))
@@ -708,12 +744,12 @@ def _seed_lists(X, degree):
             words = cobar.cobar_basis(space, degree)
         else:
             words = cobar.hat_cobar_basis(space, degree, cap)
-        yield "words", cobar._word_key, words
+        yield "words", _word_key, words
         algebra = cobar.CobarAlgebra(space)
-        yield "hochschild", cobar._hochschild_key, cobar.hochschild_basis(
+        yield "hochschild", _hochschild_key, cobar.hochschild_basis(
             algebra, degree, word_cap=cap
         )
-        yield "loops", loopcomplex._loop_key, loopcomplex.cohoch_basis(
+        yield "loops", _loop_key, loopcomplex.cohoch_basis(
             space, degree, max_word_length=cap
         )
 
@@ -721,8 +757,8 @@ def _seed_lists(X, degree):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_every_seed_list_comes_in_strict_key_order(name):
     # The builder takes each seed degree as it comes and indexes its rows
-    # from the seed list, so every enumerator must hand over its generators
-    # in the builder's key order, without repeats.
+    # from the seed list, so every enumerator hands over its generators
+    # without repeats, in the order of its shape's flat key.
     X = builtin_space(name)
     for degree in range(7):
         for what, key, seeds in _seed_lists(X, degree):
@@ -820,7 +856,7 @@ def _assert_pass_matches_the_slice(X, complex_name, max_degree, cap, rings):
         return
     for ring in map(parse_ring, rings):
         recipe = complex_recipe(X, complex_name, cap)
-        assert recipe[3] == sl.truncated_at
+        assert recipe[2] == sl.truncated_at
         expected = [homology_of_slice(sl, n, ring) for n in range(max_degree + 1)]
         assert homalg.homology_pass(recipe, max_degree, ring) == expected, ring
 
@@ -918,14 +954,14 @@ def test_the_pass_never_takes_the_differentials_it_clears(
 ):
     # kernel calls: the stored build takes d of every generator of degrees
     # 1 .. max_degree + 1, the pass skips the ones d_(n+1) clears
-    seeds, diff_fn, key, truncated_at = complex_recipe(builtin_space(space), complex_name, cap)
+    seeds, diff_fn, truncated_at = complex_recipe(builtin_space(space), complex_name, cap)
     calls = []
 
     def counted(g):
         calls.append(g)
         return diff_fn(g)
 
-    recipe = (seeds, counted, key, truncated_at)
+    recipe = (seeds, counted, truncated_at)
     homalg.homology_pass(recipe, max_degree, parse_ring(ring))
     assert len(calls) == len(set(calls)) == passed
     calls.clear()

@@ -8,6 +8,7 @@ from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.comparison import necklical_differential
 from loophomology.loopcomplex import format_loop_generator, hochschild_slice
+from reference import multiply
 from loophomology.simplicial import (
     SimplicialSetPresentation,
     adjoin_inverses,
@@ -205,7 +206,7 @@ def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch):
             if b:
                 # the last wrap term, (-1)^{eps_{n-1}} (a_1..a_{n-1}) (x) a_n u,
                 # taken with the opposite sign
-                key = (b[:-1], algebra.multiply(b[-1], u))
+                key = (b[:-1], multiply(algebra, b[-1], u))
                 eps_prev = sum(algebra.degree(a) + 1 for a in b[:-1])
                 out[key] = out.get(key, 0) - 2 * (-1) ** eps_prev
                 if not out[key]:
