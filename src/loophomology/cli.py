@@ -19,7 +19,6 @@ from .simplicial import (
     SimplicialError,
     builtin_space,
     presentation_from_json,
-    validate,
 )
 
 EXIT_OK = 0
@@ -65,28 +64,22 @@ class RunConfig(Record):
 def load_space(name_or_path):
     """A validated presentation from a built-in name or a JSON file."""
     if name_or_path in BUILTIN_NAMES:
-        X = builtin_space(name_or_path)
-    else:
-        path = Path(name_or_path)
-        if not path.exists():
-            raise SimplicialError(
-                f"{name_or_path!r} is neither a built-in "
-                f"({', '.join(BUILTIN_NAMES)}) nor a file"
-            )
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SimplicialError(f"{path}: cannot read: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise SimplicialError(
-                f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
-            ) from None
-        X = presentation_from_json(text, source=str(path))
-    violations = validate(X)
-    if violations:
-        listing = "; ".join(violations[:5])
-        raise SimplicialError(f"{X.name}: invalid presentation: {listing}")
-    return X
+        return builtin_space(name_or_path)
+    path = Path(name_or_path)
+    if not path.exists():
+        raise SimplicialError(
+            f"{name_or_path!r} is neither a built-in "
+            f"({', '.join(BUILTIN_NAMES)}) nor a file"
+        )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SimplicialError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SimplicialError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    return presentation_from_json(text, source=str(path))
 
 
 def cmd_homology(config):
@@ -220,7 +213,9 @@ def main(argv=None):
         )
         return EXIT_OK if report.all_passed else EXIT_VERIFY
     except (SimplicialError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # one line, even when a name or an id in the message holds a newline
+        message = "\\n".join(str(exc).splitlines())
+        sys.stderr.write(f"error: {message}\n")
         return EXIT_INPUT
 
 

@@ -581,84 +581,84 @@ def builtin_space(name):
 
 
 def presentation_from_json(text, source="<json>"):
-    """Parse the JSON simplicial-set schema.
+    """Read the JSON simplicial-set schema into a validated presentation.
 
-    Top level: name, basepoint, simplices ({dimension: [ids]}), faces
-    ({id: [face records 0..n]}) with each record {"deg": [j1 > j2 > ...],
-    "base": id}.  A vertex has no faces: it may be left out of faces or
-    given [].  Non-canonical degeneracy words are rejected by name.
+    Top level: name, basepoint, simplices ({dimension: [ids]}) and faces
+    ({id: [face records 0..n]}), each record {"deg": [j1 > j2 > ...],
+    "base": id}.  A dimension is a plain ASCII numeral ("0", "12").  A
+    vertex has no faces: it may be left out of faces or given [].
+
+    The loader checks the file's shape: JSON syntax with no key repeated
+    in one object, the top-level fields and the types of their values,
+    the dimension keys, and face owners that name no simplex.  What the
+    presentation says is judged by the constructor (duplicate ids) and by
+    `validate` (face counts, words, bases, the simplicial identities).
+    Any refusal is one SimplicialError line that starts with ``source``.
     """
     try:
-        data = json.loads(text)
+        return _read_presentation(text)
+    except SimplicialError as exc:
+        raise SimplicialError(f"{source}: {exc}") from None
+
+
+def _unique_keys(pairs):
+    # json.loads keeps the last value of a repeated key; refuse the object
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        twice = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SimplicialError(f"key {twice!r} appears twice in one object")
+    return obj
+
+
+def _read_presentation(text):
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise SimplicialError(f"{source}: not valid JSON: {exc}") from None
+        raise SimplicialError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise SimplicialError(f"{source}: top level must be an object")
+        raise SimplicialError("top level must be an object")
     for k in ("name", "basepoint", "simplices", "faces"):
         if k not in data:
-            raise SimplicialError(f"{source}: missing top-level field {k!r}")
+            raise SimplicialError(f"missing top-level field {k!r}")
     for k in ("name", "basepoint"):
         if not isinstance(data[k], str):
-            raise SimplicialError(f"{source}: {k} must be a string")
+            raise SimplicialError(f"{k} must be a string")
     for k in ("simplices", "faces"):
         if not isinstance(data[k], dict):
-            raise SimplicialError(f"{source}: {k} must be an object")
-    simplices, key_of = {}, {}
-    for dim_text, ids in data["simplices"].items():
+            raise SimplicialError(f"{k} must be an object")
+    simplices = {}
+    for key, ids in data["simplices"].items():
+        # int() alone also reads " 1", "+1", "1_0" and non-ASCII digits
         try:
-            d = int(dim_text)
-        except ValueError:
-            raise SimplicialError(
-                f"{source}: simplices key {dim_text!r} is not a dimension"
-            ) from None
-        if d in key_of:
-            raise SimplicialError(
-                f"{source}: simplices keys {key_of[d]!r} and {dim_text!r} "
-                f"both name dimension {d}"
-            )
-        key_of[d] = dim_text
+            d = int(key) if key.isascii() and key.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            d = None
+        if d is None or str(d) != key:
+            raise SimplicialError(f"simplices key {key!r} is not a dimension")
         if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
-            raise SimplicialError(
-                f"{source}: simplices[{dim_text!r}] must be a list of id strings"
-            )
+            raise SimplicialError(f"simplices[{key!r}] must be a list of id strings")
         simplices[d] = ids
-    dims = {}
-    for d, ids in simplices.items():
-        for s in ids:
-            if s in dims:
-                raise SimplicialError(f"{source}: duplicate simplex id {s!r}")
-            dims[s] = d
     faces = {}
     for s, records in data["faces"].items():
-        if s not in dims:
-            raise SimplicialError(f"{source}: faces lists unknown simplex {s!r}")
-        d = dims[s]
-        need = d + 1 if d else 0  # a vertex has no faces
-        if not isinstance(records, list) or len(records) != need:
-            raise SimplicialError(
-                f"{source}: {s!r} needs exactly {need} face records"
-                f"{'' if d else ' (a vertex has no faces)'}, "
-                f"got {len(records) if isinstance(records, list) else records!r}"
-            )
+        if not isinstance(records, list):
+            raise SimplicialError(f"faces[{s!r}] must be a list of face records")
         for i, rec in enumerate(records):
             if not isinstance(rec, dict) or not isinstance(rec.get("base"), str):
-                raise SimplicialError(f"{source}: {s!r} face {i}: bad record {rec!r}")
+                raise SimplicialError(f"{s!r} face {i}: bad record {rec!r}")
             word = rec.get("deg", [])
             if not isinstance(word, list) or any(type(j) is not int for j in word):
                 raise SimplicialError(
-                    f"{source}: {s!r} face {i}: degeneracy word {word!r} must be "
-                    f"a list of integers"
+                    f"{s!r} face {i}: degeneracy word {word!r} must be a list "
+                    f"of integers"
                 )
-            word = tuple(word)
-            if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
-                raise SimplicialError(
-                    f"{source}: {s!r} face {i}: degeneracy word {list(word)} is not "
-                    f"strictly decreasing"
-                )
-            faces[(s, i)] = FormalSimplex(word, rec["base"])
-    for s, d in dims.items():
-        if d >= 1 and s not in data["faces"]:
-            raise SimplicialError(
-                f"{source}: {s!r} needs exactly {d + 1} face records, got none"
-            )
-    return SimplicialSetPresentation(data["name"], data["basepoint"], simplices, faces)
+            faces[(s, i)] = FormalSimplex(tuple(word), rec["base"])
+    X = SimplicialSetPresentation(data["name"], data["basepoint"], simplices, faces)
+    # an owner listed with [] adds no face record, so validate cannot see it
+    for s in data["faces"]:
+        if s not in X._dims:
+            raise SimplicialError(f"faces lists unknown simplex {s!r}")
+    violations = validate(X)
+    if violations:
+        raise SimplicialError(f"invalid presentation: {'; '.join(violations[:5])}")
+    return X

@@ -99,38 +99,60 @@ TWO_DIMENSIONS = {
     "faces": {"a": [{"deg": [], "base": "a"}, {"deg": [], "base": "a"}]},
 }
 NOT_UTF8 = b"\xff" + json.dumps(INTERVAL).encode()
+# json.loads would keep the second list of "e"
+REPEATED_KEY = json.dumps(INTERVAL).replace('"faces": {', '"faces": {"e": [], ').encode()
+# "1_0" is dimension 10 to int(); a file names dimensions by plain numerals
+DIMENSION_KEY = json.dumps(INTERVAL).replace('"1": ["e"]', '"1_0": ["e"]').encode()
+IDENTITY_FAILS = {
+    "name": "cone",
+    "basepoint": "a",
+    "simplices": {"0": ["a", "b"], "1": ["e", "f", "g"], "2": ["t"]},
+    "faces": {
+        "e": [{"base": "b"}, {"base": "a"}],
+        "f": [{"base": "a"}, {"base": "b"}],
+        "g": [{"base": "a"}, {"base": "a"}],
+        # d_0 d_1 t = d_0 f = a, but d_0 d_0 t = d_0 e = b
+        "t": [{"base": "e"}, {"base": "f"}, {"base": "g"}],
+    },
+}
+# ids are any strings; the error line escapes a newline in one
+NEWLINE_ID = _replaced(("simplices", "1"), ["e\nf"])
 # a vertex has no faces: [] loads, a face record is refused
 VERTEX_NO_FACES = _replaced(("faces", "a"), [])
 VERTEX_WITH_FACE = _replaced(("faces", "a"), [{"base": "nowhere"}])
 
 
 @pytest.mark.parametrize(
-    "bad, must_reject, names_path",
+    "bad, must_reject",
     [
-        pytest.param(_replaced(path, value), True, False, id=name)
+        pytest.param(_replaced(path, value), True, id=name)
         for name, (path, value) in MUST_REJECT.items()
     ]
     + [
         pytest.param(
             _replaced(path, value),
             path in STRING_FIELDS and not isinstance(value, str),
-            False,
             id=f"{path[-1]}={value!r}",
         )
         for path in FUZZ_FIELDS
         for value in FUZZ_JUNK
         if (path, value) not in MUST_REJECT.values()
     ]
-    + [pytest.param(HUGE_DIMENSION, True, False, id="huge-dimension")]
-    + [pytest.param(SAME_DIMENSION, True, False, id="same-dimension")]
-    + [pytest.param(TWO_DIMENSIONS, True, True, id="id-in-two-dimensions")]
-    + [pytest.param(NOT_UTF8, True, True, id="not-utf-8")]
-    + [pytest.param(VERTEX_NO_FACES, False, False, id="vertex-no-faces")]
-    + [pytest.param(VERTEX_WITH_FACE, True, True, id="vertex-with-face")]
-    + [pytest.param(None, True, True, id="directory")],
+    + [pytest.param(HUGE_DIMENSION, True, id="huge-dimension")]
+    + [pytest.param(SAME_DIMENSION, True, id="same-dimension")]
+    + [pytest.param(TWO_DIMENSIONS, True, id="id-in-two-dimensions")]
+    + [pytest.param(NOT_UTF8, True, id="not-utf-8")]
+    + [pytest.param(REPEATED_KEY, True, id="repeated-key")]
+    + [pytest.param(DIMENSION_KEY, True, id="dimension-key")]
+    + [pytest.param(IDENTITY_FAILS, True, id="identity-fails")]
+    + [pytest.param(NEWLINE_ID, True, id="newline-in-id")]
+    + [pytest.param(VERTEX_NO_FACES, False, id="vertex-no-faces")]
+    + [pytest.param(VERTEX_WITH_FACE, True, id="vertex-with-face")]
+    + [pytest.param(None, True, id="directory")],
 )
-def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject, names_path):
-    """Malformed input either loads or ends with one error line, never a traceback."""
+def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
+    """Malformed input either loads or ends with one error line that names the
+    file, never a traceback."""
     space = tmp_path / "bad.json"
     if bad is None:  # a path that exists but cannot be read as a file
         space.mkdir()
@@ -143,9 +165,7 @@ def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject, names_p
         err = capsys.readouterr().err
         if must_reject or code != EXIT_OK:
             assert code == EXIT_INPUT
-            assert err.startswith("error:") and err.count("\n") == 1
-            if names_path:
-                assert err.startswith(f"error: {space}: ")
+            assert err.startswith(f"error: {space}: ") and err.count("\n") == 1
         else:
             assert err == ""
 

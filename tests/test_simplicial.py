@@ -1,3 +1,5 @@
+import json
+import random
 from functools import cached_property
 
 import pytest
@@ -358,7 +360,7 @@ def test_json_rejects_missing_fields():
     )
     with pytest.raises(SimplicialError) as err:
         presentation_from_json(no_faces)
-    assert "'e' needs exactly 2 face records, got none" in str(err.value)
+    assert "e: missing all 2 faces" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -369,11 +371,149 @@ def test_json_rejects_missing_fields():
     ],
 )
 def test_json_rejects_two_keys_for_one_dimension(old, new, keys):
-    # int() reads both keys as one dimension; neither list may silently
-    # replace the other
+    # int() reads both keys as one dimension; only the plain numeral is a
+    # dimension key, so neither list may silently replace the other
+    _, refused = keys.split(" and ")
     with pytest.raises(SimplicialError) as err:
         presentation_from_json(INTERVAL_JSON.replace(old, new))
-    assert f"simplices keys {keys} both name dimension" in str(err.value)
+    assert f"simplices key {refused} is not a dimension" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["\u0661", " 1", "+1", "1_0", "01", "-1", "1.0", ""])
+def test_json_dimension_keys_are_plain_numerals(key):
+    # "\u0661" is Arabic-Indic one; "1_0" would read as dimension 10
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(INTERVAL_JSON.replace('"1": ["e"]', f'"{key}": ["e"]'))
+    assert str(err.value) == f"<json>: simplices key {key!r} is not a dimension"
+
+
+def test_json_rejects_a_repeated_key():
+    twice = INTERVAL_JSON.replace('"faces": {', '"faces": {"e": [], ')
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(twice, source="twice.json")
+    assert str(err.value) == "twice.json: key 'e' appears twice in one object"
+
+
+def _relabelled_schema(name, rng):
+    # the JSON schema of a built-in space under shuffled fresh ids
+    X = builtin_space(name)
+    ids = X.ids()
+    rename = dict(zip(ids, rng.sample([f"x{k}" for k in range(len(ids))], len(ids))))
+    return {
+        "name": X.name,
+        "basepoint": rename[X.basepoint],
+        "simplices": {str(d): [rename[s] for s in X.simplices[d]] for d in X.simplices},
+        "faces": {
+            rename[s]: [
+                {"deg": list(fs.degeneracies), "base": rename[fs.base]}
+                for fs in (X.faces[(s, i)] for i in range(X.dim(s) + 1))
+            ]
+            for s in ids
+            if X.dim(s)
+        },
+    }
+
+
+def _some_record(schema, rng):
+    # (owner, index) of a face record, or None for a space without faces
+    owners = [s for s, records in schema["faces"].items() if records]
+    if not owners:
+        return None
+    s = rng.choice(owners)
+    return s, rng.randrange(len(schema["faces"][s]))
+
+
+def _some_id(schema, rng, dim=None):
+    keys = [dim] if dim is not None else list(schema["simplices"])
+    return rng.choice([s for k in keys for s in schema["simplices"].get(k, [])])
+
+
+def _drop_record(schema, rng):
+    if (at := _some_record(schema, rng)) is not None:
+        del schema["faces"][at[0]][at[1]]
+
+
+def _add_record(schema, rng):
+    if (at := _some_record(schema, rng)) is not None:
+        records = schema["faces"][at[0]]
+        records.append(dict(records[at[1]]))
+
+
+def _scramble_deg(schema, rng):
+    if (at := _some_record(schema, rng)) is not None:
+        word = [rng.randrange(-1, 4) for _ in range(rng.randrange(4))]
+        schema["faces"][at[0]][at[1]]["deg"] = word
+
+
+def _change_base(schema, rng):
+    if (at := _some_record(schema, rng)) is not None:
+        schema["faces"][at[0]][at[1]]["base"] = _some_id(schema, rng)
+
+
+def _unknown_base(schema, rng):
+    if (at := _some_record(schema, rng)) is not None:
+        schema["faces"][at[0]][at[1]]["base"] = "nowhere"
+
+
+def _drop_owner(schema, rng):
+    if schema["faces"]:
+        del schema["faces"][rng.choice(list(schema["faces"]))]
+
+
+def _unknown_owner(schema, rng):
+    schema["faces"]["nowhere"] = []
+
+
+def _id_in_two_dimensions(schema, rng):
+    s = _some_id(schema, rng)
+    schema["simplices"].setdefault(str(rng.randrange(4)), []).append(s)
+
+
+def _vertex_with_faces(schema, rng):
+    v = _some_id(schema, rng, "0")
+    schema["faces"][v] = [{"deg": [], "base": v}] * rng.randrange(1, 3)
+
+
+def _move_id(schema, rng):
+    key = rng.choice(list(schema["simplices"]))
+    ids = schema["simplices"][key]
+    s = ids.pop(rng.randrange(len(ids)))
+    schema["simplices"].setdefault(str(rng.randrange(4)), []).append(s)
+
+
+def _change_basepoint(schema, rng):
+    schema["basepoint"] = _some_id(schema, rng)
+
+
+MUTATIONS = {
+    f.__name__[1:]: f
+    for f in (
+        _drop_record, _add_record, _scramble_deg, _change_base, _unknown_base,
+        _drop_owner, _unknown_owner, _id_in_two_dimensions, _vertex_with_faces,
+        _move_id, _change_basepoint,
+    )
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_loader_returns_only_valid_presentations(mutation):
+    """A mutated file either loads as a valid presentation of all it lists or
+    is refused in one line that names it."""
+    refused = 0
+    for name in BUILTIN_NAMES:
+        for seed in range(6):
+            rng = random.Random(f"{mutation}/{name}/{seed}")
+            schema = _relabelled_schema(name, rng)
+            MUTATIONS[mutation](schema, rng)
+            source = f"{name}-{seed}.json"
+            try:
+                X = presentation_from_json(json.dumps(schema), source=source)
+            except SimplicialError as exc:
+                refused += 1
+                assert str(exc).startswith(f"{source}: ") and "\n" not in str(exc)
+            else:  # validate cannot see an owner listed with []
+                assert validate(X) == [] and set(schema["faces"]) <= set(X.ids())
+    assert refused  # every mutation breaks some space
 
 
 # ---------------------------------------------------------------------------
