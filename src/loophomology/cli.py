@@ -11,7 +11,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from ._records import Record, Value
 from .complexes import COMPLEX_NAMES, complex_recipe, complex_requires_one_reduced
 from .homalg import HomologySummary, homology_pass, parse_ring
 from .simplicial import (
@@ -26,12 +25,7 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-class RunConfig(Record):
-    __slots__ = (
-        "space", "complex_name", "ring", "max_degree", "max_word_length", "output"
-    )
-    __eq__ = Value.__eq__  # field by field; mutable, so unhashable
-
+class RunConfig:
     def __init__(
         self,
         space: str,

@@ -14,17 +14,17 @@ first rotation coincide, which is why F_n has 3n - 1 facets.
 
 from __future__ import annotations
 
-from ._records import Value
+from collections import namedtuple
 
 
-class FreehedralLabel(Value):
-    __slots__ = ("f_block", "cube_blocks")
+class FreehedralLabel(
+    namedtuple("FreehedralLabel", "f_block cube_blocks", defaults=((),))
+):
+    """A cell of F_n: the leading block and the cube blocks, each a tuple of
+    vertices.  A namedtuple: it compares, orders and hashes as the tuple of
+    its fields."""
 
-    def __init__(
-        self, f_block: tuple[int, ...], cube_blocks: tuple[tuple[int, ...], ...] = ()
-    ):
-        object.__setattr__(self, "f_block", f_block)
-        object.__setattr__(self, "cube_blocks", cube_blocks)
+    __slots__ = ()
 
     @property
     def dimension(self):

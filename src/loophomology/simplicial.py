@@ -21,9 +21,9 @@ presentation the plain model over a 1-reduced space.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import cached_property
 
-from ._records import Value
 from .homalg import Chain, ZZ, _close_and_build
 
 
@@ -31,18 +31,15 @@ class SimplicialError(ValueError):
     """Malformed simplicial input: bad index, unknown simplex, bad word."""
 
 
-class FormalSimplex(Value):
+class FormalSimplex(namedtuple("FormalSimplex", "degeneracies base")):
     """A possibly degenerate simplex s_{j1} s_{j2} ... s_{jk} (base).
 
     The word is strictly decreasing (j1 > j2 > ... > jk), read as operator
-    composition with the rightmost letter applied to the base first.
+    composition with the rightmost letter applied to the base first.  A
+    namedtuple: it compares, orders and hashes as the tuple of its fields.
     """
 
-    __slots__ = ("degeneracies", "base")
-
-    def __init__(self, degeneracies: tuple[int, ...], base: str):
-        object.__setattr__(self, "degeneracies", degeneracies)
-        object.__setattr__(self, "base", base)
+    __slots__ = ()
 
     @property
     def is_degenerate(self):
@@ -376,7 +373,8 @@ def adjoin_inverses(X):
 
 
 def validate(X):
-    """All invariant violations of a presentation, as human-readable strings.
+    """All invariant violations of a presentation, as one-line strings that
+    write each id with repr.
 
     Empty means: faces have the right dimension, degeneracy words are
     canonical and in range, only simplices of dimension >= 1 have faces,
@@ -393,7 +391,7 @@ def validate(X):
     for s, present in records.items():
         if not X._dims.get(s):
             what = "an unknown simplex" if s not in X._dims else "a vertex"
-            violations.append(f"{s}: {len(present)} face records for {what}")
+            violations.append(f"{s!r}: {len(present)} face records for {what}")
     for d, ids in sorted(X.simplices.items()):
         if d < 0:
             violations.append(f"negative dimension {d}")
@@ -403,36 +401,36 @@ def validate(X):
                 continue
             present = records.get(s, {})
             for i in sorted(i for i in present if not 0 <= i <= d):
-                violations.append(f"{s}: face record {i} outside 0..{d}")
+                violations.append(f"{s!r}: face record {i} outside 0..{d}")
             present = {i: e for i, e in present.items() if 0 <= i <= d}
             if not present:
-                violations.append(f"{s}: missing all {d + 1} faces")
+                violations.append(f"{s!r}: missing all {d + 1} faces")
                 continue
             if len(present) <= d:
                 first = next(i for i in range(d + 1) if i not in present)
                 violations.append(
-                    f"{s}: missing {d + 1 - len(present)} of {d + 1} faces "
+                    f"{s!r}: missing {d + 1 - len(present)} of {d + 1} faces "
                     f"(first {first})"
                 )
             for i, entry in sorted(present.items()):
                 word = entry.degeneracies
                 if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
                     violations.append(
-                        f"{s}: face {i} has non-canonical degeneracy word {list(word)}"
+                        f"{s!r}: face {i} has non-canonical degeneracy word {list(word)}"
                     )
                     continue
                 if entry.base not in X._dims:
-                    violations.append(f"{s}: face {i} has unknown base {entry.base!r}")
+                    violations.append(f"{s!r}: face {i} has unknown base {entry.base!r}")
                     continue
                 try:
                     total = X.total_dim(entry)
                     canonical_degeneracy(word, entry.base, X.dim(entry.base))
                 except SimplicialError as exc:
-                    violations.append(f"{s}: face {i}: {exc}")
+                    violations.append(f"{s!r}: face {i}: {exc}")
                     continue
                 if total != d - 1:
                     violations.append(
-                        f"{s}: face {i} has dimension {total}, expected {d - 1}"
+                        f"{s!r}: face {i} has dimension {total}, expected {d - 1}"
                     )
     if violations:
         return violations
@@ -447,8 +445,8 @@ def validate(X):
                     right = face(X, face(X, x, i), j - 1)
                     if left != right:
                         violations.append(
-                            f"{s}: identity d_{i} d_{j} = d_{j-1} d_{i} fails "
-                            f"({left} != {right})"
+                            f"{s!r}: identity d_{i} d_{j} = d_{j-1} d_{i} fails "
+                            f"({str(left)!r} != {str(right)!r})"
                         )
     return violations
 

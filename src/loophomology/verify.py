@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 
 from . import cobar as cobar_mod
 from . import comparison
@@ -70,16 +71,8 @@ def select_chi_variant(max_degree=5):
 # Report plumbing
 
 
-class CheckResult:
-    __slots__ = ("name", "status", "detail")
-
-    def __init__(self, name, status, detail=""):
-        self.name = name
-        self.status = status  # "pass" | "fail" | "skip"
-        self.detail = detail
-
-    def as_dict(self):
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+# status is "pass", "fail" or "skip"
+CheckResult = namedtuple("CheckResult", "name status detail", defaults=("",))
 
 
 class VerifyReport:
@@ -116,7 +109,7 @@ class VerifyReport:
                 "max_degree": self.max_degree,
                 "max_word_length": self.max_word_length,
                 "chi_variant": self.chi_variant,
-                "checks": [r.as_dict() for r in self.results],
+                "checks": [r._asdict() for r in self.results],
                 "ok": self.all_passed,
             },
             sort_keys=True,

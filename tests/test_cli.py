@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import loophomology
 from loophomology.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -378,19 +380,36 @@ def test_verify_never_imports_scipy():
     assert done.returncode == 0, done.stderr
 
 
+# the standard library modules that the package imports on the CLI's path
+CLI_STDLIB = (
+    "__future__", "array", "functools", "importlib", "json", "math", "pathlib", "sys"
+)
+
+
 def test_cli_import_never_loads_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, which every run
-    # would pay for at start-up
+    # would pay for at start-up; the package's records are namedtuples, and
+    # pathlib and functools already load collections
     import subprocess
     import sys
 
+    # without site, which may load modules of its own
+    src = str(Path(loophomology.__file__).parent.parent)
     script = (
         "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        f"for name in {CLI_STDLIB!r}:\n"
+        "    __import__(name)\n"
+        "before = set(sys.modules)\n"
         "import loophomology.cli\n"
+        "added = sorted(m for m in set(sys.modules) - before\n"
+        "               if m.partition('.')[0] != 'loophomology')\n"
+        "if added:\n"
+        "    sys.exit(f'import loophomology.cli also loaded {added}')\n"
         "if 'dataclasses' in sys.modules:\n"
         "    sys.exit('dataclasses was imported')\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True)
     assert done.returncode == 0, done.stderr
 
 

@@ -886,6 +886,37 @@ def test_homology_pass_matches_the_slice_on_the_build_windows(
     )
 
 
+def test_tensor_algebra_count_reads_the_wedge_of_three_2_spheres():
+    # the figures the count gives for collapsed-delta3 over Z
+    entries = reference.tensor_algebra_hochschild(3, 6)
+    assert [e.free_rank for e in entries] == [1, 3, 6, 14, 32, 72, 170]
+    assert [len(e.torsion) for e in entries] == [0, 0, 3, 0, 3, 0, 11]
+    assert {d for e in entries for d in e.torsion} == {2}
+
+
+# collapsed-delta3 is a wedge of three 2-spheres and sphere2 one: a
+# suspension, whose free-loop homology is HH_*(T V) with V free in degree 1
+EXACT_WINDOWS = [
+    ("collapsed-delta3", 3, "cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("collapsed-delta3", 3, "hochschild-of-cobar", 5, ("Z", "F2")),
+    ("sphere2", 1, "cohoch", 6, ("Z", "Q", "F2", "F3")),
+]
+
+
+@pytest.mark.parametrize(
+    "space, letters, complex_name, max_degree, rings",
+    EXACT_WINDOWS,
+    ids=[f"{w[0]}-{w[2]}-D{w[3]}" for w in EXACT_WINDOWS],
+)
+def test_homology_pass_matches_the_tensor_algebra_count(
+    space, letters, complex_name, max_degree, rings
+):
+    recipe = complex_recipe(builtin_space(space), complex_name, None)
+    for ring in map(parse_ring, rings):
+        expected = reference.tensor_algebra_hochschild(letters, max_degree, ring)
+        assert homalg.homology_pass(recipe, max_degree, ring) == expected, ring
+
+
 def _without(matrix, rows):
     # the matrix without the columns of the given generators
     return SparseIntMatrix(

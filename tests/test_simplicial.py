@@ -5,6 +5,7 @@ from functools import cached_property
 import pytest
 
 from loophomology.cobar import CobarAlgebra, cobar_differential
+from loophomology.freehedra import FreehedralLabel
 from loophomology.homalg import Chain, ZZ
 from loophomology.loopcomplex import (
     cohoch_basis,
@@ -30,6 +31,7 @@ from loophomology.simplicial import (
     presentation_from_json,
     validate,
 )
+from loophomology.verify import run_verify
 from reference import op
 
 
@@ -37,6 +39,44 @@ def test_canonical_degeneracy_examples():
     assert canonical_degeneracy([], "v", 0) == FormalSimplex((), "v")
     assert canonical_degeneracy([0, 0], "v", 0) == FormalSimplex((1, 0), "v")
     assert canonical_degeneracy([1, 2], "b", 2) == FormalSimplex((3, 1), "b")
+
+
+RECORDS = [
+    # (value, its fields by name, str, repr)
+    (FormalSimplex((1, 0), "v"), {"degeneracies": (1, 0), "base": "v"}, "s1s0(v)",
+     "FormalSimplex(degeneracies=(1, 0), base='v')"),
+    (nondeg("v"), {"degeneracies": (), "base": "v"}, "v",
+     "FormalSimplex(degeneracies=(), base='v')"),
+    (FreehedralLabel((0, 1), ((1, 2, 0),)),
+     {"f_block": (0, 1), "cube_blocks": ((1, 2, 0),)}, "0,1][1,2,0]",
+     "FreehedralLabel(f_block=(0, 1), cube_blocks=((1, 2, 0),))"),
+    (FreehedralLabel((0, 1)), {"f_block": (0, 1), "cube_blocks": ()}, "0,1]",
+     "FreehedralLabel(f_block=(0, 1), cube_blocks=())"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields, text, shown", RECORDS, ids=[r[2] for r in RECORDS]
+)
+def test_records_are_frozen_values_shown_by_field(value, fields, text, shown):
+    cls = type(value)
+    assert cls(*fields.values()) == cls(**fields) == value
+    assert (str(value), repr(value)) == (text, shown)
+    assert hash(value) == hash(tuple(fields.values()))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_records_order_as_their_field_tuples():
+    simplices = [FormalSimplex((1,), "a"), nondeg("b"), FormalSimplex((0,), "a")]
+    assert sorted(simplices) == sorted(simplices, key=lambda f: (f.degeneracies, f.base))
+    labels = [FreehedralLabel((1,), ((0, 1),)), FreehedralLabel((0, 1))]
+    assert sorted(labels) == sorted(labels, key=lambda c: (c.f_block, c.cube_blocks))
 
 
 def test_canonical_degeneracy_idempotent():
@@ -271,8 +311,8 @@ def test_validate_refuses_faces_of_vertices_and_unknown_ids():
     faces = {("v", 0): nondeg("nowhere"), ("zz", 0): v, ("zz", 1): v}
     X = SimplicialSetPresentation("stray", "v", {0: ["v"]}, faces)
     assert validate(X) == [
-        "v: 1 face records for a vertex",
-        "zz: 2 face records for an unknown simplex",
+        "'v': 1 face records for a vertex",
+        "'zz': 2 face records for an unknown simplex",
     ]
 
 
@@ -282,33 +322,33 @@ def test_validate_reports_face_indices_outside_the_simplex():
     faces = {("t", 0): v, ("t", 1): v, ("t", 7): nondeg("nowhere"), ("t", -1): v}
     X = SimplicialSetPresentation("c", "v", {0: ["v"], 1: ["t"]}, faces)
     assert validate(X) == [
-        "t: face record -1 outside 0..1",
-        "t: face record 7 outside 0..1",
+        "'t': face record -1 outside 0..1",
+        "'t': face record 7 outside 0..1",
     ]
     only_strays = {("t", 2): v}
     X = SimplicialSetPresentation("c", "v", {0: ["v"], 1: ["t"]}, only_strays)
-    assert validate(X) == ["t: face record 2 outside 0..1", "t: missing all 2 faces"]
+    assert validate(X) == ["'t': face record 2 outside 0..1", "'t': missing all 2 faces"]
 
 
 def test_validate_reports_faceless_simplex_once():
     X = SimplicialSetPresentation("huge", "a", {0: ["a"], 10**6: ["q"]}, {})
-    assert validate(X) == ["q: missing all 1000001 faces"]
+    assert validate(X) == ["'q': missing all 1000001 faces"]
 
 
 def test_validate_reports_partly_faced_simplex_once():
     faces = {("q", 1): nondeg("a")}
     X = SimplicialSetPresentation("huge", "a", {0: ["a"], 10**6: ["q"]}, faces)
     violations = validate(X)
-    assert violations[0] == "q: missing 1000000 of 1000001 faces (first 0)"
+    assert violations[0] == "'q': missing 1000000 of 1000001 faces (first 0)"
     # the one record present is still checked, once
-    assert violations[1:] == ["q: face 1 has dimension 0, expected 999999"]
+    assert violations[1:] == ["'q': face 1 has dimension 0, expected 999999"]
 
 
 def test_validate_names_first_missing_face():
     bd = builtin_space("boundary-delta3")
     faces = {key: value for key, value in bd.faces.items() if key != ("012", 1)}
     X = SimplicialSetPresentation("gap", "0", bd.simplices, faces)
-    assert validate(X) == ["012: missing 1 of 3 faces (first 1)"]
+    assert validate(X) == ["'012': missing 1 of 3 faces (first 1)"]
 
 
 def test_duplicate_ids_rejected():
@@ -360,7 +400,21 @@ def test_json_rejects_missing_fields():
     )
     with pytest.raises(SimplicialError) as err:
         presentation_from_json(no_faces)
-    assert "e: missing all 2 faces" in str(err.value)
+    assert "'e': missing all 2 faces" in str(err.value)
+
+
+def test_an_id_with_a_newline_is_written_on_one_line():
+    # validate writes ids with repr, so neither the loader's message nor
+    # the verify report breaks a line inside one
+    no_faces = INTERVAL_JSON.replace(
+        '"e": [{"deg": [], "base": "b"}, {"deg": [], "base": "a"}]', ""
+    )
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(no_faces.replace('["e"]', '["e\\nf"]'))
+    assert str(err.value) == "<json>: invalid presentation: 'e\\nf': missing all 2 faces"
+    X = SimplicialSetPresentation("nl", "a", {0: ["a", "b"], 1: ["e\nf"]}, {})
+    lines = run_verify(X, 2).to_text().splitlines()
+    assert "  FAIL  simplicial-identities  ['e\\nf': missing all 2 faces]" in lines
 
 
 @pytest.mark.parametrize(
