@@ -10,13 +10,16 @@ is computed and how every reader wants it.  One builder owns generator
 order: it closes a slice's bases under the differential top-down, one
 degree at a time, and re-keys each differential into an index column as
 soon as it is taken, so it holds one raw column at a time.  Each complex
-is a recipe (seeds by degree, differential, cap).  A basis is its
-degree's seeds in the order they are enumerated, followed by what a
-truncated window's columns name beyond them, in the order the columns
-first name it; nothing is sorted.  The builder stores a slice or feeds
-the homology pass, which reduces each d_n as soon as it is built and
-never builds the column of a generator that leads a unit pivot of
-d_(n+1) (clearing).
+is a recipe (seeds by degree, differential, cap; an exact window may
+add a coboundary kernel).  A basis is its degree's seeds in the order
+they are enumerated, followed by what a truncated window's columns name
+beyond them, in the order the columns first name it; nothing is sorted.
+The builder stores a slice or feeds the homology pass, which reduces
+each matrix as soon as it is built and clears.  Top-down, it never
+builds d_n's column of a generator that leads a unit pivot of d_(n+1).
+Bottom-up, given a coboundary kernel, it reduces delta^n = d_(n+1)
+transposed from n = 0, never builds delta^n's column of a generator that
+leads a unit pivot of delta^(n-1), and never enumerates the top basis.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix (dense rows are made a
@@ -532,13 +535,14 @@ class ComplexSlice:
         )
 
 
-def _closed_degrees(recipe, top, bases=None, cleared=frozenset()):
+def _closed_degrees(recipe, top, sizes, bases=None, cleared=frozenset()):
     """Close a recipe's bases under d from degree ``top`` down, yielding
-    (n, size of basis n, d_n) for n = top .. 1.
+    (n, d_n) for n = top .. 1 and recording the size of basis n in
+    ``sizes``.
 
-    A recipe is (seeds, diff_fn, truncated_at): seeds(n) lists degree n's
-    generators without repeats, and diff_fn(g) is d(g) as a {generator:
-    nonzero coefficient} dict.  Each differential of basis n is re-keyed
+    A recipe is (seeds, diff_fn, truncated_at[, codiff_fn]): seeds(n)
+    lists degree n's generators without repeats, and diff_fn(g) is d(g)
+    as a {generator: nonzero coefficient} dict.  Each differential of basis n is re-keyed
     into a column of row indices as soon as it is taken, so one raw dict
     is alive at a time.  Basis n-1 is the seeds of degree n-1, enumerated
     one degree ahead, followed by the generators the columns name beyond
@@ -549,7 +553,7 @@ def _closed_degrees(recipe, top, bases=None, cleared=frozenset()):
     then has no column for those generators, and their differentials are
     never taken.
     """
-    seeds, diff_fn, _ = recipe
+    seeds, diff_fn = recipe[:2]
     gens = seeds(top)
     for n in range(top, 0, -1):
         # d_(n+1)'s columns go before d_n's are taken
@@ -562,39 +566,93 @@ def _closed_degrees(recipe, top, bases=None, cleared=frozenset()):
                 )
         if bases is not None and gens:
             bases[n] = gens
-        size, gens = len(gens), list(row_index)
+        sizes[n], gens = len(gens), list(row_index)
         del row_index
-        yield n, size, SparseIntMatrix(len(gens), columns)
+        yield n, SparseIntMatrix(len(gens), columns)
+    sizes[0] = len(gens)
     if bases is not None and gens:
         bases[0] = gens
+
+
+def _coclosed_degrees(recipe, top, sizes, cleared):
+    """Yield (n + 1, delta^n) for n = 0 .. top, delta^n = d_(n+1)
+    transposed, recording the size of basis n in ``sizes``.
+
+    An exact recipe's codiff_fn(g) is {generator one degree up: nonzero
+    coefficient of g in its d}.  delta^n has a column per generator of
+    seeds(n) except those whose rows of delta^(n-1) the consumer put in
+    ``cleared``, and its rows in the order first named.  delta^top is
+    yielded transposed, a column per generator it names: seeds(top + 1)
+    is never called.
+    """
+    seeds, codiff_fn = recipe[0], recipe[3]
+    skip = ()
+    for n in range(top + 1):
+        gens = seeds(n)
+        sizes[n] = len(gens)
+        index, columns, j = {}, [], 0
+        for g in gens:
+            if g in skip:
+                continue
+            terms = codiff_fn(g)
+            if n < top:
+                columns.append({index.setdefault(k, len(index)): c for k, c in terms.items()})
+                continue
+            for k, c in terms.items():  # the transpose: a column per generator named
+                i = index.setdefault(k, len(columns))
+                if i == len(columns):
+                    columns.append({})
+                columns[i][j] = c
+            j += 1
+        del gens, skip
+        if n == top:
+            del index
+            yield n + 1, SparseIntMatrix(j, columns)
+            return
+        rows = list(index)
+        del index
+        yield n + 1, SparseIntMatrix(len(rows), columns)
+        del columns
+        skip = {rows[i] for i in cleared}
 
 
 def _close_and_build(recipe, max_degree):
     """The ComplexSlice of a recipe (see _closed_degrees) through
     max_degree: every nonempty basis, and d_n wherever basis n is."""
     bases = {}
-    diffs = {n: d for n, size, d in _closed_degrees(recipe, max_degree, bases) if size}
+    built = _closed_degrees(recipe, max_degree, {}, bases)
+    diffs = {n: d for n, d in built if n in bases}
     return ComplexSlice(bases, diffs, recipe[2], built_through=max_degree)
 
 
 def homology_pass(recipe, max_degree, ring=ZZ):
     """H_0 .. H_max_degree of a recipe's complex over ``ring``, in one
-    top-down pass that reduces each d_n as soon as it is built (the kernels
-    of homology_of_slice) and keeps only its factors, rank and sizes.
+    pass that reduces each matrix as soon as it is built (the kernels of
+    homology_of_slice) and keeps only its factors, rank and sizes: an
+    exact recipe with a coboundary kernel bottom-up, delta^n = d_(n+1)
+    transposed for n = 0 .. max_degree, any other top-down, d_n for
+    n = max_degree + 1 .. 1.
 
-    Clearing: a unit-lead pivot of d_(n+1) at row r is a boundary whose
-    other entries lie below r in the kernel's order, so d_n of generator r
-    is in the span of the columns below it, and d_n is built without it:
-    its image, rank and invariant factors stay.  Over Z (and Q) the span
-    is integral, so the rows d_n adopts stay too; mod p a row named only by
-    multiples of p could go unadopted, so a truncated window clears nothing.
+    Clearing, top-down: a unit-lead pivot of d_(n+1) at row r is a
+    boundary whose other entries lie below r in the kernel's order, so
+    d_n of generator r is in the span of the columns below it, and d_n is
+    built without it: its image, rank and invariant factors stay.  Over Z
+    (and Q) the span is integral, so the rows d_n adopts stay too; mod p a
+    row named only by multiples of p could go unadopted, so a truncated
+    window clears nothing.  Bottom-up, transposed: a unit-lead pivot of
+    delta^(n-1) at row r is a coboundary, so delta^n is built without
+    generator r; an exact window adopts nothing, so this holds mod p too.
     """
     clears = ring.p is None or recipe[2] is None  # Z, Q or an exact window
     cleared, size, found = set(), {}, {0: ([], 0)}
-    for n, count, d in _closed_degrees(recipe, max_degree + 1, cleared=cleared):
+    if len(recipe) > 3:  # an exact window's coboundary kernel
+        degrees = _coclosed_degrees(recipe, max_degree, size, cleared)
+    else:
+        degrees = _closed_degrees(recipe, max_degree + 1, size, cleared=cleared)
+    for n, d in degrees:
         factors, rank, leads = _reduce(d, ring.p)
-        size[n], size[n - 1], found[n] = count, d.nrows, (factors, rank)
-        del d  # d_(n-1) is built without d_n alive
+        found[n] = (factors, rank)
+        del d  # the next matrix is built without this one alive
         cleared.clear()
         if clears:
             cleared.update(leads)
@@ -700,6 +758,11 @@ def _homology_entry(degree, size, reduction_in, rank_out, ring):
     return HomologyEntry(degree, size - rank_out - rank_in, torsion)
 
 
+def _shown(name):
+    # a name or id as it is where it prints on one line, else its repr
+    return name if name.isprintable() else repr(name)
+
+
 class HomologySummary:
     """Per-degree homology of one complex, with serialization helpers."""
 
@@ -720,7 +783,7 @@ class HomologySummary:
         return "\n".join(lines) + "\n"
 
     def to_table(self):
-        head = f"homology of {self.complex_name}({self.space}) over {self.ring}"
+        head = f"homology of {self.complex_name}({_shown(self.space)}) over {self.ring}"
         lines = [head]
         if self.truncated_at is not None:
             lines.append(f"truncated at word length {self.truncated_at}")

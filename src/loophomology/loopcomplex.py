@@ -17,7 +17,14 @@ presentation, which must be 1-reduced, slot and letters are both X.
 
 Each differential taken on every generator of a slice is one kernel, built
 once per slice: it reads its tables once and maps a generator to a raw
-{key: coefficient} dict.  Its public function is a Chain wrapper.
+{key: coefficient} dict.  Its public function is a Chain wrapper.  An
+exact free-loop window (a 1-reduced space) also has the transpose, a
+coboundary kernel that maps a generator to the generators one degree up
+whose differential names it.  The homology pass reduces such a window
+bottom-up through it, clearing each generator that leads a unit pivot of
+the coboundary below; every other window is reduced top-down through the
+differential, clearing each generator that leads a unit pivot of the
+differential above.
 
 The face-operator differential and the comparison maps between the two
 models, which only the verify suite uses, live in comparison.
@@ -124,6 +131,65 @@ def _cohoch_kernel(space):
     return terms
 
 
+def _cohoch_cokernel(space):
+    """The transpose of _cohoch_kernel on an exact window, as a function of
+    one loop generator (y, v) of degree n, returning {generator of degree
+    n + 1: nonzero coefficient of (y, v) in its differential}.  The space
+    is 1-reduced: one vertex and no edges, so no word cancels and every
+    word is a generator.  The four families are read backwards through
+    tables inverted once: cofaces, the word rules keyed by the first of
+    the one or two letters a rule puts in place of a letter (with the
+    rest), and the wrap pairs keyed by
+    the letters they bring (theta_2 also by the parity of the word it
+    extends).  A word term carries the Koszul sign of y and of the letters
+    before the ones it merges, as in _cohoch_kernel."""
+    table = space.table
+    hat = isinstance(space, OpExtension)
+    dim, shifted = table.dim, table.shifted
+    cofaces, corules, cotheta1, cotheta2 = {}, {}, {}, {}
+    for x, faces in (table.inner_boundary if hat else table.boundary).items():
+        for c, f in faces:
+            cofaces.setdefault(f, []).append((c, x))
+    for a, rule in table.rules[hat].items():
+        for c, mid in rule:
+            corules.setdefault(mid[0], []).append((mid[1:], c, a))
+    for x, pairs in table.theta1.items():
+        for f, b, c in pairs:
+            cotheta1.setdefault((f, b), []).append((c, x))
+    for x, by_parity in table.theta2.items():
+        for e, pairs in enumerate(by_parity):
+            for f, b, c in pairs:
+                cotheta2.setdefault((f, b, e), []).append((c, x))
+
+    def terms(gen):
+        y, v = gen
+        out = {}
+        for c, x in cofaces.get(y, ()):
+            key = (x, v)
+            out[key] = out.get(key, 0) + c
+        sign = -1 if dim[y] & 1 else 1
+        q = 0
+        for i, a in enumerate(v):
+            s = -sign if q & 1 else sign
+            for rest, c, b in corules.get(a, ()):  # merge v[i:k] into b
+                k = i + 1 + len(rest)
+                if v[i + 1 : k] == rest:
+                    key = (y, v[:i] + (b,) + v[k:])
+                    out[key] = out.get(key, 0) + s * c
+            q += shifted[a]
+        if v:
+            # theta_1 led with v[0] from the slot y; theta_2 appended v[-1]
+            for c, x in cotheta1.get((y, v[0]), ()):
+                key = (x, v[1:])
+                out[key] = out.get(key, 0) + c
+            for c, x in cotheta2.get((v[-1], y, (q - shifted[v[-1]]) & 1), ()):
+                key = (x, v[:-1])
+                out[key] = out.get(key, 0) + c
+        return _nonzero(out)
+
+    return terms
+
+
 def cohoch_differential(space, gen, ring=ZZ):
     """Differential of a loop generator, four terms: simplex boundary, word
     differential (Koszul sign (-1)^p), theta_1 and theta_2 over the
@@ -209,13 +275,15 @@ def hochschild_slice(space, max_degree, *, word_cap=None):
 
 
 def cohoch_recipe(space, max_word_length=None):
-    """(seeds, differential, truncated_at) of the free-loop complex.
+    """(seeds, differential, truncated_at) of the free-loop complex, with
+    the coboundary kernel as a fourth field when the window is exact.
 
     Truncated bases are closed downward under the differential, so the
     matrices always present an honest subcomplex.
     """
     truncated_at = None
-    if space.is_one_reduced():
+    exact = space.is_one_reduced()
+    if exact:
         max_word_length = None  # exact bases; cap independence holds
     elif isinstance(space, OpExtension):
         truncated_at = max_word_length
@@ -223,7 +291,8 @@ def cohoch_recipe(space, max_word_length=None):
     def seeds(n):
         return cohoch_basis(space, n, max_word_length=max_word_length)
 
-    return seeds, _cohoch_kernel(space), truncated_at
+    recipe = seeds, _cohoch_kernel(space), truncated_at
+    return recipe + (_cohoch_cokernel(space),) if exact else recipe
 
 
 def cohoch_slice(space, max_degree, *, max_word_length=None):

@@ -24,7 +24,7 @@ import json
 from collections import namedtuple
 from functools import cached_property
 
-from .homalg import Chain, ZZ, _close_and_build
+from .homalg import Chain, ZZ, _close_and_build, _shown
 
 
 class SimplicialError(ValueError):
@@ -143,15 +143,16 @@ class SimplicialSetPresentation:
     def require_one_reduced(self, what):
         """Raise, naming the first obstruction, unless this is 1-reduced."""
         vertices = self.simplices.get(0, ())
+        name = _shown(self.name)
         if len(vertices) != 1:
             raise SimplicialError(
-                f"{what} needs a 1-reduced space; {self.name} has vertices "
-                f"{', '.join(vertices)}"
+                f"{what} needs a 1-reduced space; {name} has vertices "
+                f"{', '.join(map(_shown, vertices))}"
             )
         edges = self.simplices.get(1, ())
         if edges:
             raise SimplicialError(
-                f"{what} needs a 1-reduced space; {self.name} has the nondegenerate "
+                f"{what} needs a 1-reduced space; {name} has the nondegenerate "
                 f"1-simplex {edges[0]!r}"
             )
 

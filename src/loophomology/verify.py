@@ -28,7 +28,7 @@ from . import cobar as cobar_mod
 from . import comparison
 from .comparison import CHI_VARIANTS
 from .complexes import build_complex_slice, supported_complexes
-from .homalg import ZZ, Chain, check_d_squared, homology_of_slice, parse_ring
+from .homalg import ZZ, Chain, _shown, check_d_squared, homology_of_slice, parse_ring
 from .loopcomplex import format_loop_generator
 from .simplicial import SimplicialError, adjoin_inverses, builtin_space, validate
 
@@ -89,8 +89,9 @@ class VerifyReport:
 
     def to_text(self):
         cap = "-" if self.max_word_length is None else str(self.max_word_length)
+        name = _shown(self.space_name)
         lines = [
-            f"verify {self.space_name} (max degree {self.max_degree}, word cap {cap})",
+            f"verify {name} (max degree {self.max_degree}, word cap {cap})",
             f"chi exponent reading: {self.chi_variant}",
         ]
         for r in self.results:

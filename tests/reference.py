@@ -17,9 +17,10 @@ unit-pivot kernel; the general pivot loop built for whole matrices
 repeated divisibility repair are the oracles of the short loop on the
 cleared residual and of its one-pass repair.  The helpers only tests call (phi summed over a chain, the
 freehedral label grammar, JSON lines read back into a summary, a chain's
-coefficient, the word product, a letter's inverse) live here too, as does
+coefficient, the word product, a letter's inverse) live here too, as do
 the closed-form count HH_*(T V) that the exact windows of a wedge of
-2-spheres are checked against.  Tests assert that the package agrees with
+2-spheres are checked against and one such wedge, Delta^4 with its
+1-skeleton collapsed.  Tests assert that the package agrees with
 all of them.
 """
 
@@ -38,7 +39,13 @@ from loophomology.homalg import (
     SparseIntMatrix,
     _nearest_quotient,
 )
-from loophomology.simplicial import OpExtension, SimplicialError
+from loophomology.simplicial import (
+    FormalSimplex,
+    OpExtension,
+    SimplicialError,
+    SimplicialSetPresentation,
+    nondeg,
+)
 
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
 
@@ -71,7 +78,7 @@ def close_and_build(recipe, max_degree):
     the seeds lack makes the row basis the seeds followed by the keys of
     the columns not yet re-keyed, in first-seen order.  The columns
     before it name seeds only, so they keep their rows."""
-    seeds, diff_fn, truncated_at = recipe
+    seeds, diff_fn, truncated_at = recipe[:3]
     bases, diffs = {}, {}
     gens = seeds(max_degree)
     for n in range(max_degree, 0, -1):
@@ -701,6 +708,20 @@ def tensor_algebra_hochschild(letters, max_degree, ring=ZZ):
         HomologyEntry(n, free[n] + twos[n] + (n and twos[n - 1]))
         for n in range(max_degree + 1)
     ]
+
+
+def collapsed_simplex(n):
+    """Delta^n with its 1-skeleton collapsed to the vertex v: 1-reduced, a
+    wedge of (n choose 2) 2-spheres.  From n = 4 on, a letter's cobar rule
+    splits it into two letters (the 2-faces 012 and 234 of 01234), which
+    no built-in does."""
+    simplices, faces = {0: ["v"]}, {}
+    for d in range(2, n + 1):
+        simplices[d] = ["".join(map(str, c)) for c in itertools.combinations(range(n + 1), d + 1)]
+        for s in simplices[d]:
+            for i in range(d + 1):
+                faces[s, i] = FormalSimplex((0,), "v") if d == 2 else nondeg(s[:i] + s[i + 1 :])
+    return SimplicialSetPresentation(f"collapsed-delta{n}", "v", simplices, faces)
 
 
 # ---------------------------------------------------------------------------

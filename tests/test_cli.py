@@ -172,6 +172,33 @@ def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):
             assert err == ""
 
 
+def test_a_name_with_a_newline_is_written_on_one_line(tmp_path, capsys):
+    # a name that does not print on one line is written with repr; a
+    # printable one ("interval", "a b") exactly as it is
+    point = {"name": "two\nlines", "basepoint": "v", "simplices": {"0": ["v"]}, "faces": {}}
+    path = tmp_path / "nl.json"
+    path.write_text(json.dumps(point), encoding="utf-8")
+    assert main(["homology", "--space", str(path), "--complex", "cohoch"]) == EXIT_OK
+    head = capsys.readouterr().out.splitlines()[0]
+    assert head == "homology of cohoch('two\\nlines') over Z"
+    assert main(["verify", "--space", str(path), "--max-degree", "1"]) == EXIT_OK
+    head = capsys.readouterr().out.splitlines()[0]
+    assert head == "verify 'two\\nlines' (max degree 1, word cap -)"
+    path.write_text(json.dumps(dict(point, name="a b")), encoding="utf-8")
+    assert main(["homology", "--space", str(path), "--complex", "cohoch"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("homology of cohoch(a b) over Z\n")
+    # the refusal of a space that is not 1-reduced names it and its vertices
+    interval = dict(INTERVAL, name="two\nlines", basepoint="a\tb")
+    interval["simplices"] = {"0": ["a\tb", "b"], "1": ["e"]}
+    interval["faces"] = {"e": [{"deg": [], "base": "b"}, {"deg": [], "base": "a\tb"}]}
+    path.write_text(json.dumps(interval), encoding="utf-8")
+    with pytest.raises(SimplicialError) as err:
+        load_space(str(path)).require_one_reduced("the test")
+    assert str(err.value) == (
+        "the test needs a 1-reduced space; 'two\\nlines' has vertices 'a\\tb', b"
+    )
+
+
 def test_load_unknown_name():
     with pytest.raises(SimplicialError):
         load_space("nosuch")

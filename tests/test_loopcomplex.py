@@ -39,7 +39,7 @@ from loophomology.loopcomplex import (
     hochschild_differential,
     hochschild_slice,
 )
-from reference import _loop_key, phi_chain
+from reference import _loop_key, collapsed_simplex, phi_chain
 
 S2 = builtin_space("sphere2")
 POINT = builtin_space("point")
@@ -534,6 +534,38 @@ def test_hochschild_and_cohoch_agree_on_collapsed_delta3():
     ]
     for sl in (hochschild_slice(CD, 5), cohoch_slice(CD, 5)):
         assert [homology_of_slice(sl, n) for n in range(5)] == expected
+
+
+# the 1-reduced built-ins through degree 5, and collapsed-delta4, whose
+# rules split a letter in two, through degree 4
+ONE_REDUCED = [
+    (name, 5) for name in BUILTIN_NAMES if builtin_space(name).is_one_reduced()
+] + [("collapsed-delta4", 4)]
+
+
+@pytest.mark.parametrize("hat", [False, True], ids=["cohoch", "hat-cohoch"])
+@pytest.mark.parametrize("name, top", ONE_REDUCED, ids=[w[0] for w in ONE_REDUCED])
+def test_coboundary_kernel_is_the_stored_differential_transposed(name, top, hat):
+    # d_(n+1) of a slice through degree top read by rows: the generators of
+    # degree n + 1 whose differential names a generator of degree n
+    X = collapsed_simplex(4) if name == "collapsed-delta4" else builtin_space(name)
+    space = adjoin_inverses(X) if hat else X
+    sl = cohoch_slice(space, top)
+    coboundary = loop_mod.cohoch_recipe(space)[3]
+    for n in range(top):
+        rows = {g: {} for g in sl.bases.get(n, ())}
+        d = sl.diffs.get(n + 1)
+        for j, col in enumerate(d.columns if d else ()):
+            for i, c in col.items():
+                rows[sl.bases[n][i]][sl.bases[n + 1][j]] = c
+        for g, row in rows.items():
+            assert coboundary(g) == row, (n, g)
+
+
+def test_only_exact_windows_carry_a_coboundary_kernel():
+    torus = adjoin_inverses(builtin_space("torus"))
+    assert len(loop_mod.cohoch_recipe(torus, 2)) == 3
+    assert len(loop_mod.cohoch_recipe(adjoin_inverses(S2))) == 4
 
 
 def test_cohoch_slice_d_squared_and_truncation_label():
