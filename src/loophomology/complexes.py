@@ -35,9 +35,11 @@ def supported_complexes(X):
 
 
 def complex_recipe(X, complex_name, max_word_length=None):
-    """The recipe (seeds, differential, truncated_at) of the requested
-    complex of a presentation, from which both build_complex_slice and the
-    homology command build.
+    """The recipe (seeds, differential, truncated_at[, coboundary]) of the
+    requested complex of a presentation, from which both
+    build_complex_slice and the homology command build.  The fourth
+    field, only on an exact free-loop window, is its coboundary kernel,
+    through which the homology pass runs the builder loop bottom-up.
 
     The hat complexes, and the Hochschild complex of a space that is not
     1-reduced, are built over Z(X), the others over X.  Over Z(X) of a

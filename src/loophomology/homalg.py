@@ -6,20 +6,21 @@ when homology is extracted.  A differential sums its terms into one plain
 dict and becomes a Chain once: the chain takes the dict over, normalizes
 it mod p and drops the zero sums in place.  A matrix is stored as its
 columns, one {row: value} dict per generator, which is how a differential
-is computed and how every reader wants it.  One builder owns generator
-order: it closes a slice's bases under the differential top-down, one
-degree at a time, and re-keys each differential into an index column as
-soon as it is taken, so it holds one raw column at a time.  Each complex
-is a recipe (seeds by degree, differential, cap; an exact window may
-add a coboundary kernel).  A basis is its degree's seeds in the order
-they are enumerated, followed by what a truncated window's columns name
-beyond them, in the order the columns first name it; nothing is sorted.
-The builder stores a slice or feeds the homology pass, which reduces
-each matrix as soon as it is built and clears.  Top-down, it never
-builds d_n's column of a generator that leads a unit pivot of d_(n+1).
-Bottom-up, given a coboundary kernel, it reduces delta^n = d_(n+1)
+is computed and how every reader wants it.  One builder loop owns
+generator order: it walks the degrees top-down or bottom-up and re-keys
+each kernel's dict into an index column as soon as it is taken, so it
+holds one raw column at a time.  Each complex is a recipe (seeds by
+degree, differential, cap; an exact window may add a coboundary kernel).
+A matrix's rows are the next degree's seeds in the order they are
+enumerated, followed by what a truncated window's columns name beyond
+them, in the order the columns first name it; nothing is sorted.  The
+loop stores a slice or feeds the homology pass, which reduces each
+matrix as soon as it is built and clears.  Top-down, it never builds
+d_n's column of a generator that leads a unit pivot of d_(n+1).
+Bottom-up, through a coboundary kernel, it builds delta^n = d_(n+1)
 transposed from n = 0, never builds delta^n's column of a generator that
-leads a unit pivot of delta^(n-1), and never enumerates the top basis.
+leads a unit pivot of delta^(n-1), and builds the top delta as its
+transpose, so the top basis is never enumerated.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix (dense rows are made a
@@ -535,103 +536,87 @@ class ComplexSlice:
         )
 
 
-def _closed_degrees(recipe, top, sizes, bases=None, cleared=frozenset()):
-    """Close a recipe's bases under d from degree ``top`` down, yielding
-    (n, d_n) for n = top .. 1 and recording the size of basis n in
-    ``sizes``.
+def _closed_degrees(seeds, kernel, degrees, sizes, bases=None, cleared=frozenset()):
+    """Walk the range ``degrees`` a pair (n, m) of neighbours at a time,
+    yielding (max(n, m), matrix): a column of kernel(g) per generator g of
+    basis n, and basis m as rows.  Records each basis size in ``sizes``
+    and returns the last basis.
 
-    A recipe is (seeds, diff_fn, truncated_at[, codiff_fn]): seeds(n)
-    lists degree n's generators without repeats, and diff_fn(g) is d(g)
-    as a {generator: nonzero coefficient} dict.  Each differential of basis n is re-keyed
-    into a column of row indices as soon as it is taken, so one raw dict
-    is alive at a time.  Basis n-1 is the seeds of degree n-1, enumerated
-    one degree ahead, followed by the generators the columns name beyond
-    them (a truncated window) in the order they are first named, so the
-    matrices form an honest subcomplex.  Basis n goes into ``bases`` (a
-    dict, if given) and is dropped.  Before it asks for the next degree,
-    the consumer may fill the set ``cleared`` with rows of d_n: d_(n-1)
-    then has no column for those generators, and their differentials are
-    never taken.
+    seeds(n) lists degree n's generators without repeats.  Top-down,
+    kernel(g) is d(g) as a {generator: nonzero coefficient} dict and the
+    matrix is d_n; bottom-up, it is an exact window's coboundary kernel
+    and the matrix is delta^n = d_(n+1) transposed.  Each kernel(g) is
+    re-keyed into a column as soon as it is taken, so one raw dict is
+    alive at a time.  Basis m is seeds(m), enumerated one degree ahead,
+    then what the columns name beyond them (a truncated window) in the
+    order first named, so the matrices form an honest subcomplex.  Basis
+    n goes into ``bases`` (a dict, if given) and is dropped.  Before it
+    asks for the next matrix, the consumer may fill the set ``cleared``
+    with rows of this one: the next has no column for those generators,
+    and their kernels are never taken.
     """
-    seeds, diff_fn = recipe[:2]
-    gens = seeds(top)
-    for n in range(top, 0, -1):
-        # d_(n+1)'s columns go before d_n's are taken
-        columns, row_index = [], {g: i for i, g in enumerate(seeds(n - 1))}
+    gens = seeds(degrees[0])
+    for n, m in zip(degrees, degrees[1:]):
+        # the last matrix's columns go before this one's are taken
+        columns, row_index = [], {g: i for i, g in enumerate(seeds(m))}
         for j, g in enumerate(gens):
             if j not in cleared:
-                dg = diff_fn(g)
                 columns.append(
-                    {row_index.setdefault(k, len(row_index)): c for k, c in dg.items()}
+                    {row_index.setdefault(k, len(row_index)): c for k, c in kernel(g).items()}
                 )
         if bases is not None and gens:
             bases[n] = gens
         sizes[n], gens = len(gens), list(row_index)
         del row_index
-        yield n, SparseIntMatrix(len(gens), columns)
-    sizes[0] = len(gens)
+        yield max(n, m), SparseIntMatrix(len(gens), columns)
+    n = degrees[-1]
+    sizes[n] = len(gens)
     if bases is not None and gens:
-        bases[0] = gens
+        bases[n] = gens
+    return gens
 
 
-def _coclosed_degrees(recipe, top, sizes, cleared):
-    """Yield (n + 1, delta^n) for n = 0 .. top, delta^n = d_(n+1)
-    transposed, recording the size of basis n in ``sizes``.
-
-    An exact recipe's codiff_fn(g) is {generator one degree up: nonzero
-    coefficient of g in its d}.  delta^n has a column per generator of
-    seeds(n) except those whose rows of delta^(n-1) the consumer put in
-    ``cleared``, and its rows in the order first named.  delta^top is
-    yielded transposed, a column per generator it names: seeds(top + 1)
-    is never called.
-    """
-    seeds, codiff_fn = recipe[0], recipe[3]
-    skip = ()
-    for n in range(top + 1):
-        gens = seeds(n)
-        sizes[n] = len(gens)
-        index, columns, j = {}, [], 0
-        for g in gens:
-            if g in skip:
-                continue
-            terms = codiff_fn(g)
-            if n < top:
-                columns.append({index.setdefault(k, len(index)): c for k, c in terms.items()})
-                continue
-            for k, c in terms.items():  # the transpose: a column per generator named
-                i = index.setdefault(k, len(columns))
-                if i == len(columns):
-                    columns.append({})
-                columns[i][j] = c
-            j += 1
-        del gens, skip
-        if n == top:
-            del index
-            yield n + 1, SparseIntMatrix(j, columns)
-            return
-        rows = list(index)
-        del index
-        yield n + 1, SparseIntMatrix(len(rows), columns)
-        del columns
-        skip = {rows[i] for i in cleared}
+def _coclosed_degrees(seeds, codiff_fn, top, sizes, cleared):
+    """Yield (n + 1, delta^n) for n = 0 .. top: _closed_degrees over an
+    exact recipe's coboundary kernel, codiff_fn(g) = {generator one degree
+    up: nonzero coefficient of g in its d}, through delta^(top-1), then
+    delta^top built straight into its transpose, a row per uncleared
+    generator of basis top and a column per generator their coboundaries
+    name, so seeds(top + 1) is never called."""
+    gens = yield from _closed_degrees(seeds, codiff_fn, range(top + 1), sizes, cleared=cleared)
+    index, columns, j = {}, [], 0
+    for i, g in enumerate(gens):
+        if i in cleared:
+            continue
+        for k, c in codiff_fn(g).items():
+            col = index.setdefault(k, len(columns))
+            if col == len(columns):
+                columns.append({})
+            columns[col][j] = c
+        j += 1
+    del gens, index
+    yield top + 1, SparseIntMatrix(j, columns)
 
 
 def _close_and_build(recipe, max_degree):
-    """The ComplexSlice of a recipe (see _closed_degrees) through
+    """The ComplexSlice of a recipe (see homology_pass) through
     max_degree: every nonempty basis, and d_n wherever basis n is."""
+    seeds, diff_fn, truncated_at, *_ = recipe
     bases = {}
-    built = _closed_degrees(recipe, max_degree, {}, bases)
+    built = _closed_degrees(seeds, diff_fn, range(max_degree, -1, -1), {}, bases)
     diffs = {n: d for n, d in built if n in bases}
-    return ComplexSlice(bases, diffs, recipe[2], built_through=max_degree)
+    return ComplexSlice(bases, diffs, truncated_at, built_through=max_degree)
 
 
 def homology_pass(recipe, max_degree, ring=ZZ):
     """H_0 .. H_max_degree of a recipe's complex over ``ring``, in one
     pass that reduces each matrix as soon as it is built (the kernels of
-    homology_of_slice) and keeps only its factors, rank and sizes: an
-    exact recipe with a coboundary kernel bottom-up, delta^n = d_(n+1)
-    transposed for n = 0 .. max_degree, any other top-down, d_n for
-    n = max_degree + 1 .. 1.
+    homology_of_slice) and keeps only its factors, rank and sizes.  A
+    recipe is (seeds, diff_fn, truncated_at[, codiff_fn]).  One loop,
+    _closed_degrees, builds both orders: with an exact window's coboundary
+    kernel codiff_fn bottom-up, delta^n = d_(n+1) transposed for n = 0 ..
+    max_degree, and otherwise top-down, d_n for n = max_degree + 1 .. 1;
+    in both, a matrix's rows are the next degree's seeds as enumerated.
 
     Clearing, top-down: a unit-lead pivot of d_(n+1) at row r is a
     boundary whose other entries lie below r in the kernel's order, so
@@ -643,12 +628,15 @@ def homology_pass(recipe, max_degree, ring=ZZ):
     delta^(n-1) at row r is a coboundary, so delta^n is built without
     generator r; an exact window adopts nothing, so this holds mod p too.
     """
-    clears = ring.p is None or recipe[2] is None  # Z, Q or an exact window
+    seeds, diff_fn, truncated_at, *codiff = recipe
+    clears = ring.p is None or truncated_at is None  # Z, Q or an exact window
     cleared, size, found = set(), {}, {0: ([], 0)}
-    if len(recipe) > 3:  # an exact window's coboundary kernel
-        degrees = _coclosed_degrees(recipe, max_degree, size, cleared)
+    if codiff:
+        degrees = _coclosed_degrees(seeds, *codiff, max_degree, size, cleared)
     else:
-        degrees = _closed_degrees(recipe, max_degree + 1, size, cleared=cleared)
+        degrees = _closed_degrees(
+            seeds, diff_fn, range(max_degree + 1, -1, -1), size, cleared=cleared
+        )
     for n, d in degrees:
         factors, rank, leads = _reduce(d, ring.p)
         found[n] = (factors, rank)

@@ -279,7 +279,10 @@ def cohoch_recipe(space, max_word_length=None):
     the coboundary kernel as a fourth field when the window is exact.
 
     Truncated bases are closed downward under the differential, so the
-    matrices always present an honest subcomplex.
+    matrices always present an honest subcomplex.  The builder loop runs
+    an exact window's homology pass bottom-up, through the coboundary
+    kernel, and every other build top-down; in both, a matrix's rows are
+    the next degree's seeds in enumeration order.
     """
     truncated_at = None
     exact = space.is_one_reduced()

@@ -899,6 +899,7 @@ def test_tensor_algebra_count_reads_the_wedge_of_three_2_spheres():
 # suspension, whose free-loop homology is HH_*(T V) with V free in degree 1
 EXACT_WINDOWS = [
     ("collapsed-delta3", 3, "cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("collapsed-delta3", 3, "hat-cohoch", 6, ("Z", "Q", "F2", "F3")),
     ("collapsed-delta3", 3, "hochschild-of-cobar", 5, ("Z", "F2")),
     ("sphere2", 1, "cohoch", 6, ("Z", "Q", "F2", "F3")),
 ]
@@ -1069,6 +1070,32 @@ def test_bottom_up_pass_matches_the_stored_slice_on_exact_windows(
         # differential is taken
         assert degrees == list(range(max_degree + 1)) and not taken
         degrees.clear()
+
+
+@pytest.mark.parametrize(
+    "space, complex_name, max_degree, cap",
+    EXACT_GOLDEN_WINDOWS,
+    ids=["-".join(map(str, w)) for w in EXACT_GOLDEN_WINDOWS],
+)
+def test_bottom_up_matrices_are_the_stored_differentials_transposed(
+    space, complex_name, max_degree, cap
+):
+    # bottom-up rows are the next degree's seeds in enumeration order, as
+    # top-down: with nothing cleared, delta^n is the stored d_(n+1)
+    # transposed entry for entry, rows and columns in basis order
+    seeds, diff_fn, _, codiff_fn = complex_recipe(builtin_space(space), complex_name, cap)
+    sl = homalg._close_and_build((seeds, diff_fn, None), max_degree)
+    sizes = {}
+    built = list(homalg._closed_degrees(seeds, codiff_fn, range(max_degree + 1), sizes))
+    assert [n for n, _ in built] == list(range(1, max_degree + 1))
+    for n, delta in built:
+        d = sl.differential(n)
+        transposed = [{} for _ in range(d.nrows)]
+        for j, col in enumerate(d.columns):
+            for i, c in col.items():
+                transposed[i][j] = c
+        assert (delta.nrows, delta.columns) == (d.ncols, transposed), n
+    assert sizes == {n: len(sl.bases.get(n, ())) for n in range(max_degree + 1)}
 
 
 @pytest.mark.parametrize("complex_name", ["cohoch", "hat-cohoch"])
