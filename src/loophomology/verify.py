@@ -7,15 +7,20 @@ two runs on the same inputs diff clean:
 2. d.d = 0 for every complex the space supports;
 3. term-by-term agreement of the face-operator differential with the
    coalgebra-formula differential on every free-loop generator, the latter
-   read from the hat-cohoch matrices built in step 2;
+   read from the stored hat-cohoch matrices;
 4. the chi sign sweep: the chain-map mismatches of each chi reading on the
    built-in collapsed-delta3 through degree 5, whatever the input space;
 5. the chain-map identity for phi (1-reduced spaces), under the chi sign
-   reading the sweep selected, on the hochschild-of-cobar and cohoch
-   matrices built in step 2;
+   reading the sweep selected, on the stored hochschild-of-cobar and
+   cohoch matrices;
 6. nilpotency of the local contraction on kernel elements sampled from
-   the hochschild-of-cobar bases built in step 2;
+   the hochschild-of-cobar bases;
 7. universal-coefficients consistency of Betti numbers over Q, F2, F3.
+
+The checks do not run in that order.  Each complex is built once, checked
+by every check that reads it and dropped before the next is built; only
+cohoch is held until hochschild-of-cobar is built, for steps 5 and 6.  The
+results are then printed in the order above.
 """
 
 from __future__ import annotations
@@ -129,38 +134,20 @@ def _check_simplicial(X):
     return CheckResult("simplicial-identities", "pass")
 
 
-def _check_d_squared(X, max_degree, cap):
-    results = []
-    slices = {}
-    for name in supported_complexes(X):
-        try:
-            sl = build_complex_slice(X, name, max_degree, max_word_length=cap)
-        except SimplicialError as exc:
-            results.append(CheckResult(f"d-squared:{name}", "skip", str(exc)))
-            continue
-        slices[name] = sl
-        bad = check_d_squared(sl)
-        if bad:
-            degree, gen = bad[0]
-            results.append(
-                CheckResult(
-                    f"d-squared:{name}",
-                    "fail",
-                    f"{len(bad)} generators, first at degree {degree}: {gen}",
-                )
-            )
-        else:
-            sizes = sum(len(b) for b in sl.bases.values())
-            results.append(
-                CheckResult(f"d-squared:{name}", "pass", f"{sizes} generators")
-            )
-    return results, slices
+def _check_d_squared(name, sl):
+    bad = check_d_squared(sl)
+    if bad:
+        degree, gen = bad[0]
+        return CheckResult(
+            f"d-squared:{name}",
+            "fail",
+            f"{len(bad)} generators, first at degree {degree}: {gen}",
+        )
+    sizes = sum(len(b) for b in sl.bases.values())
+    return CheckResult(f"d-squared:{name}", "pass", f"{sizes} generators")
 
 
-def _check_differential_agreement(X, slices):
-    sl = slices.get("hat-cohoch")
-    if sl is None:
-        return CheckResult("face-vs-formula-differential", "skip", "no hat complex")
+def _check_differential_agreement(X, sl):
     face_terms = comparison._necklical_kernel(adjoin_inverses(X))
     mismatched = 0
     first = None
@@ -192,7 +179,7 @@ def _check_differential_agreement(X, slices):
 def _check_phi_chain_map(X, slices, chi_variant):
     if not X.is_one_reduced():
         return CheckResult("phi-chain-map", "skip", "skipped: not 1-reduced")
-    # Both slices are exact for a 1-reduced space, so step 2 built them.
+    # Both slices are exact for a 1-reduced space, so neither build skips.
     bad = comparison.phi_slice_mismatches(
         X, (chi_variant,), slices["hochschild-of-cobar"], slices["cohoch"]
     )[chi_variant]
@@ -207,7 +194,7 @@ def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026
     if not X.is_one_reduced():
         return CheckResult("contraction-nilpotency", "skip", "skipped: not 1-reduced")
     algebra = cobar_mod.CobarAlgebra(X)
-    # The hochschild-of-cobar bases from step 2 are exact for a 1-reduced space.
+    # The hochschild-of-cobar bases are exact for a 1-reduced space.
     bases = slices["hochschild-of-cobar"].bases
     kernel = []
     for n in range(min(max_degree, 5) + 1):
@@ -258,37 +245,24 @@ def _bar_d(algebra, chain):
     return out
 
 
-def _check_universal_coefficients(X, slices, max_degree):
-    results = []
-    fields = [parse_ring("Q"), parse_ring("F2"), parse_ring("F3")]
+def _check_universal_coefficients(name, sl, max_degree):
     top = max_degree - 1  # H_n needs d_{n+1}, which a slice holds below its top only
-    for name in sorted(slices):
-        sl = slices[name]
-        if top < 0:
-            results.append(
-                CheckResult(
-                    f"universal-coefficients:{name}",
-                    "skip",
-                    f"max degree {max_degree}: no degree below the top to compare",
-                )
-            )
-            continue
-        ok = True
-        detail = ""
-        for n in range(top + 1):
-            dims = [homology_of_slice(sl, n, ring).free_rank for ring in fields]
-            if not (dims[0] <= dims[1] and dims[0] <= dims[2]):
-                ok = False
-                detail = f"degree {n}: Q {dims[0]}, F2 {dims[1]}, F3 {dims[2]}"
-                break
-        results.append(
-            CheckResult(
-                f"universal-coefficients:{name}",
-                "pass" if ok else "fail",
-                detail or f"degrees 0..{top}",
-            )
+    if top < 0:
+        return CheckResult(
+            f"universal-coefficients:{name}",
+            "skip",
+            f"max degree {max_degree}: no degree below the top to compare",
         )
-    return results
+    fields = [parse_ring("Q"), parse_ring("F2"), parse_ring("F3")]
+    for n in range(top + 1):
+        dims = [homology_of_slice(sl, n, ring).free_rank for ring in fields]
+        if not (dims[0] <= dims[1] and dims[0] <= dims[2]):
+            return CheckResult(
+                f"universal-coefficients:{name}",
+                "fail",
+                f"degree {n}: Q {dims[0]}, F2 {dims[1]}, F3 {dims[2]}",
+            )
+    return CheckResult(f"universal-coefficients:{name}", "pass", f"degrees 0..{top}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +282,40 @@ def run_verify(space, max_degree, max_word_length=None):
             CheckResult("remaining-checks", "skip", "presentation invalid")
         )
         return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
-    d2_results, slices = _check_d_squared(X, max_degree, max_word_length)
-    results.extend(d2_results)
-    results.append(_check_differential_agreement(X, slices))
+    face = CheckResult("face-vs-formula-differential", "skip", "no hat complex")
+    phi_and_contraction = None
+    universal = {}
+    held = {}  # cohoch, until phi reads it with hochschild-of-cobar
+    for name in supported_complexes(X):
+        try:
+            sl = build_complex_slice(X, name, max_degree, max_word_length=max_word_length)
+        except SimplicialError as exc:
+            results.append(CheckResult(f"d-squared:{name}", "skip", str(exc)))
+            continue
+        results.append(_check_d_squared(name, sl))
+        if name == "hat-cohoch":
+            face = _check_differential_agreement(X, sl)
+        elif name == "cohoch":
+            held[name] = sl
+        elif name == "hochschild-of-cobar":
+            held[name] = sl
+            phi_and_contraction = _check_phi_and_contraction(
+                X, held, chi_variant, max_degree
+            )
+            held.clear()
+        universal[name] = _check_universal_coefficients(name, sl, max_degree)
+        del sl  # dropped before the next build
+    if phi_and_contraction is None:  # no hochschild-of-cobar: not 1-reduced, both skip
+        phi_and_contraction = _check_phi_and_contraction(X, held, chi_variant, max_degree)
+    results.append(face)
     results.append(CheckResult("chi-exponent-sweep", "pass", chi_detail))
-    results.append(_check_phi_chain_map(X, slices, chi_variant))
-    results.append(_check_contraction(X, slices, max_degree))
-    results.extend(_check_universal_coefficients(X, slices, max_degree))
+    results.extend(phi_and_contraction)
+    results.extend(universal[name] for name in sorted(universal))
     return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
+
+
+def _check_phi_and_contraction(X, slices, chi_variant, max_degree):
+    return [
+        _check_phi_chain_map(X, slices, chi_variant),
+        _check_contraction(X, slices, max_degree),
+    ]

@@ -1,6 +1,8 @@
 import gc
 import weakref
 
+import pytest
+
 from loophomology import comparison
 from loophomology import loopcomplex as loop_mod
 from loophomology.cli import EXIT_OK, main
@@ -79,7 +81,7 @@ def test_verify_report_structure_records_sweep():
 
 
 # ---------------------------------------------------------------------------
-# checks 3 and 5 read the slices step 2 built
+# checks 3 and 5 read the stored slices; each slice is built once
 
 
 def test_verify_takes_each_hochschild_differential_once(monkeypatch):
@@ -132,6 +134,41 @@ def test_chi_sweep_keeps_only_its_result(monkeypatch):
     gc.collect()
     assert len(built) == 2
     assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
+def test_verify_holds_one_slice_at_a_time(monkeypatch, space):
+    # each slice is dropped before the next build; only cohoch waits for
+    # hochschild-of-cobar, the last build, and is dropped once phi has read
+    # both, before the universal-coefficients reductions of the last
+    select_chi_variant()  # the sweep builds through its own functions
+    built = {}
+    real_build = verify_mod.build_complex_slice
+    real_homology = verify_mod.homology_of_slice
+
+    def alive():
+        gc.collect()
+        return {name for name, ref in built.items() if ref() is not None}
+
+    def waiting():
+        return {"cohoch"} & set(built) if "hochschild-of-cobar" not in built else set()
+
+    def recorded(X, name, *args, **kwargs):
+        assert alive() == waiting()
+        sl = real_build(X, name, *args, **kwargs)
+        built[name] = weakref.ref(sl)
+        return sl
+
+    def reducing(sl, *args):
+        assert alive() == waiting() | {next(reversed(built))}
+        return real_homology(sl, *args)
+
+    monkeypatch.setattr(verify_mod, "build_complex_slice", recorded)
+    monkeypatch.setattr(verify_mod, "homology_of_slice", reducing)
+    report = run_verify(space, 4)
+    assert report.all_passed
+    assert list(built) == supported_complexes(builtin_space(space))
+    assert not alive()
 
 
 def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
