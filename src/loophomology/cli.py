@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .complexes import COMPLEX_NAMES, complex_recipe, complex_requires_one_reduced
+from .complexes import COMPLEX_NAMES, complex_recipe
 from .homalg import HomologySummary, homology_pass, parse_ring
 from .simplicial import (
     BUILTIN_NAMES,
@@ -25,34 +25,12 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-class RunConfig:
-    def __init__(
-        self,
-        space: str,
-        complex_name: str = "chains",
-        ring: str = "Z",
-        max_degree: int = 4,
-        max_word_length: int | None = None,
-        output: str = "table",
-    ):
-        self.space = space
-        self.complex_name = complex_name
-        self.ring = ring
-        self.max_degree = max_degree
-        self.max_word_length = max_word_length
-        self.output = output
-        if self.complex_name not in COMPLEX_NAMES:
-            raise SimplicialError(
-                f"unknown complex {self.complex_name!r}; "
-                f"choices: {', '.join(COMPLEX_NAMES)}"
-            )
-        if self.max_degree < 0:
-            raise SimplicialError("max-degree must be >= 0")
-        if self.max_word_length is not None and self.max_word_length < 1:
-            raise SimplicialError("max-word-length must be >= 1")
-        if self.output not in ("table", "json"):
-            raise SimplicialError(f"unknown format {self.output!r}")
-        parse_ring(self.ring)
+def _check_window(max_degree, max_word_length):
+    """The window checks that homology and verify share."""
+    if max_degree < 0:
+        raise SimplicialError("max-degree must be >= 0")
+    if max_word_length is not None and max_word_length < 1:
+        raise SimplicialError("max-word-length must be >= 1")
 
 
 def load_space(name_or_path):
@@ -76,28 +54,30 @@ def load_space(name_or_path):
     return presentation_from_json(text, source=str(path))
 
 
-def cmd_homology(config):
-    """Per-degree homology of the configured complex, as a HomologySummary."""
-    X = load_space(config.space)
+def cmd_homology(
+    space, complex_name="chains", ring="Z", max_degree=4, max_word_length=None
+):
+    """Per-degree homology of one complex of a space, as a HomologySummary."""
+    _check_window(max_degree, max_word_length)
+    ring = parse_ring(ring)
+    X = load_space(space)
     # Over a space which is not 1-reduced the builder refuses cobar and
     # cohoch, and every other loop complex is degreewise infinite.
     if (
-        config.max_word_length is None
-        and config.complex_name != "chains"
-        and not complex_requires_one_reduced(config.complex_name)
+        max_word_length is None
+        and complex_name in ("hat-cobar", "hat-cohoch", "hochschild-of-cobar")
         and not X.is_one_reduced()
     ):
         raise SimplicialError(
-            f"{config.complex_name} of {X.name} needs --max-word-length "
+            f"{complex_name} of {X.name} needs --max-word-length "
             f"(degree components are infinite)"
         )
-    recipe = complex_recipe(X, config.complex_name, config.max_word_length)
-    ring = parse_ring(config.ring)
+    recipe = complex_recipe(X, complex_name, max_word_length)
     return HomologySummary(
-        homology_pass(recipe, config.max_degree, ring),
+        homology_pass(recipe, max_degree, ring),
         ring=ring,
         space=X.name,
-        complex_name=config.complex_name,
+        complex_name=complex_name,
         truncated_at=recipe[2],
     )
 
@@ -168,7 +148,7 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--verify" in argv and (not argv or argv[0] not in ("homology", "freehedron", "verify")):
+    if "--verify" in argv and argv[0] not in ("homology", "freehedron", "verify"):
         # Flag spelling of the verify mode.
         argv = ["verify"] + [a for a in argv if a != "--verify"]
     parser = _build_parser()
@@ -180,27 +160,18 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         if args.command == "homology":
-            config = RunConfig(
-                space=args.space,
-                complex_name=args.complex_name,
-                ring=args.ring,
-                max_degree=args.max_degree,
-                max_word_length=args.max_word_length,
-                output=args.output,
+            summary = cmd_homology(
+                args.space, args.complex_name, args.ring,
+                args.max_degree, args.max_word_length,
             )
-            summary = cmd_homology(config)
-            if config.output == "json":
-                sys.stdout.write(summary.to_json_lines())
-            else:
-                sys.stdout.write(summary.to_table())
+            sys.stdout.write(
+                summary.to_json_lines() if args.output == "json" else summary.to_table()
+            )
             return EXIT_OK
         if args.command == "freehedron":
             sys.stdout.write(cmd_freehedron(args.n, args.mode, args.output))
             return EXIT_OK
-        # verify takes the window checks of a homology run
-        RunConfig(
-            args.space, max_degree=args.max_degree, max_word_length=args.max_word_length
-        )
+        _check_window(args.max_degree, args.max_word_length)
         report = cmd_verify(args.space, args.max_degree, args.max_word_length)
         sys.stdout.write(
             report.to_json() if args.output == "json" else report.to_text()

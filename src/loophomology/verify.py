@@ -80,13 +80,10 @@ def select_chi_variant(max_degree=5):
 CheckResult = namedtuple("CheckResult", "name status detail", defaults=("",))
 
 
-class VerifyReport:
-    def __init__(self, space_name, max_degree, max_word_length, results, chi_variant):
-        self.space_name = space_name
-        self.max_degree = max_degree
-        self.max_word_length = max_word_length
-        self.results = results
-        self.chi_variant = chi_variant
+class VerifyReport(
+    namedtuple("VerifyReport", "space_name max_degree max_word_length results chi_variant")
+):
+    __slots__ = ()
 
     @property
     def all_passed(self):
@@ -176,13 +173,9 @@ def _check_differential_agreement(X, sl):
     )
 
 
-def _check_phi_chain_map(X, slices, chi_variant):
-    if not X.is_one_reduced():
-        return CheckResult("phi-chain-map", "skip", "skipped: not 1-reduced")
-    # Both slices are exact for a 1-reduced space, so neither build skips.
-    bad = comparison.phi_slice_mismatches(
-        X, (chi_variant,), slices["hochschild-of-cobar"], slices["cohoch"]
-    )[chi_variant]
+def _check_phi_chain_map(X, hochschild, cohoch, chi_variant):
+    mismatches = comparison.phi_slice_mismatches(X, (chi_variant,), hochschild, cohoch)
+    bad = mismatches[chi_variant]
     if bad:
         return CheckResult(
             "phi-chain-map", "fail", f"{len(bad)} generators, first {bad[0]!r}"
@@ -191,8 +184,6 @@ def _check_phi_chain_map(X, slices, chi_variant):
 
 
 def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026):
-    if not X.is_one_reduced():
-        return CheckResult("contraction-nilpotency", "skip", "skipped: not 1-reduced")
     algebra = cobar_mod.CobarAlgebra(X)
     # The hochschild-of-cobar bases are exact for a 1-reduced space.
     bases = slices["hochschild-of-cobar"].bases
@@ -283,9 +274,12 @@ def run_verify(space, max_degree, max_word_length=None):
         )
         return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
     face = CheckResult("face-vs-formula-differential", "skip", "no hat complex")
-    phi_and_contraction = None
+    # cohoch exists and is exact only over a 1-reduced space; there phi and
+    # the contraction run when hochschild-of-cobar is built beside it
+    phi = CheckResult("phi-chain-map", "skip", "skipped: not 1-reduced")
+    contraction = CheckResult("contraction-nilpotency", "skip", "skipped: not 1-reduced")
+    cohoch = None
     universal = {}
-    held = {}  # cohoch, until phi reads it with hochschild-of-cobar
     for name in supported_complexes(X):
         try:
             sl = build_complex_slice(X, name, max_degree, max_word_length=max_word_length)
@@ -296,26 +290,14 @@ def run_verify(space, max_degree, max_word_length=None):
         if name == "hat-cohoch":
             face = _check_differential_agreement(X, sl)
         elif name == "cohoch":
-            held[name] = sl
-        elif name == "hochschild-of-cobar":
-            held[name] = sl
-            phi_and_contraction = _check_phi_and_contraction(
-                X, held, chi_variant, max_degree
-            )
-            held.clear()
+            cohoch = sl
+        elif name == "hochschild-of-cobar" and cohoch is not None:
+            phi = _check_phi_chain_map(X, sl, cohoch, chi_variant)
+            contraction = _check_contraction(X, {name: sl}, max_degree)
+            cohoch = None
         universal[name] = _check_universal_coefficients(name, sl, max_degree)
         del sl  # dropped before the next build
-    if phi_and_contraction is None:  # no hochschild-of-cobar: not 1-reduced, both skip
-        phi_and_contraction = _check_phi_and_contraction(X, held, chi_variant, max_degree)
-    results.append(face)
-    results.append(CheckResult("chi-exponent-sweep", "pass", chi_detail))
-    results.extend(phi_and_contraction)
+    sweep = CheckResult("chi-exponent-sweep", "pass", chi_detail)
+    results += [face, sweep, phi, contraction]
     results.extend(universal[name] for name in sorted(universal))
     return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
-
-
-def _check_phi_and_contraction(X, slices, chi_variant, max_degree):
-    return [
-        _check_phi_chain_map(X, slices, chi_variant),
-        _check_contraction(X, slices, max_degree),
-    ]

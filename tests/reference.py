@@ -19,7 +19,7 @@ cleared residual and of its one-pass repair.  The helpers only tests call (phi s
 freehedral label grammar, JSON lines read back into a summary, a chain's
 coefficient, the word product, a letter's inverse) live here too, as do
 the closed-form count HH_*(T V) that the exact windows of a wedge of
-2-spheres are checked against and one such wedge, Delta^4 with its
+spheres are checked against and one such wedge, Delta^4 with its
 1-skeleton collapsed.  Tests assert that the package agrees with
 all of them.
 """
@@ -674,32 +674,35 @@ def _divisibility_chain(factors):
 # closed forms
 
 
-def tensor_algebra_hochschild(letters, max_degree, ring=ZZ):
+def tensor_algebra_hochschild(letters, max_degree, ring=ZZ, letter_degree=1):
     """HH_0 .. HH_max_degree of the tensor algebra T V over ``ring``, V free
-    on ``letters`` generators of degree 1, as HomologyEntry values: the
-    free-loop homology of a wedge of ``letters`` 2-spheres, a suspension,
-    when its chain coalgebra is formal over Z (measured, not proved).
+    on ``letters`` generators of degree d = ``letter_degree``, as
+    HomologyEntry values: the free-loop homology of a wedge of ``letters``
+    (d + 1)-spheres, a suspension, when its chain coalgebra is formal over
+    Z (measured, not proved).
 
     The two-term resolution of T V gives, for each word length m >= 1,
-    b_m = 1 - (-1)^(m-1) t on V^(x)m, with t the cyclic shift: coker b_m
-    lies in H_m and ker b_m in H_(m+1).  An orbit of t of primitive period
-    d gives Z to both when (-1)^((m-1)d) = 1, and Z/2 to H_m alone
-    otherwise; H_0 = Z.  Over a field, universal coefficients make each
-    Z/2 an F2 in its degree and in the next.
+    b_m = 1 - (-1)^(d(m-1)) t on V^(x)m, with t the cyclic shift and
+    (-1)^(d(m-1)) its Koszul sign: coker b_m lies in H_(dm) and ker b_m in
+    H_(dm+1).  An orbit of t of primitive period p gives Z to both when
+    (-1)^(d(m-1)p) = 1, and Z/2 to H_(dm) alone otherwise; H_0 = Z.  Over
+    a field, universal coefficients make each Z/2 an F2 in its degree and
+    in the next.
     """
+    d = letter_degree
     free = [1] + [0] * (max_degree + 1)
     twos = [0] * (max_degree + 1)
-    for m in range(1, max_degree + 1):
+    for m in range(1, max_degree // d + 1):
         for word in itertools.product(range(letters), repeat=m):
             rotations = [word[i:] + word[:i] for i in range(1, m + 1)]
             if word != min(rotations):
                 continue  # one word per orbit
             period = rotations.index(word) + 1
-            if (m - 1) * period % 2:
-                twos[m] += 1
+            if d * (m - 1) * period % 2:
+                twos[d * m] += 1
             else:
-                free[m] += 1
-                free[m + 1] += 1
+                free[d * m] += 1
+                free[d * m + 1] += 1
     if ring.kind == "Z":
         return [HomologyEntry(n, free[n], (2,) * twos[n]) for n in range(max_degree + 1)]
     if ring.p != 2:

@@ -4,7 +4,7 @@ here; every expected value is exact integer data."""
 
 import time
 
-from loophomology.cli import RunConfig, cmd_homology
+from loophomology.cli import cmd_homology
 from loophomology.homalg import SparseIntMatrix, check_d_squared, smith_normal_form
 from loophomology.simplicial import adjoin_inverses, builtin_space
 from loophomology.freehedra import f_vector, label_faces, top_label
@@ -79,7 +79,7 @@ def test_criterion_3_differential_agreement():
 
 
 def test_criterion_4_based_loops_of_sphere2():
-    summary = cmd_homology(RunConfig(space="sphere2", complex_name="cobar", max_degree=8))
+    summary = cmd_homology("sphere2", complex_name="cobar", max_degree=8)
     ok = all(e.free_rank == 1 and e.torsion == () for e in summary.entries)
     pattern = [(e.degree, e.free_rank, list(e.torsion)) for e in summary.entries]
     _report(4, ok, f"cobar homology of sphere2 degrees 0..8: {pattern}")
@@ -123,7 +123,7 @@ def test_criterion_5_free_loops_of_sphere2_with_oracle():
         (5, 1, []),
         (6, 1, [2]),
     ]
-    summary = cmd_homology(RunConfig(space="sphere2", complex_name="cohoch", max_degree=6))
+    summary = cmd_homology("sphere2", complex_name="cohoch", max_degree=6)
     library = [(e.degree, e.free_rank, list(e.torsion)) for e in summary.entries]
 
     # the library matrices must agree entry-for-entry with the oracle build
@@ -157,9 +157,7 @@ def test_criterion_6_circle_winding_components():
     ok = True
     for L in (1, 2, 3, 4, 5):
         summary = cmd_homology(
-            RunConfig(
-                space="circle", complex_name="hat-cohoch", max_degree=0, max_word_length=L
-            )
+            "circle", complex_name="hat-cohoch", max_degree=0, max_word_length=L
         )
         entry = summary_entry(summary, 0)
         results.append((L, entry.free_rank))
@@ -171,11 +169,9 @@ def test_criterion_7_hochschild_vs_cohochschild():
     ok = True
     for ring in ("Q", "F2"):
         hoch = cmd_homology(
-            RunConfig(space="sphere2", complex_name="hochschild-of-cobar", ring=ring, max_degree=5)
+            "sphere2", complex_name="hochschild-of-cobar", ring=ring, max_degree=5
         )
-        coho = cmd_homology(
-            RunConfig(space="sphere2", complex_name="cohoch", ring=ring, max_degree=5)
-        )
+        coho = cmd_homology("sphere2", complex_name="cohoch", ring=ring, max_degree=5)
         ok = ok and [e.free_rank for e in hoch.entries] == [
             e.free_rank for e in coho.entries
         ]
@@ -211,7 +207,7 @@ def test_criterion_9_point_sanity():
         "hat-cohoch",
         "hochschild-of-cobar",
     ):
-        summary = cmd_homology(RunConfig(space="point", complex_name=cname, max_degree=6))
+        summary = cmd_homology("point", complex_name=cname, max_degree=6)
         entries = [(e.degree, e.free_rank, list(e.torsion)) for e in summary.entries]
         ok = ok and entries == [(0, 1, [])] + [(n, 0, []) for n in range(1, 7)]
     _report(9, ok, "every complex of the point: H_0 = Z, H_1..6 = 0")

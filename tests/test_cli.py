@@ -8,7 +8,6 @@ from loophomology.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
-    RunConfig,
     cmd_freehedron,
     cmd_homology,
     load_space,
@@ -36,8 +35,7 @@ def test_load_json_file(tmp_path):
     path.write_text(json.dumps(INTERVAL), encoding="utf-8")
     X = load_space(str(path))
     assert X.name == "interval"
-    config = RunConfig(space=str(path), complex_name="chains", max_degree=2)
-    summary = cmd_homology(config)
+    summary = cmd_homology(str(path), complex_name="chains", max_degree=2)
     assert [e.free_rank for e in summary.entries] == [1, 0, 0]
     # a vertex may also be listed with no face records
     path.write_text(json.dumps(_replaced(("faces", "a"), [])), encoding="utf-8")
@@ -204,38 +202,52 @@ def test_load_unknown_name():
         load_space("nosuch")
 
 
-def test_runconfig_validation():
+def test_cmd_homology_validation():
     with pytest.raises(SimplicialError):
-        RunConfig(space="sphere2", complex_name="mystery")
+        cmd_homology("sphere2", complex_name="mystery")
     with pytest.raises(SimplicialError):
-        RunConfig(space="sphere2", max_degree=-1)
+        cmd_homology("sphere2", max_degree=-1)
     with pytest.raises(SimplicialError):
-        RunConfig(space="sphere2", max_word_length=0)
-    with pytest.raises(SimplicialError):
-        RunConfig(space="sphere2", output="yaml")
+        cmd_homology("sphere2", max_word_length=0)
     with pytest.raises(ValueError):
-        RunConfig(space="sphere2", ring="F6")
+        cmd_homology("sphere2", ring="F6")
+
+
+def test_an_unknown_complex_is_refused_before_the_cap_precheck():
+    # torus is not 1-reduced, so a loop complex of it needs a cap; a name
+    # that is no complex is refused as such, whatever the cap
+    with pytest.raises(SimplicialError) as err:
+        cmd_homology("torus", complex_name="mystery")
+    assert str(err.value).startswith("unknown complex 'mystery'; choices: ")
+
+
+@pytest.mark.parametrize(
+    "option", [["--format", "yaml"], ["--complex", "mystery"]], ids=["format", "complex"]
+)
+def test_main_refuses_an_unknown_choice(capsys, option):
+    assert main(["homology", "--space", "sphere2"] + option) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 def test_homology_json_roundtrip():
-    config = RunConfig(space="sphere2", complex_name="cohoch", max_degree=4, output="json")
-    summary = cmd_homology(config)
+    summary = cmd_homology("sphere2", complex_name="cohoch", max_degree=4)
     parsed = parse_json_lines(summary.to_json_lines())
     assert parsed.entries == summary.entries
 
 
 def test_homology_table_banner():
-    config = RunConfig(
-        space="circle", complex_name="hat-cohoch", max_degree=1, max_word_length=2
+    summary = cmd_homology(
+        "circle", complex_name="hat-cohoch", max_degree=1, max_word_length=2
     )
-    summary = cmd_homology(config)
     assert summary.truncated_at == 2
     assert "truncated at word length 2" in summary.to_table()
 
 
 def test_homology_determinism():
-    config = RunConfig(space="sphere2", complex_name="cohoch", max_degree=5)
-    assert cmd_homology(config).to_table() == cmd_homology(config).to_table()
+    def table():
+        return cmd_homology("sphere2", complex_name="cohoch", max_degree=5).to_table()
+
+    assert table() == table()
 
 
 def test_freehedron_command():

@@ -895,27 +895,32 @@ def test_tensor_algebra_count_reads_the_wedge_of_three_2_spheres():
     assert {d for e in entries for d in e.torsion} == {2}
 
 
-# collapsed-delta3 is a wedge of three 2-spheres and sphere2 one: a
-# suspension, whose free-loop homology is HH_*(T V) with V free in degree 1
+# collapsed-delta3 is a wedge of three 2-spheres, sphere2 one and sphere3
+# a 3-sphere: suspensions, whose free-loop homology is HH_*(T V) with V free
+# in degree 1 (in degree 2 for sphere3)
 EXACT_WINDOWS = [
-    ("collapsed-delta3", 3, "cohoch", 6, ("Z", "Q", "F2", "F3")),
-    ("collapsed-delta3", 3, "hat-cohoch", 6, ("Z", "Q", "F2", "F3")),
-    ("collapsed-delta3", 3, "hochschild-of-cobar", 5, ("Z", "F2")),
-    ("sphere2", 1, "cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("collapsed-delta3", 3, "cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
+    ("collapsed-delta3", 3, "hat-cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
+    ("collapsed-delta3", 3, "hochschild-of-cobar", 5, ("Z", "F2"), 1),
+    ("sphere2", 1, "cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
+    ("sphere3", 1, "cohoch", 6, ("Z", "F2"), 2),
+    ("sphere3", 1, "hochschild-of-cobar", 6, ("Z", "F2"), 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "space, letters, complex_name, max_degree, rings",
+    "space, letters, complex_name, max_degree, rings, letter_degree",
     EXACT_WINDOWS,
     ids=[f"{w[0]}-{w[2]}-D{w[3]}" for w in EXACT_WINDOWS],
 )
 def test_homology_pass_matches_the_tensor_algebra_count(
-    space, letters, complex_name, max_degree, rings
+    space, letters, complex_name, max_degree, rings, letter_degree
 ):
     recipe = complex_recipe(builtin_space(space), complex_name, None)
     for ring in map(parse_ring, rings):
-        expected = reference.tensor_algebra_hochschild(letters, max_degree, ring)
+        expected = reference.tensor_algebra_hochschild(
+            letters, max_degree, ring, letter_degree
+        )
         assert homalg.homology_pass(recipe, max_degree, ring) == expected, ring
 
 
