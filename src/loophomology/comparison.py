@@ -7,7 +7,8 @@ against the coalgebra-formula differential of loopcomplex.  The comparison
 maps phi and chi from the Hochschild complex of the cobar algebra to the
 free-loop complex, the coalgebra section eta and the local contraction on
 the kernel of the projection complete the identities that verify.run_verify
-checks; the chain-map sweep that pins the chi sign lives here too.
+checks.  The chain-map walk that pins the chi sign lives here too; it reads
+slices its caller built, and this module builds none.
 
 Every map takes the space of the free-loop complex it lands in, and that
 space decides the setting: Z(X) for the inverted models, whose simplex
@@ -25,7 +26,7 @@ from itertools import accumulate
 
 from .cobar import CobarAlgebra, _splice
 from .homalg import Chain, ZZ, _nonzero
-from .loopcomplex import cohoch_slice, format_loop_generator, hochschild_slice
+from .loopcomplex import format_loop_generator
 from .simplicial import SimplicialError
 
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
@@ -269,13 +270,6 @@ def contraction_s(space, barword, ring=ZZ):
     return out
 
 
-def contraction_s_chain(space, chain, ring=ZZ):
-    out = Chain(ring)
-    for key, c in chain.terms.items():
-        out.add_chain(contraction_s(space, key, ring), c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The chain-map sweep that pins the chi sign
 
@@ -351,17 +345,3 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
                         bad[variant].append(gen)
         below, below_stray = here, stray
     return bad
-
-
-def chi_chain_map_mismatches(space, variants, max_degree):
-    """Generators of Hoch(cobar) of a 1-reduced space on which phi fails to
-    commute with the differentials, as ``{variant: [generator, ...]}`` in
-    basis order for each chi reading in ``variants``: one pass of
-    phi_slice_mismatches over the Hochschild and free-loop slices through
-    max_degree, whose builds take each differential once per generator."""
-    return phi_slice_mismatches(
-        space,
-        variants,
-        hochschild_slice(space, max_degree),
-        cohoch_slice(space, max_degree),
-    )

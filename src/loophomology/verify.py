@@ -10,6 +10,7 @@ two runs on the same inputs diff clean:
    read from the stored hat-cohoch matrices;
 4. the chi sign sweep: the chain-map mismatches of each chi reading on the
    built-in collapsed-delta3 through degree 5, whatever the input space;
+   it fails when the reading it selects has any;
 5. the chain-map identity for phi (1-reduced spaces), under the chi sign
    reading the sweep selected, on the stored hochschild-of-cobar and
    cohoch matrices;
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
+from functools import partial
 
 from . import cobar as cobar_mod
 from . import comparison
@@ -54,20 +56,24 @@ def select_chi_variant(max_degree=5):
     spheres cannot tell them apart.  Returns (variant, detail, mismatches):
     the first reading with no mismatch (else the one with fewest), the
     sweep's report line, and {reading: number of failing generators}.
-    Cached per max_degree.
+    The fixture's two slices are built as run_verify builds the input's,
+    and one walk checks every reading on them.  Cached per max_degree.
     """
     if max_degree in _chi_selection_cache:
         return _chi_selection_cache[max_degree]
     fixture = builtin_space("collapsed-delta3")
-    bad = comparison.chi_chain_map_mismatches(fixture, CHI_VARIANTS, max_degree)
+    bad = comparison.phi_slice_mismatches(
+        fixture,
+        CHI_VARIANTS,
+        build_complex_slice(fixture, "hochschild-of-cobar", max_degree),
+        build_complex_slice(fixture, "cohoch", max_degree),
+    )
     mismatches = {variant: len(bad[variant]) for variant in CHI_VARIANTS}
-    passing = [v for v in CHI_VARIANTS if mismatches[v] == 0]
-    winner = passing[0] if passing else min(CHI_VARIANTS, key=lambda v: mismatches[v])
     detail = (
         f"sweep on {fixture.name} through degree {max_degree}: "
         + ", ".join(f"{v}: {mismatches[v]} mismatches" for v in CHI_VARIANTS)
     )
-    result = (winner, detail, mismatches)
+    result = (min(CHI_VARIANTS, key=mismatches.__getitem__), detail, mismatches)
     _chi_selection_cache[max_degree] = result
     return result
 
@@ -183,37 +189,39 @@ def _check_phi_chain_map(X, hochschild, cohoch, chi_variant):
     return CheckResult("phi-chain-map", "pass", f"variant {chi_variant}")
 
 
-def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026):
+# the contraction check: kernel samples, the power that must kill each, the seed
+_SAMPLES, _MAX_POWER, _SEED = 50, 6, 2026
+
+
+def _check_contraction(X, hochschild, max_degree):
     algebra = cobar_mod.CobarAlgebra(X)
     # The hochschild-of-cobar bases are exact for a 1-reduced space.
-    bases = slices["hochschild-of-cobar"].bases
     kernel = []
     for n in range(min(max_degree, 5) + 1):
-        for b, u in bases.get(n, ()):
+        for b, u in hochschild.bases.get(n, ()):
             if u == () and comparison.in_rho_kernel(b):
                 kernel.append(b)
     if not kernel:
         return CheckResult("contraction-nilpotency", "pass", "kernel empty")
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
+    s = partial(comparison.contraction_s, algebra)
+    bar_d = partial(cobar_mod.bar_differential, algebra)
 
     def homotopy_minus_id(chain):
-        out = Chain(ZZ)
-        out.add_chain(
-            comparison.contraction_s_chain(algebra, _bar_d(algebra, chain)), 1
-        )
-        out.add_chain(_bar_d(algebra, comparison.contraction_s_chain(algebra, chain)), 1)
+        out = _termwise(s, _termwise(bar_d, chain))
+        out.add_chain(_termwise(bar_d, _termwise(s, chain)), 1)
         out.add_chain(chain, -1)
         return out
 
     checked = 0
-    while checked < samples:
+    while checked < _SAMPLES:
         sample = Chain(ZZ)
         for _ in range(rng.randint(1, 3)):
             sample.add(rng.choice(kernel), rng.randint(-3, 3))
         if sample.is_zero:
             continue
         current = sample
-        for _ in range(max_power):
+        for _ in range(_MAX_POWER):
             current = homotopy_minus_id(current)
             if current.is_zero:
                 break
@@ -221,18 +229,19 @@ def _check_contraction(X, slices, max_degree, samples=50, max_power=6, seed=2026
             return CheckResult(
                 "contraction-nilpotency",
                 "fail",
-                f"sample did not vanish within {max_power} iterations",
+                f"sample did not vanish within {_MAX_POWER} iterations",
             )
         checked += 1
     return CheckResult(
-        "contraction-nilpotency", "pass", f"{checked} samples, power <= {max_power}"
+        "contraction-nilpotency", "pass", f"{checked} samples, power <= {_MAX_POWER}"
     )
 
 
-def _bar_d(algebra, chain):
+def _termwise(f, chain):
+    """The sum of c * f(key) over the terms c * key of a chain."""
     out = Chain(ZZ)
     for key, c in chain.terms.items():
-        out.add_chain(cobar_mod.bar_differential(algebra, key), c)
+        out.add_chain(f(key), c)
     return out
 
 
@@ -266,7 +275,7 @@ def run_verify(space, max_degree, max_word_length=None):
     skipped rather than run on garbage data; the failure is the report.
     """
     X = builtin_space(space) if isinstance(space, str) else space
-    chi_variant, chi_detail, _ = select_chi_variant()
+    chi_variant, chi_detail, chi_mismatches = select_chi_variant()
     results = [_check_simplicial(X)]
     if results[0].status == "fail":
         results.append(
@@ -293,11 +302,12 @@ def run_verify(space, max_degree, max_word_length=None):
             cohoch = sl
         elif name == "hochschild-of-cobar" and cohoch is not None:
             phi = _check_phi_chain_map(X, sl, cohoch, chi_variant)
-            contraction = _check_contraction(X, {name: sl}, max_degree)
+            contraction = _check_contraction(X, sl, max_degree)
             cohoch = None
         universal[name] = _check_universal_coefficients(name, sl, max_degree)
         del sl  # dropped before the next build
-    sweep = CheckResult("chi-exponent-sweep", "pass", chi_detail)
+    sweep_status = "fail" if chi_mismatches[chi_variant] else "pass"
+    sweep = CheckResult("chi-exponent-sweep", sweep_status, chi_detail)
     results += [face, sweep, phi, contraction]
     results.extend(universal[name] for name in sorted(universal))
     return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)

@@ -20,7 +20,8 @@ freehedral label grammar, JSON lines read back into a summary, a chain's
 coefficient, the word product, a letter's inverse) live here too, as do
 the closed-form count HH_*(T V) that the exact windows of a wedge of
 spheres are checked against and one such wedge, Delta^4 with its
-1-skeleton collapsed.  Tests assert that the package agrees with
+1-skeleton collapsed; ``fixture`` reads the built-ins and the JSON
+fixtures beside this file.  Tests assert that the package agrees with
 all of them.
 """
 
@@ -28,6 +29,7 @@ import heapq
 import itertools
 import json
 from math import gcd
+from pathlib import Path
 
 from loophomology.cobar import reduce_word
 from loophomology.homalg import (
@@ -40,11 +42,14 @@ from loophomology.homalg import (
     _nearest_quotient,
 )
 from loophomology.simplicial import (
+    BUILTIN_NAMES,
     FormalSimplex,
     OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
+    builtin_space,
     nondeg,
+    presentation_from_json,
 )
 
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
@@ -676,33 +681,37 @@ def _divisibility_chain(factors):
 
 def tensor_algebra_hochschild(letters, max_degree, ring=ZZ, letter_degree=1):
     """HH_0 .. HH_max_degree of the tensor algebra T V over ``ring``, V free
-    on ``letters`` generators of degree d = ``letter_degree``, as
-    HomologyEntry values: the free-loop homology of a wedge of ``letters``
-    (d + 1)-spheres, a suspension, when its chain coalgebra is formal over
-    Z (measured, not proved).
+    on ``letters`` generators, as HomologyEntry values: the free-loop
+    homology of a wedge of spheres, one (|a| + 1)-sphere per letter a, a
+    suspension, when its chain coalgebra is formal over Z (measured, not
+    proved).  ``letters`` is a number of letters, each of degree
+    ``letter_degree``, or a sequence of degrees, one per letter.
 
-    The two-term resolution of T V gives, for each word length m >= 1,
-    b_m = 1 - (-1)^(d(m-1)) t on V^(x)m, with t the cyclic shift and
-    (-1)^(d(m-1)) its Koszul sign: coker b_m lies in H_(dm) and ker b_m in
-    H_(dm+1).  An orbit of t of primitive period p gives Z to both when
-    (-1)^(d(m-1)p) = 1, and Z/2 to H_(dm) alone otherwise; H_0 = Z.  Over
-    a field, universal coefficients make each Z/2 an F2 in its degree and
-    in the next.
+    The two-term resolution of T V gives, on the span of the words of
+    degree n, b_n = 1 - t, with t the signed cyclic shift: moving a letter
+    a from the front to the back of a word of degree n carries the Koszul
+    sign (-1)^(|a|(n-|a|)).  coker b_n lies in H_n and ker b_n in H_(n+1).
+    An orbit of t of primitive period p gives Z to both when the product
+    of the signs over one period is 1, and Z/2 to H_n alone otherwise;
+    H_0 = Z.  With every letter of degree d that product is
+    (-1)^(d(m-1)p) on words of length m.  Over a field, universal
+    coefficients make each Z/2 an F2 in its degree and in the next.
     """
-    d = letter_degree
+    degrees = [letter_degree] * letters if isinstance(letters, int) else list(letters)
     free = [1] + [0] * (max_degree + 1)
     twos = [0] * (max_degree + 1)
-    for m in range(1, max_degree // d + 1):
-        for word in itertools.product(range(letters), repeat=m):
+    for m in range(1, max_degree // min(degrees) + 1):
+        for word in itertools.product(range(len(degrees)), repeat=m):
+            n = sum(degrees[a] for a in word)
             rotations = [word[i:] + word[:i] for i in range(1, m + 1)]
-            if word != min(rotations):
-                continue  # one word per orbit
+            if n > max_degree or word != min(rotations):
+                continue  # one word per orbit, of degree in the window
             period = rotations.index(word) + 1
-            if d * (m - 1) * period % 2:
-                twos[d * m] += 1
+            if sum(degrees[a] * (n - degrees[a]) for a in word[:period]) % 2:
+                twos[n] += 1
             else:
-                free[d * m] += 1
-                free[d * m + 1] += 1
+                free[n] += 1
+                free[n + 1] += 1
     if ring.kind == "Z":
         return [HomologyEntry(n, free[n], (2,) * twos[n]) for n in range(max_degree + 1)]
     if ring.p != 2:
@@ -711,6 +720,14 @@ def tensor_algebra_hochschild(letters, max_degree, ring=ZZ, letter_degree=1):
         HomologyEntry(n, free[n] + twos[n] + (n and twos[n - 1]))
         for n in range(max_degree + 1)
     ]
+
+
+def fixture(name):
+    """A built-in space by name, or the presentation in tests/<name>.json."""
+    if name in BUILTIN_NAMES:
+        return builtin_space(name)
+    path = Path(__file__).with_name(f"{name}.json")
+    return presentation_from_json(path.read_text(encoding="utf-8"), str(path))
 
 
 def collapsed_simplex(n):

@@ -8,7 +8,7 @@ from loophomology.cli import cmd_homology
 from loophomology.homalg import SparseIntMatrix, check_d_squared, smith_normal_form
 from loophomology.simplicial import adjoin_inverses, builtin_space
 from loophomology.freehedra import f_vector, label_faces, top_label
-from loophomology.comparison import chi_chain_map_mismatches, necklical_differential
+from loophomology.comparison import necklical_differential, phi_slice_mismatches
 from loophomology.loopcomplex import cohoch_basis, cohoch_differential, cohoch_slice
 from loophomology.verify import _check_contraction, build_complex_slice, run_verify
 from reference import summary_entry
@@ -175,9 +175,9 @@ def test_criterion_7_hochschild_vs_cohochschild():
         ok = ok and [e.free_rank for e in hoch.entries] == [
             e.free_rank for e in coho.entries
         ]
-    mismatches = chi_chain_map_mismatches(builtin_space("sphere2"), ("rotation",), 5)[
-        "rotation"
-    ]
+    S2 = builtin_space("sphere2")
+    slices = [build_complex_slice(S2, name, 5) for name in ("hochschild-of-cobar", "cohoch")]
+    mismatches = phi_slice_mismatches(S2, ("rotation",), *slices)["rotation"]
     ok = ok and mismatches == []
     report = run_verify("sphere2", 2)
     recorded = "chi exponent reading: rotation" in report.to_text()
@@ -191,8 +191,7 @@ def test_criterion_7_hochschild_vs_cohochschild():
 
 def test_criterion_8_contraction_nilpotency():
     X = builtin_space("sphere2")
-    slices = {"hochschild-of-cobar": build_complex_slice(X, "hochschild-of-cobar", 5)}
-    result = _check_contraction(X, slices, 5, samples=50, max_power=6)
+    result = _check_contraction(X, build_complex_slice(X, "hochschild-of-cobar", 5), 5)
     ok = result.status == "pass" and "50 samples" in result.detail
     _report(8, ok, result.detail)
 

@@ -895,32 +895,50 @@ def test_tensor_algebra_count_reads_the_wedge_of_three_2_spheres():
     assert {d for e in entries for d in e.torsion} == {2}
 
 
+def test_tensor_algebra_count_reads_one_degree_per_letter():
+    # the figures the count gives for doubled-delta3 over Z, V = Z^3 in
+    # degree 1 and Z in degree 2; with one degree for every letter the
+    # sequence form is the count form
+    entries = reference.tensor_algebra_hochschild((1, 1, 1, 2), 6)
+    assert [e.free_rank for e in entries] == [1, 3, 7, 18, 45, 112, 294]
+    assert [len(e.torsion) for e in entries] == [0, 0, 3, 0, 3, 0, 14]
+    assert {d for e in entries for d in e.torsion} == {2}
+    for letters, degree in ((3, 1), (1, 2), (2, 3)):
+        for ring in map(parse_ring, ("Z", "F2")):
+            assert reference.tensor_algebra_hochschild(
+                (degree,) * letters, 7, ring
+            ) == reference.tensor_algebra_hochschild(letters, 7, ring, degree)
+
+
 # collapsed-delta3 is a wedge of three 2-spheres, sphere2 one and sphere3
 # a 3-sphere: suspensions, whose free-loop homology is HH_*(T V) with V free
-# in degree 1 (in degree 2 for sphere3)
+# in degree 1 (in degree 2 for sphere3).  doubled-delta3, which no free pair
+# collapses, is a wedge of three 2-spheres and a 3-sphere: V = Z^3 in
+# degree 1 and Z in degree 2, letters of both parities
 EXACT_WINDOWS = [
-    ("collapsed-delta3", 3, "cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
-    ("collapsed-delta3", 3, "hat-cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
-    ("collapsed-delta3", 3, "hochschild-of-cobar", 5, ("Z", "F2"), 1),
-    ("sphere2", 1, "cohoch", 6, ("Z", "Q", "F2", "F3"), 1),
-    ("sphere3", 1, "cohoch", 6, ("Z", "F2"), 2),
-    ("sphere3", 1, "hochschild-of-cobar", 6, ("Z", "F2"), 2),
+    ("collapsed-delta3", (1, 1, 1), "cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("collapsed-delta3", (1, 1, 1), "hat-cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("collapsed-delta3", (1, 1, 1), "hochschild-of-cobar", 5, ("Z", "F2")),
+    ("sphere2", (1,), "cohoch", 6, ("Z", "Q", "F2", "F3")),
+    ("sphere3", (2,), "cohoch", 6, ("Z", "F2")),
+    ("sphere3", (2,), "hochschild-of-cobar", 6, ("Z", "F2")),
+    ("doubled-delta3", (1, 1, 1, 2), "cohoch", 5, ("Z", "Q", "F2", "F3")),
+    ("doubled-delta3", (1, 1, 1, 2), "hat-cohoch", 5, ("Z", "Q", "F2", "F3")),
+    ("doubled-delta3", (1, 1, 1, 2), "hochschild-of-cobar", 5, ("Z", "Q", "F2", "F3")),
 ]
 
 
 @pytest.mark.parametrize(
-    "space, letters, complex_name, max_degree, rings, letter_degree",
+    "space, degrees, complex_name, max_degree, rings",
     EXACT_WINDOWS,
     ids=[f"{w[0]}-{w[2]}-D{w[3]}" for w in EXACT_WINDOWS],
 )
 def test_homology_pass_matches_the_tensor_algebra_count(
-    space, letters, complex_name, max_degree, rings, letter_degree
+    space, degrees, complex_name, max_degree, rings
 ):
-    recipe = complex_recipe(builtin_space(space), complex_name, None)
+    recipe = complex_recipe(reference.fixture(space), complex_name, None)
     for ring in map(parse_ring, rings):
-        expected = reference.tensor_algebra_hochschild(
-            letters, max_degree, ring, letter_degree
-        )
+        expected = reference.tensor_algebra_hochschild(degrees, max_degree, ring)
         assert homalg.homology_pass(recipe, max_degree, ring) == expected, ring
 
 

@@ -24,7 +24,6 @@ from loophomology import loopcomplex as loop_mod
 from loophomology.comparison import (
     CHI_VARIANTS,
     chi,
-    chi_chain_map_mismatches,
     contraction_s,
     eta,
     in_rho_kernel,
@@ -39,7 +38,7 @@ from loophomology.loopcomplex import (
     hochschild_differential,
     hochschild_slice,
 )
-from reference import _loop_key, collapsed_simplex, phi_chain
+from reference import _loop_key, collapsed_simplex, fixture, phi_chain
 
 S2 = builtin_space("sphere2")
 POINT = builtin_space("point")
@@ -47,6 +46,13 @@ POINT = builtin_space("point")
 
 def circle_ext():
     return adjoin_inverses(builtin_space("circle"))
+
+
+def chi_walk(space, variants, max_degree):
+    # the chi sweep's walk over the two slices it builds through max_degree
+    return comparison.phi_slice_mismatches(
+        space, variants, hochschild_slice(space, max_degree), cohoch_slice(space, max_degree)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +304,13 @@ def test_phi_examples():
 
 def test_phi_chain_map_on_spheres():
     for name in ("sphere2", "sphere3"):
-        bad = chi_chain_map_mismatches(builtin_space(name), ("rotation",), 6)
+        bad = chi_walk(builtin_space(name), ("rotation",), 6)
         assert bad["rotation"] == []
 
 
 def test_chi_index_readings_fail_on_mixed_parities():
     CD = builtin_space("collapsed-delta3")
-    bad = chi_chain_map_mismatches(CD, CHI_VARIANTS, 4)
+    bad = chi_walk(CD, CHI_VARIANTS, 4)
     assert bad["rotation"] == []
     assert bad["index-low"]
     assert bad["index-high"]
@@ -332,7 +338,7 @@ CHI_WALKS = [("collapsed-delta3", 4), ("sphere2", 6)]
 @pytest.mark.parametrize("name, max_degree", CHI_WALKS)
 def test_chi_walk_matches_one_reading_reference(name, max_degree):
     X = builtin_space(name)
-    walk = chi_chain_map_mismatches(X, CHI_VARIANTS, max_degree)
+    walk = chi_walk(X, CHI_VARIANTS, max_degree)
     assert list(walk) == list(CHI_VARIANTS)
     for variant in CHI_VARIANTS:
         assert walk[variant] == _reference_mismatches(X, variant, max_degree)
@@ -367,7 +373,7 @@ def test_chi_walk_takes_each_differential_once(monkeypatch, name, max_degree):
     monkeypatch.setattr(
         loop_mod, "_cohoch_kernel", counted(loop_calls, loop_mod._cohoch_kernel)
     )
-    assert chi_chain_map_mismatches(X, CHI_VARIANTS, max_degree)["rotation"] == []
+    assert chi_walk(X, CHI_VARIANTS, max_degree)["rotation"] == []
     assert hoch_calls == {g: 1 for n in hoch.degrees() if n for g in hoch.bases[n]}
     assert loop_calls == {g: 1 for n in loop.degrees() if n for g in loop.bases[n]}
 
@@ -536,11 +542,11 @@ def test_hochschild_and_cohoch_agree_on_collapsed_delta3():
         assert [homology_of_slice(sl, n) for n in range(5)] == expected
 
 
-# the 1-reduced built-ins through degree 5, and collapsed-delta4, whose
-# rules split a letter in two, through degree 4
+# the 1-reduced built-ins and doubled-delta3 through degree 5, and
+# collapsed-delta4, whose rules split a letter in two, through degree 4
 ONE_REDUCED = [
     (name, 5) for name in BUILTIN_NAMES if builtin_space(name).is_one_reduced()
-] + [("collapsed-delta4", 4)]
+] + [("collapsed-delta4", 4), ("doubled-delta3", 5)]
 
 
 @pytest.mark.parametrize("hat", [False, True], ids=["cohoch", "hat-cohoch"])
@@ -548,7 +554,7 @@ ONE_REDUCED = [
 def test_coboundary_kernel_is_the_stored_differential_transposed(name, top, hat):
     # d_(n+1) of a slice through degree top read by rows: the generators of
     # degree n + 1 whose differential names a generator of degree n
-    X = collapsed_simplex(4) if name == "collapsed-delta4" else builtin_space(name)
+    X = collapsed_simplex(4) if name == "collapsed-delta4" else fixture(name)
     space = adjoin_inverses(X) if hat else X
     sl = cohoch_slice(space, top)
     coboundary = loop_mod.cohoch_recipe(space)[3]
@@ -560,6 +566,23 @@ def test_coboundary_kernel_is_the_stored_differential_transposed(name, top, hat)
                 rows[sl.bases[n][i]][sl.bases[n + 1][j]] = c
         for g, row in rows.items():
             assert coboundary(g) == row, (n, g)
+
+
+@pytest.mark.parametrize("hat", [False, True], ids=["cohoch", "hat-cohoch"])
+@pytest.mark.parametrize("name, top", ONE_REDUCED, ids=[w[0] for w in ONE_REDUCED])
+def test_coboundary_kernel_is_the_transpose_of_the_kernel(name, top, hat):
+    # read off the two kernels alone: g's coboundary is every generator h
+    # one degree up whose differential names g, with that coefficient
+    X = collapsed_simplex(4) if name == "collapsed-delta4" else fixture(name)
+    space = adjoin_inverses(X) if hat else X
+    kernel = loop_mod._cohoch_kernel(space)
+    cokernel = loop_mod._cohoch_cokernel(space)
+    for n in range(top):
+        transpose = {g: {} for g in cohoch_basis(space, n)}
+        for h in cohoch_basis(space, n + 1):
+            for g, c in kernel(h).items():
+                transpose[g][h] = c
+        assert {g: cokernel(g) for g in transpose} == transpose, n
 
 
 def test_only_exact_windows_carry_a_coboundary_kernel():

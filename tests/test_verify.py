@@ -5,7 +5,7 @@ import pytest
 
 from loophomology import comparison
 from loophomology import loopcomplex as loop_mod
-from loophomology.cli import EXIT_OK, main
+from loophomology.cli import EXIT_OK, EXIT_VERIFY, main
 from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.comparison import necklical_differential
@@ -118,22 +118,22 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch):
 
 def test_chi_sweep_keeps_only_its_result(monkeypatch):
     built = []
+    real_build = verify_mod.build_complex_slice
 
-    def recorded(fn):
-        def wrapper(*args, **kwargs):
-            sl = fn(*args, **kwargs)
-            built.append(weakref.ref(sl))
-            return sl
+    def recorded(X, name, *args, **kwargs):
+        sl = real_build(X, name, *args, **kwargs)
+        built.append((X.name, name, weakref.ref(sl)))
+        return sl
 
-        return wrapper
-
-    monkeypatch.setattr(comparison, "hochschild_slice", recorded(comparison.hochschild_slice))
-    monkeypatch.setattr(comparison, "cohoch_slice", recorded(comparison.cohoch_slice))
+    monkeypatch.setattr(verify_mod, "build_complex_slice", recorded)
     monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
     assert select_chi_variant()[0] == "rotation"
     gc.collect()
-    assert len(built) == 2
-    assert all(ref() is None for ref in built)
+    assert [(space, name) for space, name, _ in built] == [
+        ("collapsed-delta3", "hochschild-of-cobar"),
+        ("collapsed-delta3", "cohoch"),
+    ]
+    assert all(ref() is None for _, _, ref in built)
 
 
 @pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
@@ -202,11 +202,9 @@ def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
     assert not report.all_passed
 
 
-def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
-    select_chi_variant()  # the sweep runs with the real phi
-    X = builtin_space("sphere2")
-    hoch = hochschild_slice(X, 3)
-    gens = [g for n in hoch.degrees() for g in hoch.bases[n]]
+def _phi_with_a_stray_key(monkeypatch):
+    # phi puts a key outside every free-loop basis into each image, under
+    # every reading
     real = comparison._phi_kernel
 
     def stray(space, variants):
@@ -222,11 +220,38 @@ def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
         return terms
 
     monkeypatch.setattr(comparison, "_phi_kernel", stray)
+
+
+def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
+    select_chi_variant()  # the sweep runs with the real phi
+    X = builtin_space("sphere2")
+    hoch = hochschild_slice(X, 3)
+    gens = [g for n in hoch.degrees() for g in hoch.bases[n]]
+    _phi_with_a_stray_key(monkeypatch)
     report = run_verify(X, 3)
     (check,) = [r for r in report.results if r.name == "phi-chain-map"]
     assert check.status == "fail"
     assert check.detail == f"{len(gens)} generators, first {gens[0]!r}"
     assert "FAIL  phi-chain-map" in report.to_text()
+
+
+def test_sweep_fails_when_no_reading_is_clean(monkeypatch, capsys):
+    # on a space that is not 1-reduced the phi check skips, so only the
+    # sweep can show that phi is no chain map under any reading
+    _phi_with_a_stray_key(monkeypatch)
+    monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
+    report = run_verify("torus", 2, 2)
+    _, _, mismatches = select_chi_variant()
+    assert min(mismatches.values()) > 0
+    (sweep,) = [r for r in report.results if r.name == "chi-exponent-sweep"]
+    assert sweep.status == "fail"
+    assert "FAIL  chi-exponent-sweep" in report.to_text()
+    (phi_check,) = [r for r in report.results if r.name == "phi-chain-map"]
+    assert phi_check.status == "skip"
+    assert not report.all_passed
+    argv = ["verify", "--space", "torus", "--max-degree", "2", "--max-word-length", "2"]
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().out == report.to_text()
 
 
 def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch):
