@@ -21,7 +21,7 @@ presentation the plain model over a 1-reduced space.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from .homalg import Chain, ZZ, _close_and_build, _shown
@@ -450,6 +450,45 @@ def validate(X):
                             f"({str(left)!r} != {str(right)!r})"
                         )
     return violations
+
+
+def _collapse_free_pairs(X):
+    """X with its free pairs removed, or X itself when it has none.
+
+    A free pair is a nondegenerate sigma of dimension k >= 3 that no face
+    record names and a face tau = d_i sigma, with no degeneracies, that no
+    other face record names, degenerate or not.  X is then the pushout of
+    X less sigma and tau along the horn inclusion of Lambda^k_i in Delta^k,
+    an anodyne extension, so both have the same homotopy type, and with
+    k >= 3 a 1-reduced X stays 1-reduced.  The walk runs from the top
+    dimension in listing order and repeats until nothing changes.  The
+    result keeps X's name and basepoint.
+    """
+    simplices = {d: list(ids) for d, ids in X.simplices.items()}
+    faces = dict(X.faces)
+    named = Counter(entry.base for entry in faces.values())
+    changed = True
+    while changed:
+        changed = False
+        for d in sorted((d for d in simplices if d >= 3), reverse=True):
+            for s in list(simplices[d]):
+                if named[s]:
+                    continue
+                tau = next(
+                    (t.base for t in (faces[s, i] for i in range(d + 1))
+                     if not t.degeneracies and named[t.base] == 1),
+                    None,
+                )
+                if tau is None:
+                    continue
+                for t, k in ((s, d), (tau, d - 1)):
+                    simplices[k].remove(t)
+                    for i in range(k + 1):
+                        named[faces.pop((t, i)).base] -= 1
+                changed = True
+    if len(faces) == len(X.faces):
+        return X
+    return SimplicialSetPresentation(X.name, X.basepoint, simplices, faces)
 
 
 # ---------------------------------------------------------------------------

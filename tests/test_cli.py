@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import loophomology
+from loophomology import cli
 from loophomology.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -13,9 +14,17 @@ from loophomology.cli import (
     load_space,
     main,
 )
-from loophomology.simplicial import SimplicialError
+from loophomology.complexes import complex_recipe, supported_complexes
+from loophomology.homalg import homology_pass, parse_ring
+from loophomology.simplicial import (
+    BUILTIN_NAMES,
+    SimplicialError,
+    SimplicialSetPresentation,
+    builtin_space,
+    nondeg,
+)
 from loophomology.verify import CheckResult, VerifyReport, build_complex_slice, run_verify
-from reference import parse_json_lines
+from reference import collapsed_simplex, fixture, parse_json_lines
 
 INTERVAL = {
     "name": "interval",
@@ -519,3 +528,60 @@ def test_cli_json_output_roundtrip(capsys):
         (2, 1, (2,)),
         (3, 1, ()),
     ]
+
+
+# every 1-reduced built-in, two collapsed simplices whose cobar rules split
+# a letter, and doubled-delta3, which no free pair collapses; the collapsed
+# simplices one degree below D4 and D3, where the passes on the space as
+# given take ~20 s
+COLLAPSE_WINDOWS = [
+    (name, 4) for name in BUILTIN_NAMES if builtin_space(name).is_one_reduced()
+] + [("collapsed-delta4", 3), ("collapsed-delta5", 2), ("doubled-delta3", 4)]
+
+
+@pytest.mark.parametrize(
+    "name, max_degree", COLLAPSE_WINDOWS, ids=[w[0] for w in COLLAPSE_WINDOWS]
+)
+def test_homology_after_the_collapse_matches_the_pass_on_the_space(
+    monkeypatch, name, max_degree
+):
+    # homology collapses free pairs first; the pass runs on X as given
+    collapsed = {"collapsed-delta4": 4, "collapsed-delta5": 5}
+    X = collapsed_simplex(collapsed[name]) if name in collapsed else fixture(name)
+    monkeypatch.setattr(cli, "load_space", lambda _: X)
+    for complex_name in supported_complexes(X):
+        for ring in ("Z", "F2"):
+            summary = cmd_homology(name, complex_name, ring, max_degree)
+            recipe = complex_recipe(X, complex_name)
+            expected = homology_pass(recipe, max_degree, parse_ring(ring))
+            assert summary.entries == expected, (complex_name, ring)
+
+
+def _with_a_loop(X):
+    # X plus a 1-simplex from its vertex to itself: no longer 1-reduced
+    simplices = {**X.simplices, 1: ["e"]}
+    faces = {**X.faces, ("e", 0): nondeg("v"), ("e", 1): nondeg("v")}
+    return SimplicialSetPresentation(X.name, X.basepoint, simplices, faces)
+
+
+@pytest.mark.parametrize(
+    "name, collapsed",
+    [("collapsed-delta3", {0: 1, 2: 3}), ("doubled-delta3", None), ("with-a-loop", None)],
+)
+def test_homology_collapses_only_a_1_reduced_space(monkeypatch, name, collapsed):
+    # the space homology builds on: collapsed-delta3 less its free pair, and
+    # doubled-delta3 (no free pair) and a space with a free pair that is not
+    # 1-reduced as given
+    X = fixture(name) if name != "with-a-loop" else _with_a_loop(fixture("collapsed-delta3"))
+    built = []
+    monkeypatch.setattr(cli, "load_space", lambda _: X)
+    monkeypatch.setattr(
+        cli, "complex_recipe", lambda Y, *args: built.append(Y) or complex_recipe(Y, *args)
+    )
+    summary = cmd_homology(name, "hat-cohoch", "Z", 2, 2)
+    (Y,) = built
+    if collapsed is None:
+        assert Y is X
+    else:
+        assert {d: len(ids) for d, ids in Y.simplices.items()} == collapsed
+        assert (Y.name, Y.basepoint, summary.space) == (X.name, X.basepoint, X.name)

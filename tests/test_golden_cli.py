@@ -4,9 +4,13 @@
 code, stdout and stderr of the in-process ``cli.main``: homology of every
 built-in in every complex it supports over Z, Q, F2 and F3 at max degree
 3 and word cap 2; the collapsed-delta3 cohoch, hat-cohoch and
-hochschild-of-cobar complexes at max degree 6 over Z, F2 and F3, whose
-Z/2 torsion sits in several blocks of each differential; and ``verify``
-in text and JSON form for every built-in at max degree 3 and word cap 2.
+hochschild-of-cobar complexes at max degree 6 over Z, F2 and F3; and
+``verify`` in text and JSON form for every built-in at max degree 3 and
+word cap 2.  ``homology`` collapses a 1-reduced space's free pairs first,
+so the collapsed-delta3 rows run on a wedge of three 2-spheres; the
+multi-block Z/2 torsion of the uncollapsed matrices is covered by
+``tests/test_homalg.py::test_homology_pass_matches_the_slice_on_the_golden_sweep``,
+which runs the same windows on the space as given.
 Two groups pin the window error paths: ``verify`` without a word cap on
 the circle, the torus and boundary-delta3, whose skip lines carry the
 slice builders' errors, and ``homology`` of the torus in each complex

@@ -1,12 +1,16 @@
 import json
+import math
 import random
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophomology.cobar import CobarAlgebra, cobar_differential
+from loophomology.complexes import complex_recipe
 from loophomology.freehedra import FreehedralLabel
-from loophomology.homalg import Chain, ZZ
+from loophomology.homalg import Chain, ZZ, homology_pass
 from loophomology.loopcomplex import (
     cohoch_basis,
     cohoch_differential,
@@ -19,6 +23,7 @@ from loophomology.simplicial import (
     OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
+    _collapse_free_pairs,
     adjoin_inverses,
     aw_coproduct,
     boundary,
@@ -32,7 +37,7 @@ from loophomology.simplicial import (
     validate,
 )
 from loophomology.verify import run_verify
-from reference import op
+from reference import collapsed_simplex, fixture, op
 
 
 def test_canonical_degeneracy_examples():
@@ -678,3 +683,102 @@ def test_nothing_is_patched_onto_a_presentation(name):
     for P in (X, adjoin_inverses(X)):
         init, cached = _attributes_after_init_and_cached(P)
         assert init <= set(vars(P)) <= init | cached
+
+
+# ---------------------------------------------------------------------------
+# Collapsing free pairs
+
+
+def _counts(X):
+    return {d: len(ids) for d, ids in X.simplices.items()}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_collapsed_delta3_loses_one_free_pair(seed):
+    # as built, and under shuffled fresh ids listed in shuffled order
+    X = builtin_space("collapsed-delta3")
+    if seed is not None:
+        rng = random.Random(f"collapse/{seed}")
+        schema = _relabelled_schema("collapsed-delta3", rng)
+        for ids in schema["simplices"].values():
+            rng.shuffle(ids)
+        X = presentation_from_json(json.dumps(schema))
+    Y = _collapse_free_pairs(X)
+    assert _counts(X) == {0: 1, 2: 4, 3: 1}
+    assert _counts(Y) == {0: 1, 2: 3}
+    (w,) = X.simplices[3]
+    (tau,) = set(X.simplices[2]) - set(Y.simplices[2])
+    assert tau in {X.faces[w, i].base for i in range(4)}
+    assert validate(Y) == []
+    assert (Y.name, Y.basepoint) == (X.name, X.basepoint)
+    assert Y.faces == {k: v for k, v in X.faces.items() if k[0] not in (w, tau)}
+
+
+@pytest.mark.parametrize("name", ["doubled-delta3", "sphere2", "sphere3", "point"])
+def test_a_space_without_free_pairs_comes_back_as_itself(name):
+    X = fixture(name)
+    assert _collapse_free_pairs(X) is X
+
+
+@pytest.mark.parametrize("n, before, after", [(4, 17, 7), (5, 43, 11)])
+def test_a_collapsed_simplex_collapses_to_a_wedge_of_2_spheres(n, before, after):
+    # (n choose 2) 2-spheres on one vertex: every simplex of dimension >= 3
+    # goes, with as many 2-simplices
+    X = collapsed_simplex(n)
+    Y = _collapse_free_pairs(X)
+    assert (len(X.ids()), len(Y.ids())) == (before, after)
+    assert _counts(Y) == {0: 1, 2: math.comb(n, 2)}
+    assert validate(Y) == []
+
+
+def _with_degenerate_records(X, names):
+    # X plus, for each 2-simplex q named, a 4-simplex whose faces are those
+    # of the degenerate 4-simplex s3 s1 q; some of them are s_j q
+    simplices = {d: list(ids) for d, ids in X.simplices.items()}
+    faces = dict(X.faces)
+    for q in names:
+        y = f"y{q}"
+        simplices.setdefault(4, []).append(y)
+        for i in range(5):
+            faces[y, i] = face(X, FormalSimplex((3, 1), q), i)
+    return SimplicialSetPresentation(X.name, X.basepoint, simplices, faces)
+
+
+def test_a_face_named_through_a_degeneracy_is_not_removed():
+    X = builtin_space("collapsed-delta3")
+    one = _with_degenerate_records(X, ["q0"])
+    assert FormalSimplex((1,), "q0") in one.faces.values()
+    assert validate(one) == []
+    Y = _collapse_free_pairs(one)
+    # (w, q0) is no longer free, so the walk takes the next face of w
+    assert Y.simplices == {0: ("v",), 2: ("q0", "q2", "q3"), 4: ("yq0",)}
+    assert validate(Y) == []
+    every = _with_degenerate_records(X, ["q0", "q1", "q2", "q3"])
+    assert _collapse_free_pairs(every) is every
+
+
+@st.composite
+def _one_vertex_presentations(draw):
+    # 2-simplices with faces s0 v; 3-simplices whose faces are 2-simplices
+    # or the degenerate s1 s0 v.  Faces of faces are all s0 v, so any choice
+    # satisfies the simplicial identities
+    qs = [f"q{k}" for k in range(draw(st.integers(1, 3)))]
+    ws = [f"w{k}" for k in range(draw(st.integers(0, 3)))]
+    faces = {(q, i): FormalSimplex((0,), "v") for q in qs for i in range(3)}
+    choices = [nondeg(q) for q in qs] + [FormalSimplex((1, 0), "v")]
+    for w in ws:
+        for i in range(4):
+            faces[w, i] = draw(st.sampled_from(choices))
+    simplices = {0: ["v"], 2: qs, 3: ws}
+    return SimplicialSetPresentation("random", "v", simplices, faces)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_one_vertex_presentations())
+def test_collapsing_keeps_the_groups_of_random_presentations(X):
+    Y = _collapse_free_pairs(X)
+    assert validate(Y) == []
+    assert Y.is_one_reduced()
+    for complex_name in ("chains", "cohoch"):
+        groups = [homology_pass(complex_recipe(P, complex_name), 4) for P in (X, Y)]
+        assert groups[0] == groups[1], complex_name
