@@ -63,28 +63,13 @@ def cmd_homology(
     On a 1-reduced space every window is exact (the recipes ignore a word
     cap there), so the complex is built on the space less its free pairs:
     the same homotopy type, so the same groups, from fewer generators.
-    The golden file's collapsed-delta3 D6 rows thus run on a wedge of
-    three 2-spheres; the multi-block torsion of the uncollapsed matrices
-    stays covered by tests/test_homalg.py::
-    test_homology_pass_matches_the_slice_on_the_golden_sweep.  Any other
-    space is built as given.
+    Any other space is built as given.
     """
     _check_window(max_degree, max_word_length)
     ring = parse_ring(ring)
     X = load_space(space)
     if X.is_one_reduced():
         X = _collapse_free_pairs(X)
-    # Over a space which is not 1-reduced the builder refuses cobar and
-    # cohoch, and every other loop complex is degreewise infinite.
-    if (
-        max_word_length is None
-        and complex_name in ("hat-cobar", "hat-cohoch", "hochschild-of-cobar")
-        and not X.is_one_reduced()
-    ):
-        raise SimplicialError(
-            f"{complex_name} of {X.name} needs --max-word-length "
-            f"(degree components are infinite)"
-        )
     recipe = complex_recipe(X, complex_name, max_word_length)
     return HomologySummary(
         homology_pass(recipe, max_degree, ring),
@@ -116,6 +101,7 @@ def cmd_freehedron(n, mode="fvector", output="table"):
 def cmd_verify(space, max_degree, max_word_length=None):
     from .verify import run_verify
 
+    _check_window(max_degree, max_word_length)
     X = load_space(space) if isinstance(space, str) else space
     return run_verify(X, max_degree, max_word_length)
 
@@ -184,7 +170,6 @@ def main(argv=None):
         if args.command == "freehedron":
             sys.stdout.write(cmd_freehedron(args.n, args.mode, args.output))
             return EXIT_OK
-        _check_window(args.max_degree, args.max_word_length)
         report = cmd_verify(args.space, args.max_degree, args.max_word_length)
         sys.stdout.write(
             report.to_json() if args.output == "json" else report.to_text()

@@ -172,8 +172,8 @@ class CobarAlgebra:
     Provides exactly what the bar and Hochschild differentials consume:
     degrees, the internal differential, and the op pairs with which
     _splice takes the monomial product.  It reads the word rules and
-    shifted degrees once, at construction; the space decides the setting
-    (``hat``).
+    shifted degrees of the space's table once, at construction; ``hat``
+    says whether the space is Z(X).
     """
 
     def __init__(self, space):
@@ -181,7 +181,7 @@ class CobarAlgebra:
         self.hat = isinstance(space, OpExtension)
         self.op_pairs = space.op_pairs
         self.table = space.table
-        self.rules, self.shifted = self.table.rules[self.hat], self.table.shifted
+        self.rules, self.shifted = self.table.rules, self.table.shifted
 
     def degree(self, w):
         return self.table.word_degree(w)

@@ -21,17 +21,10 @@ COMPLEX_NAMES = (
 )
 
 
-def complex_requires_one_reduced(name):
-    return name in ("cobar", "cohoch")
-
-
 def supported_complexes(X):
-    one_reduced = X.is_one_reduced()
-    return [
-        name
-        for name in COMPLEX_NAMES
-        if one_reduced or not complex_requires_one_reduced(name)
-    ]
+    if X.is_one_reduced():
+        return list(COMPLEX_NAMES)
+    return [name for name in COMPLEX_NAMES if name not in ("cobar", "cohoch")]
 
 
 def complex_recipe(X, complex_name, max_word_length=None):
@@ -42,9 +35,10 @@ def complex_recipe(X, complex_name, max_word_length=None):
     through which the homology pass runs the builder loop bottom-up.
 
     The hat complexes, and the Hochschild complex of a space that is not
-    1-reduced, are built over Z(X), the others over X.  Over Z(X) of a
-    space that is not 1-reduced a word-length cap is mandatory; the
-    complex is then truncated at it.
+    1-reduced, are built over Z(X), the others over X.  What a complex
+    needs of its space (a 1-reduced X, or a word-length cap over Z(X) of a
+    space that is not 1-reduced, where the complex is then truncated at
+    it) its model decides: the recipe, or its seeds, refuse the rest.
     """
     if complex_name not in COMPLEX_NAMES:
         raise SimplicialError(
@@ -52,22 +46,21 @@ def complex_recipe(X, complex_name, max_word_length=None):
         )
     if complex_name == "chains":
         return chains_recipe(X)
-    space = X
-    if complex_requires_one_reduced(complex_name):
-        X.require_one_reduced(f"the {complex_name} complex")
-    elif complex_name.startswith("hat-") or not X.is_one_reduced():
-        space = adjoin_inverses(X)
+    if complex_name.startswith("hat-") or (
+        complex_name == "hochschild-of-cobar" and not X.is_one_reduced()
+    ):
+        X = adjoin_inverses(X)
     if complex_name in ("cobar", "hat-cobar"):
         from .cobar import cobar_recipe
 
-        return cobar_recipe(space, max_word_length)
+        return cobar_recipe(X, max_word_length)
     if complex_name in ("cohoch", "hat-cohoch"):
         from .loopcomplex import cohoch_recipe
 
-        return cohoch_recipe(space, max_word_length)
+        return cohoch_recipe(X, max_word_length)
     from .loopcomplex import hochschild_recipe
 
-    return hochschild_recipe(space, max_word_length)
+    return hochschild_recipe(X, max_word_length)
 
 
 def build_complex_slice(X, complex_name, max_degree, max_word_length=None):

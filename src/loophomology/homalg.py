@@ -343,8 +343,9 @@ def _unit_pivots(columns, p=None):
 
 
 def _snf_rows(rows):
-    """Invariant factors and rank of the matrix held in ``rows``, as
-    {row: {column: value}}; consumes ``rows``.
+    """The diagonal, in absolute values, that the matrix held in ``rows``,
+    as {row: {column: value}}, reduces to; consumes ``rows``.  Its
+    _divisibility_chain is the invariant factors and rank.
 
     The pivot is an entry of least absolute value, ties broken by position.
     Row operations clear its column, then column operations clear its row,
@@ -389,7 +390,7 @@ def _snf_rows(rows):
             pj = min(left)[1]
         diagonal.append(abs(pv))
         del rows[pi]
-    return _divisibility_chain(diagonal)
+    return diagonal
 
 
 def _divisibility_chain(factors):
@@ -421,8 +422,8 @@ def smith_normal_form(matrix):
     divisibility chain d1 | d2 | ... | d_rank (units included, all
     positive).  Block by block, _unit_pivots splits off one factor 1 per
     unit pivot, and the short pivot loop of _snf_rows takes the cleared
-    residual; the factors above 1 of all blocks are brought into one chain
-    at the end.
+    residual; its diagonal entries above 1, from all blocks, are brought
+    into one chain at the end.
     """
     return _reduce(_sparse(matrix))[:2]
 
@@ -468,7 +469,7 @@ def _reduce(matrix, p=None):
             continue
         pivots, residual = _unit_pivots([columns[j] for j in block], p)
         leads += pivots
-        factors += _snf_rows(residual)[0]
+        factors += _snf_rows(residual)
         del pivots  # the next block's pivots start from nothing
     if p:
         return [], len(leads), leads
@@ -602,6 +603,8 @@ def _close_and_build(recipe, max_degree):
     """The ComplexSlice of a recipe (see homology_pass) through
     max_degree: every nonempty basis, and d_n wherever basis n is."""
     seeds, diff_fn, truncated_at, *_ = recipe
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     bases = {}
     built = _closed_degrees(seeds, diff_fn, range(max_degree, -1, -1), {}, bases)
     diffs = {n: d for n, d in built if n in bases}
@@ -629,6 +632,8 @@ def homology_pass(recipe, max_degree, ring=ZZ):
     generator r; an exact window adopts nothing, so this holds mod p too.
     """
     seeds, diff_fn, truncated_at, *codiff = recipe
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     clears = ring.p is None or truncated_at is None  # Z, Q or an exact window
     cleared, size, found = set(), {}, {0: ([], 0)}
     if codiff:

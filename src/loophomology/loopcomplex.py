@@ -94,10 +94,8 @@ def _cohoch_kernel(space):
     returning {generator: nonzero coefficient}: the four families over the
     boundary, word rules and wrap pairs of the letter table, read once."""
     table, op_pairs = space.table, space.op_pairs
-    hat = isinstance(space, OpExtension)
-    dim, shifted = table.dim, table.shifted
-    boundary = table.inner_boundary if hat else table.boundary
-    rules, theta1, theta2 = table.rules[hat], table.theta1, table.theta2
+    dim, shifted, boundary = table.dim, table.shifted, table.internal
+    rules, theta1, theta2 = table.rules, table.theta1, table.theta2
 
     def terms(gen):
         x, w = gen
@@ -144,13 +142,12 @@ def _cohoch_cokernel(space):
     extends).  A word term carries the Koszul sign of y and of the letters
     before the ones it merges, as in _cohoch_kernel."""
     table = space.table
-    hat = isinstance(space, OpExtension)
     dim, shifted = table.dim, table.shifted
     cofaces, corules, cotheta1, cotheta2 = {}, {}, {}, {}
-    for x, faces in (table.inner_boundary if hat else table.boundary).items():
+    for x, faces in table.internal.items():
         for c, f in faces:
             cofaces.setdefault(f, []).append((c, x))
-    for a, rule in table.rules[hat].items():
+    for a, rule in table.rules.items():
         for c, mid in rule:
             corules.setdefault(mid[0], []).append((mid[1:], c, a))
     for x, pairs in table.theta1.items():

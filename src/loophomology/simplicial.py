@@ -222,10 +222,12 @@ class SimplexTable:
     in order of j; for d >= 1 the outer pairs always survive, so the
     reduced coproduct is aw_pairs[s][1:-1].
 
-    Precomputed for the word models: for each letter a (dimension >= 1),
-    shifted[a] = |a| - 1 and rules[hat][a], the cobar rule -[d a] + sum
-    (-1)^{|a'|} [a'|a''] as (coefficient, replacement letters) pairs over
-    the full boundary (hat 0) or its inner faces (hat 1), vertices dropped;
+    Precomputed for the word models of this space: internal, the boundary
+    their internal differential takes (the inner faces for Z(X), an
+    OpExtension, else the full boundary); for each letter a (dimension
+    >= 1), shifted[a] = |a| - 1 and rules[a], the cobar rule -[d a] + sum
+    (-1)^{|a'|} [a'|a''] over internal as (coefficient, replacement
+    letters) pairs, vertices dropped;
     for each s, the free-loop wrap pairs (front, back, coefficient):
     theta1[s] over j < d with -(-1)^j, theta2[s][e] over j >= 1 with
     (-1)^((j+1)(d-j+e)) for words of degree parity e.  Read-only once built.
@@ -238,9 +240,10 @@ class SimplexTable:
         self.backs = {}
         self.boundary = {}
         self.inner_boundary = {}
+        self.internal = self.inner_boundary if isinstance(X, OpExtension) else self.boundary
         self.aw_pairs = {}
         self.shifted = {s: d - 1 for s, d in self.dim.items() if d >= 1}
-        self.rules = ({}, {})
+        self.rules = {}
         self.theta1 = {}
         self.theta2 = {}
         for s, d in self.dim.items():
@@ -276,9 +279,8 @@ class SimplexTable:
             )
             if d:
                 splits = tuple(((-1) ** self.dim[p[0]], p) for p in self.aw_pairs[s][1:-1])
-                for hat, terms in enumerate((self.boundary[s], self.inner_boundary[s])):
-                    drops = tuple((-c, (f,)) for c, f in terms if self.dim[f])
-                    self.rules[hat][s] = drops + splits
+                drops = tuple((-c, (f,)) for c, f in self.internal[s] if self.dim[f])
+                self.rules[s] = drops + splits
 
     def ends(self, s):
         """(min, max): the first and last vertex of a simplex."""
@@ -586,32 +588,24 @@ def _collapsed_delta3():
     )
 
 
-BUILTIN_NAMES = (
-    "point",
-    "circle",
-    "sphere2",
-    "sphere3",
-    "torus",
-    "boundary-delta3",
-    "collapsed-delta3",
-)
+_BUILTINS = {
+    "point": _point,
+    "circle": _circle,
+    "sphere2": lambda: _sphere(2),
+    "sphere3": lambda: _sphere(3),
+    "torus": _torus,
+    "boundary-delta3": _boundary_delta3,
+    "collapsed-delta3": _collapsed_delta3,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_space(name):
-    makers = {
-        "point": _point,
-        "circle": _circle,
-        "sphere2": lambda: _sphere(2),
-        "sphere3": lambda: _sphere(3),
-        "torus": _torus,
-        "boundary-delta3": _boundary_delta3,
-        "collapsed-delta3": _collapsed_delta3,
-    }
-    if name not in makers:
+    if name not in _BUILTINS:
         raise SimplicialError(
             f"unknown built-in {name!r}; choices: {', '.join(BUILTIN_NAMES)}"
         )
-    return makers[name]()
+    return _BUILTINS[name]()
 
 
 # ---------------------------------------------------------------------------

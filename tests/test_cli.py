@@ -11,6 +11,7 @@ from loophomology.cli import (
     EXIT_VERIFY,
     cmd_freehedron,
     cmd_homology,
+    cmd_verify,
     load_space,
     main,
 )
@@ -222,9 +223,22 @@ def test_cmd_homology_validation():
         cmd_homology("sphere2", ring="F6")
 
 
-def test_an_unknown_complex_is_refused_before_the_cap_precheck():
-    # torus is not 1-reduced, so a loop complex of it needs a cap; a name
-    # that is no complex is refused as such, whatever the cap
+def test_cmd_verify_checks_the_window_before_it_loads_the_space(capsys):
+    # "nosuch" names no space, so only a check that runs first can answer
+    for window, message in (
+        ((-1, None), "max-degree must be >= 0"),
+        ((2, 0), "max-word-length must be >= 1"),
+    ):
+        with pytest.raises(SimplicialError) as err:
+            cmd_verify("nosuch", *window)
+        assert str(err.value) == message
+    assert main(["verify", "--space", "sphere2", "--max-degree", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: max-degree must be >= 0\n")
+
+
+def test_an_unknown_complex_is_refused_by_name_on_any_space():
+    # torus is not 1-reduced, so its models refuse every loop complex
+    # without a cap; a name that is no complex is refused as such first
     with pytest.raises(SimplicialError) as err:
         cmd_homology("torus", complex_name="mystery")
     assert str(err.value).startswith("unknown complex 'mystery'; choices: ")

@@ -334,3 +334,13 @@ def test_word_enumerations_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_vertex_has_no_truncated_boundary():
+    with pytest.raises(SimplicialError) as err:
+        truncated_boundary_dA(builtin_space("sphere2"), "v")
+    assert str(err.value) == "'v' is not a letter (dimension >= 1)"
+
+
+def test_hochschild_basis_is_empty_below_degree_0():
+    assert hochschild_basis(CobarAlgebra(builtin_space("sphere2")), -1) == []

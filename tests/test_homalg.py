@@ -26,6 +26,7 @@ from loophomology.homalg import (
     HomologyEntry,
     HomologySummary,
     IncompleteSliceError,
+    Ring,
     SparseIntMatrix,
     ZZ,
     _unit_pivots,
@@ -307,7 +308,7 @@ def test_residual_loop_matches_the_general_loop():
     # nearest quotient 0; row 2 has no entry in the pivot row's other
     # column, so a row operation by 0 would delete an absent entry.
     pinned = [[-2, 4, 1], [0, 2, -2], [0, 1, -2]]
-    assert homalg._snf_rows(_row_dicts(pinned)) == ([1, 1, 4], 3)
+    assert homalg._divisibility_chain(homalg._snf_rows(_row_dicts(pinned))) == ([1, 1, 4], 3)
     assert _minor_gcds(pinned, 3) == [1, 1, 4]
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -324,7 +325,7 @@ def test_residual_loop_matches_the_general_loop():
         row = st.lists(entry, min_size=ncols, max_size=ncols)
         dense = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
         expected = reference._snf_rows(_row_dicts(dense))
-        assert homalg._snf_rows(_row_dicts(dense)) == expected
+        assert homalg._divisibility_chain(homalg._snf_rows(_row_dicts(dense))) == expected
 
     check()
 
@@ -1146,3 +1147,41 @@ def test_bottom_up_pass_never_takes_the_coboundaries_it_clears():
     homalg.homology_pass(recipe, 5, parse_ring("F2"))
     assert len(calls) == len(set(calls)) == 2089 - 354
     assert sum(len(seeds(n)) for n in range(6)) == 2089
+
+
+@pytest.mark.parametrize(
+    "kind, p, message",
+    [
+        ("R", None, "unknown ring kind 'R'"),
+        ("Z", 3, "modulus only makes sense for prime fields"),
+    ],
+)
+def test_a_ring_other_than_z_q_or_f_p_is_refused(kind, p, message):
+    with pytest.raises(ValueError) as err:
+        Ring(kind, p)
+    assert str(err.value) == message
+
+
+def test_a_slice_refuses_a_differential_of_the_wrong_shape():
+    with pytest.raises(ValueError) as err:
+        ComplexSlice({0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(2, [{}])})
+    assert str(err.value) == "differential at degree 1 has shape 2x1, bases demand 1x1"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda X: chains_slice(X, -1),
+        lambda X: cobar.cobar_slice(X, -1),
+        lambda X: hochschild_slice(X, -1),
+        lambda X: cohoch_slice(X, -1),
+        lambda X: build_complex_slice(X, "hat-cohoch", -1),
+        # an exact cohoch window runs bottom-up, through its coboundary kernel
+        lambda X: homalg.homology_pass(complex_recipe(X, "cohoch"), -1),
+    ],
+    ids=["chains", "cobar", "hochschild", "cohoch", "build_complex_slice", "pass"],
+)
+def test_a_negative_max_degree_is_refused(build):
+    with pytest.raises(ValueError) as err:
+        build(builtin_space("sphere2"))
+    assert str(err.value) == "max_degree must be >= 0, not -1"

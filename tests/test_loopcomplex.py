@@ -640,3 +640,14 @@ def test_plain_slices_refuse_a_space_that_is_not_one_reduced(name):
         with pytest.raises(SimplicialError, match=f"needs a 1-reduced space; {name} has"):
             build()
     assert cobar_slice(adjoin_inverses(X), 3, max_word_length=2).truncated_at == 2
+
+
+def test_an_unknown_chi_reading_is_refused():
+    X = builtin_space("sphere2")
+    for refused in (
+        lambda: chi(X, ("s",), (), variant="bogus"),
+        lambda: phi(X, ((("s",),), ()), variant="bogus"),
+    ):
+        with pytest.raises(ValueError) as err:
+            refused()
+        assert str(err.value) == "unknown chi variant 'bogus'"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from functools import cached_property
 
 import pytest
@@ -438,9 +439,14 @@ def test_json_rejects_two_keys_for_one_dimension(old, new, keys):
     assert f"simplices key {refused} is not a dimension" in str(err.value)
 
 
-@pytest.mark.parametrize("key", ["\u0661", " 1", "+1", "1_0", "01", "-1", "1.0", ""])
+@pytest.mark.parametrize(
+    "key",
+    ["\u0661", " 1", "+1", "1_0", "01", "-1", "1.0", ""]
+    + [pytest.param("1" * (sys.get_int_max_str_digits() + 1), id="too-long-for-int")],
+)
 def test_json_dimension_keys_are_plain_numerals(key):
-    # "\u0661" is Arabic-Indic one; "1_0" would read as dimension 10
+    # "\u0661" is Arabic-Indic one; "1_0" would read as dimension 10; int()
+    # refuses a numeral with more digits than its limit
     with pytest.raises(SimplicialError) as err:
         presentation_from_json(INTERVAL_JSON.replace('"1": ["e"]', f'"{key}": ["e"]'))
     assert str(err.value) == f"<json>: simplices key {key!r} is not a dimension"
@@ -782,3 +788,67 @@ def test_collapsing_keeps_the_groups_of_random_presentations(X):
     for complex_name in ("chains", "cohoch"):
         groups = [homology_pass(complex_recipe(P, complex_name), 4) for P in (X, Y)]
         assert groups[0] == groups[1], complex_name
+
+
+def test_two_4_simplices_on_the_same_3_faces_do_not_collapse():
+    # each 3-face is named by both 4-simplices: no 3-simplex is unnamed and
+    # no face of a 4-simplex is named once, so nothing is free
+    ts = [f"t{i}" for i in range(5)]
+    faces = {(t, i): FormalSimplex((1, 0), "v") for t in ts for i in range(4)}
+    faces.update({(y, i): nondeg(ts[i]) for y in ("y1", "y2") for i in range(5)})
+    X = SimplicialSetPresentation("twin", "v", {0: ["v"], 3: ts, 4: ["y1", "y2"]}, faces)
+    assert validate(X) == []
+    assert _collapse_free_pairs(X) is X
+
+
+def test_boundary_of_an_unknown_id_is_refused():
+    with pytest.raises(SimplicialError) as err:
+        boundary(builtin_space("sphere2"), "nope")
+    assert str(err.value) == "unknown simplex id 'nope'"
+
+
+def test_a_face_without_its_record_is_refused():
+    # validate reports the gap; face() meets it on a presentation never validated
+    faces = {("e", 0): nondeg("v")}
+    X = SimplicialSetPresentation("gap", "v", {0: ["v"], 1: ["e"]}, faces)
+    with pytest.raises(SimplicialError) as err:
+        face(X, nondeg("e"), 1)
+    assert str(err.value) == "missing face table entry for ('e', 1)"
+
+
+def test_an_id_that_names_an_inverse_is_refused():
+    faces = {(e, i): nondeg("v") for e in ("e", "e~") for i in (0, 1)}
+    X = SimplicialSetPresentation("clash", "v", {0: ["v"], 1: ["e", "e~"]}, faces)
+    with pytest.raises(SimplicialError) as err:
+        adjoin_inverses(X)
+    assert str(err.value) == "id 'e~' collides with the op alphabet"
+
+
+def test_validate_reports_a_negative_dimension():
+    X = SimplicialSetPresentation("negative", "v", {0: ["v"], -1: ["z"]}, {})
+    assert validate(X) == ["negative dimension -1"]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (INTERVAL_JSON, "[]", "top level must be an object"),
+        ('["a", "b"]', '"a"', "simplices['0'] must be a list of id strings"),
+        ('[{"deg": [], "base": "b"}, {"deg": [], "base": "a"}]', "{}",
+         "faces['e'] must be a list of face records"),
+    ],
+    ids=["top-level-list", "simplices-not-a-list", "faces-not-a-list"],
+)
+def test_json_refuses_a_value_of_the_wrong_type(old, new, message):
+    with pytest.raises(SimplicialError) as err:
+        presentation_from_json(INTERVAL_JSON.replace(old, new))
+    assert str(err.value) == f"<json>: {message}"
+
+
+def test_an_unknown_builtin_is_refused():
+    with pytest.raises(SimplicialError) as err:
+        builtin_space("nosuch")
+    assert str(err.value) == (
+        "unknown built-in 'nosuch'; choices: point, circle, sphere2, sphere3, "
+        "torus, boundary-delta3, collapsed-delta3"
+    )

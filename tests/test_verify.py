@@ -9,6 +9,7 @@ from loophomology.cli import EXIT_OK, EXIT_VERIFY, main
 from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.comparison import necklical_differential
+from loophomology.homalg import Chain, HomologyEntry, ZZ
 from loophomology.loopcomplex import format_loop_generator, hochschild_slice
 from reference import multiply
 from loophomology.simplicial import (
@@ -301,3 +302,39 @@ def test_verify_at_max_degree_0_skips_universal_coefficients(capsys):
     assert report.to_text().endswith(
         "  [max degree 0: no degree below the top to compare]\nresult: OK\n"
     )
+
+
+def test_run_verify_refuses_a_negative_max_degree():
+    with pytest.raises(ValueError) as err:
+        run_verify("sphere2", -1)
+    assert str(err.value) == "max_degree must be >= 0, not -1"
+
+
+def test_verify_fails_when_the_contraction_sample_does_not_vanish(monkeypatch, capsys):
+    # with s = 0, (sd + ds - 1)^k c = (-1)^k c never vanishes
+    monkeypatch.setattr(comparison, "contraction_s", lambda *args: Chain(ZZ))
+    report = run_verify("sphere2", 3, 2)
+    line = "  FAIL  contraction-nilpotency  [sample did not vanish within 6 iterations]"
+    assert line in report.to_text().splitlines()
+    argv = ["verify", "--space", "sphere2", "--max-degree", "3", "--max-word-length", "2"]
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().out == report.to_text()
+
+
+def test_verify_fails_when_betti_numbers_break_universal_coefficients(monkeypatch, capsys):
+    # one rank more over Q than over F2 and F3 in every degree
+    real = verify_mod.homology_of_slice
+
+    def inflated(sl, n, ring):
+        entry = real(sl, n, ring)
+        if ring.kind == "Q":
+            return HomologyEntry(n, entry.free_rank + 1)
+        return entry
+
+    monkeypatch.setattr(verify_mod, "homology_of_slice", inflated)
+    report = run_verify("sphere2", 3, 2)
+    lines = report.to_text().splitlines()
+    assert "  FAIL  universal-coefficients:chains  [degree 0: Q 2, F2 1, F3 1]" in lines
+    argv = ["verify", "--space", "sphere2", "--max-degree", "3", "--max-word-length", "2"]
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().out == report.to_text()
