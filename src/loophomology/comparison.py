@@ -292,50 +292,62 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     the differentials, as ``{variant: [generator, ...]}`` in basis order
     for each chi reading in ``variants``.
 
-    One pass per degree serves every reading.  Each generator's image under
-    phi is taken once, for all readings, by one ``_phi_kernel`` (a single
-    bar letter's rotations are spliced and looked up once, only their signs
-    differ), as {free-loop basis index: packed coefficients}, and kept for
-    one degree.  Both sides are read off the stored matrices, over the
-    free-loop basis one degree down: phi(d g) combines the images of the
-    rows of g's d_n column in ``hoch_slice``, d phi(g) the ``loop_slice``
-    columns of the keys of phi(g), their difference summed in one pass of
-    packed arithmetic and read reading by reading.  A generator whose phi has
-    a key outside the free-loop basis of its degree, with a nonzero
-    coefficient under a reading, is a mismatch under that reading, and so
-    is every generator whose differential reaches it.
+    One pass per degree serves every reading, and it streams.  Each
+    generator's image under phi is taken once, for all readings, by one
+    ``_phi_kernel`` (a single bar letter's rotations are spliced and looked
+    up once, only their signs differ), as {free-loop basis index: packed
+    coefficients}, and its gap is taken at once.  Both sides are read off
+    the stored matrices, over the free-loop basis one degree down: phi(d g)
+    combines the images of the rows of g's d_n column in ``hoch_slice``,
+    d phi(g) the ``loop_slice`` columns of the keys of phi(g), their
+    difference summed in one pass of packed arithmetic and read reading by
+    reading.  The image is then kept only if the next degree's d reads g as
+    a row; a generator with no image keeps None, and the top degree keeps
+    none.  A generator whose phi has a key outside the free-loop basis of
+    its degree, with a nonzero coefficient under a reading, is a mismatch
+    under that reading, and so is every generator whose differential
+    reaches it.
     """
     count = len(variants)
     phi_of = _phi_kernel(space, variants)
     bad = {v: [] for v in variants}
-    below, below_stray = [], {}  # images of the previous degree, and their stray masks
+    below, below_stray = None, {}  # kept images of the degree below, and stray masks
     for n in hoch_slice.degrees():
         gens = hoch_slice.bases[n]
         index = loop_slice.basis_index(n)
-        here, stray = [], {}
-        for j, gen in enumerate(gens):
+        loop_cols = loop_slice.differential(n).columns
+        hoch_cols = hoch_slice.differential(n).columns
+        here, stray = None, {}
+        if n + 1 in hoch_slice.bases:
+            # the rows of d_(n+1): the generators whose images the next degree reads
+            here = [False] * len(gens)
+            for col in hoch_slice.differential(n + 1).columns:
+                for i in col:
+                    here[i] = True
+        for j, (gen, col) in enumerate(zip(gens, hoch_cols)):
+            mask = 0
+            gap = {}  # phi(d g) - d phi(g), packed
             image = {}
             for key, packed in phi_of(gen).items():
                 i = index.get(key)
                 if i is None:
-                    stray[j] = stray.get(j, 0) | _lanes(packed, count)
+                    mask |= _lanes(packed, count)
                 elif packed:
                     image[i] = packed
-            here.append(image)
-        loop_cols = loop_slice.differential(n).columns
-        hoch_cols = hoch_slice.differential(n).columns
-        for j, (gen, col, image) in enumerate(zip(gens, hoch_cols, here)):
-            mask = stray.get(j, 0)
+                    for k, e in loop_cols[i].items():
+                        gap[k] = gap.get(k, 0) - packed * e
+            if here is not None and here[j]:
+                here[j] = image or None
+                if mask:
+                    stray[j] = mask
             if below_stray:
                 for i in col:
                     mask |= below_stray.get(i, 0)
-            gap = {}  # phi(d g) - d phi(g), packed
             for i, c in col.items():
-                for k, e in below[i].items():
-                    gap[k] = gap.get(k, 0) + c * e
-            for i, c in image.items():
-                for k, e in loop_cols[i].items():
-                    gap[k] = gap.get(k, 0) - c * e
+                row = below[i]
+                if row is not None:
+                    for k, e in row.items():
+                        gap[k] = gap.get(k, 0) + c * e
             if any(gap.values()):
                 for e in gap.values():
                     mask |= _lanes(e, count)

@@ -273,7 +273,10 @@ def run_verify(space, max_degree, max_word_length=None):
 
     When the presentation itself is invalid, the remaining checks are
     skipped rather than run on garbage data; the failure is the report.
+    A negative max_degree is refused before anything runs.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     X = builtin_space(space) if isinstance(space, str) else space
     chi_variant, chi_detail, chi_mismatches = select_chi_variant()
     results = [_check_simplicial(X)]

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from loophomology.cobar import (
 )
 from loophomology import comparison
 from loophomology import loopcomplex as loop_mod
+from loophomology.complexes import build_complex_slice
 from loophomology.comparison import (
     CHI_VARIANTS,
     chi,
@@ -404,6 +407,25 @@ def test_chi_walk_splices_each_rotation_once_whatever_the_readings(monkeypatch):
         monkeypatch.setattr(comparison, "_splice", counted)
         comparison.phi_slice_mismatches(X, variants, hoch, loop)
         assert calls == expected
+
+
+def test_chi_walk_keeps_only_the_images_the_next_degree_reads():
+    # The walk takes each generator's gap as soon as its image is taken and
+    # keeps an image only for a row of the next degree's d, none in the top
+    # degree; holding every image of two degrees peaked at ~1 MB here.
+    X = builtin_space("collapsed-delta3")
+    hoch = build_complex_slice(X, "hochschild-of-cobar", 5)
+    loop = build_complex_slice(X, "cohoch", 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bad = comparison.phi_slice_mismatches(X, CHI_VARIANTS, hoch, loop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(bad[v]) for v in CHI_VARIANTS] == [349, 356, 0]
+    assert peak - base < 600_000, peak - base
 
 
 def test_eta_examples():

@@ -304,7 +304,12 @@ def test_verify_at_max_degree_0_skips_universal_coefficients(capsys):
     )
 
 
-def test_run_verify_refuses_a_negative_max_degree():
+def test_run_verify_refuses_a_negative_max_degree(monkeypatch):
+    # refused before the chi sweep runs, not by the first build after it
+    def sweep(max_degree=5):
+        raise AssertionError("the chi sweep ran")
+
+    monkeypatch.setattr(verify_mod, "select_chi_variant", sweep)
     with pytest.raises(ValueError) as err:
         run_verify("sphere2", -1)
     assert str(err.value) == "max_degree must be >= 0, not -1"
