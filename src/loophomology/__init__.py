@@ -11,16 +11,17 @@ import importlib
 
 # defining module: its public names
 _EXPORTS = {
-    "homalg": (
-        "Chain ComplexSlice HomologySummary QQ Ring SparseIntMatrix ZZ "
-        "check_d_squared homology_of_slice parse_ring prime_field "
-        "smith_normal_form"
+    "linalg": (
+        "Chain QQ Ring SparseIntMatrix ZZ parse_ring prime_field smith_normal_form"
+    ),
+    "homalg": "ComplexSlice HomologySummary check_d_squared homology_of_slice",
+    "presentation": (
+        "FormalSimplex OpExtension SimplicialError SimplicialSetPresentation "
+        "adjoin_inverses aw_coproduct boundary canonical_degeneracy endpoints "
+        "face nondeg"
     ),
     "simplicial": (
-        "BUILTIN_NAMES FormalSimplex OpExtension SimplicialError "
-        "SimplicialSetPresentation adjoin_inverses aw_coproduct boundary "
-        "builtin_space canonical_degeneracy chains_slice endpoints face "
-        "nondeg presentation_from_json validate"
+        "BUILTIN_NAMES builtin_space chains_slice presentation_from_json validate"
     ),
     "cobar": (
         "CobarAlgebra bar_differential cobar_basis cobar_differential "

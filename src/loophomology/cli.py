@@ -12,10 +12,11 @@ import sys
 from pathlib import Path
 
 from .complexes import COMPLEX_NAMES, complex_recipe
-from .homalg import HomologySummary, homology_pass, parse_ring
+from .homalg import HomologySummary, homology_pass
+from .linalg import parse_ring
+from .presentation import SimplicialError
 from .simplicial import (
     BUILTIN_NAMES,
-    SimplicialError,
     _collapse_free_pairs,
     builtin_space,
     presentation_from_json,

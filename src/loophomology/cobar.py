@@ -31,8 +31,9 @@ The bar construction of the resulting tensor algebra lives here too.
 
 from __future__ import annotations
 
-from .homalg import Chain, ZZ, _close_and_build, _nonzero
-from .simplicial import OpExtension, SimplicialError
+from .homalg import _close_and_build
+from .linalg import ZZ, Chain, _nonzero
+from .presentation import OpExtension, SimplicialError
 
 # ---------------------------------------------------------------------------
 # Words

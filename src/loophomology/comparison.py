@@ -25,9 +25,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .cobar import CobarAlgebra, _splice
-from .homalg import Chain, ZZ, _nonzero
+from .linalg import ZZ, Chain, _nonzero
 from .loopcomplex import format_loop_generator
-from .simplicial import SimplicialError
+from .presentation import SimplicialError
 
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
 # adjacent-index readings of the product-form exponent; "rotation" is the

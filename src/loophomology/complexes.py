@@ -9,7 +9,8 @@ compiles only the models it builds.
 from __future__ import annotations
 
 from .homalg import _close_and_build
-from .simplicial import SimplicialError, adjoin_inverses, chains_recipe
+from .presentation import SimplicialError, adjoin_inverses
+from .simplicial import chains_recipe
 
 COMPLEX_NAMES = (
     "chains",

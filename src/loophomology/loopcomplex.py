@@ -40,8 +40,9 @@ from .cobar import (
     hochschild_basis,
     words_between,
 )
-from .homalg import Chain, ZZ, _close_and_build, _nonzero
-from .simplicial import OpExtension, SimplicialError
+from .homalg import _close_and_build
+from .linalg import ZZ, Chain, _nonzero
+from .presentation import OpExtension, SimplicialError
 
 
 def format_loop_generator(gen):

@@ -35,9 +35,11 @@ from . import cobar as cobar_mod
 from . import comparison
 from .comparison import CHI_VARIANTS
 from .complexes import build_complex_slice, supported_complexes
-from .homalg import ZZ, Chain, _shown, check_d_squared, homology_of_slice, parse_ring
+from .homalg import check_d_squared, homology_of_slice
+from .linalg import ZZ, Chain, parse_ring
 from .loopcomplex import format_loop_generator
-from .simplicial import SimplicialError, adjoin_inverses, builtin_space, validate
+from .presentation import SimplicialError, _shown, adjoin_inverses
+from .simplicial import builtin_space, validate
 
 
 # ---------------------------------------------------------------------------

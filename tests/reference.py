@@ -32,25 +32,16 @@ from math import gcd
 from pathlib import Path
 
 from loophomology.cobar import reduce_word
-from loophomology.homalg import (
-    ZZ,
-    Chain,
-    ComplexSlice,
-    HomologyEntry,
-    HomologySummary,
-    SparseIntMatrix,
-    _nearest_quotient,
-)
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
+from loophomology.homalg import ComplexSlice, HomologyEntry, HomologySummary
+from loophomology.linalg import ZZ, Chain, SparseIntMatrix, _nearest_quotient
+from loophomology.presentation import (
     FormalSimplex,
     OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
-    builtin_space,
     nondeg,
-    presentation_from_json,
 )
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space, presentation_from_json
 
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
 

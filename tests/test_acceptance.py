@@ -5,8 +5,10 @@ here; every expected value is exact integer data."""
 import time
 
 from loophomology.cli import cmd_homology
-from loophomology.homalg import SparseIntMatrix, check_d_squared, smith_normal_form
-from loophomology.simplicial import adjoin_inverses, builtin_space
+from loophomology.homalg import check_d_squared
+from loophomology.linalg import SparseIntMatrix, smith_normal_form
+from loophomology.presentation import adjoin_inverses
+from loophomology.simplicial import builtin_space
 from loophomology.freehedra import f_vector, label_faces, top_label
 from loophomology.comparison import necklical_differential, phi_slice_mismatches
 from loophomology.loopcomplex import cohoch_basis, cohoch_differential, cohoch_slice

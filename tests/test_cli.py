@@ -16,14 +16,10 @@ from loophomology.cli import (
     main,
 )
 from loophomology.complexes import complex_recipe, supported_complexes
-from loophomology.homalg import homology_pass, parse_ring
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
-    SimplicialError,
-    SimplicialSetPresentation,
-    builtin_space,
-    nondeg,
-)
+from loophomology.homalg import homology_pass
+from loophomology.linalg import parse_ring
+from loophomology.presentation import SimplicialError, SimplicialSetPresentation, nondeg
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.verify import CheckResult, VerifyReport, build_complex_slice, run_verify
 from reference import collapsed_simplex, fixture, parse_json_lines
 
@@ -130,6 +126,8 @@ NEWLINE_ID = _replaced(("simplices", "1"), ["e\nf"])
 # a vertex has no faces: [] loads, a face record is refused
 VERTEX_NO_FACES = _replaced(("faces", "a"), [])
 VERTEX_WITH_FACE = _replaced(("faces", "a"), [{"base": "nowhere"}])
+# json.loads recurses once per bracket and raises RecursionError
+NESTED_TOO_DEEPLY = ("[" * 100_000 + "]" * 100_000).encode()
 
 
 @pytest.mark.parametrize(
@@ -158,6 +156,7 @@ VERTEX_WITH_FACE = _replaced(("faces", "a"), [{"base": "nowhere"}])
     + [pytest.param(NEWLINE_ID, True, id="newline-in-id")]
     + [pytest.param(VERTEX_NO_FACES, False, id="vertex-no-faces")]
     + [pytest.param(VERTEX_WITH_FACE, True, id="vertex-with-face")]
+    + [pytest.param(NESTED_TOO_DEEPLY, True, id="nested-too-deeply")]
     + [pytest.param(None, True, id="directory")],
 )
 def test_main_rejects_malformed_json(tmp_path, capsys, bad, must_reject):

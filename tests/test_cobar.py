@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 import reference as ref
 from reference import _generator_sort_key, _hochschild_key, _loop_key, _word_key
-from loophomology.homalg import Chain, ZZ, check_d_squared
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
-    SimplicialError,
-    adjoin_inverses,
-    builtin_space,
-)
+from loophomology.homalg import check_d_squared
+from loophomology.linalg import Chain, ZZ
+from loophomology.presentation import SimplicialError, adjoin_inverses
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.complexes import complex_recipe
 from loophomology.verify import build_complex_slice, supported_complexes
 from loophomology.cobar import (
@@ -115,7 +112,7 @@ def test_hat_cobar_basis_spheres_and_point():
 
 def test_words_between_chain_condition():
     bd = adjoin_inverses(builtin_space("boundary-delta3"))
-    from loophomology.simplicial import endpoints, nondeg
+    from loophomology.presentation import endpoints, nondeg
 
     for w in words_between(bd, "0", "3", 0, 3):
         ends = [endpoints(bd, nondeg(a)) for a in w]
@@ -184,7 +181,7 @@ def test_hat_basis_degrees_and_basedness():
         for w in hat_cobar_basis(bd, degree, 3):
             assert word_degree(bd, w) == degree
             if w:
-                from loophomology.simplicial import endpoints, nondeg
+                from loophomology.presentation import endpoints, nondeg
 
                 assert endpoints(bd, nondeg(w[0]))[0] == "0"
                 assert endpoints(bd, nondeg(w[-1]))[1] == "0"

@@ -21,31 +21,27 @@ from reference import (
     parse_json_lines,
 )
 from loophomology.homalg import (
-    Chain,
     ComplexSlice,
     HomologyEntry,
     HomologySummary,
     IncompleteSliceError,
+    check_d_squared,
+    homology_of_slice,
+)
+from loophomology.linalg import (
+    Chain,
     Ring,
     SparseIntMatrix,
     ZZ,
     _unit_pivots,
-    check_d_squared,
-    homology_of_slice,
     parse_ring,
     prime_field,
     rank_mod_p,
     smith_normal_form,
 )
-from loophomology import cobar, complexes, homalg, loopcomplex
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
-    adjoin_inverses,
-    boundary,
-    builtin_space,
-    chains_slice,
-    validate,
-)
+from loophomology import cobar, complexes, homalg, linalg, loopcomplex
+from loophomology.presentation import adjoin_inverses, boundary
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space, chains_slice, validate
 from loophomology.loopcomplex import cohoch_slice, hochschild_slice
 from loophomology.complexes import complex_recipe
 from loophomology.verify import build_complex_slice, supported_complexes
@@ -73,7 +69,7 @@ def test_prime_moduli_are_checked_exactly_and_fast():
     with pytest.raises(ValueError, match="must be below"):
         parse_ring(f"F{2**89 - 1}")
     primes = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
-    assert [n for n in range(500) if homalg._is_prime(n)] == primes
+    assert [n for n in range(500) if linalg._is_prime(n)] == primes
 
 
 def test_chain_arithmetic():
@@ -308,7 +304,7 @@ def test_residual_loop_matches_the_general_loop():
     # nearest quotient 0; row 2 has no entry in the pivot row's other
     # column, so a row operation by 0 would delete an absent entry.
     pinned = [[-2, 4, 1], [0, 2, -2], [0, 1, -2]]
-    assert homalg._divisibility_chain(homalg._snf_rows(_row_dicts(pinned))) == ([1, 1, 4], 3)
+    assert linalg._divisibility_chain(linalg._snf_rows(_row_dicts(pinned))) == ([1, 1, 4], 3)
     assert _minor_gcds(pinned, 3) == [1, 1, 4]
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -325,7 +321,7 @@ def test_residual_loop_matches_the_general_loop():
         row = st.lists(entry, min_size=ncols, max_size=ncols)
         dense = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
         expected = reference._snf_rows(_row_dicts(dense))
-        assert homalg._divisibility_chain(homalg._snf_rows(_row_dicts(dense))) == expected
+        assert linalg._divisibility_chain(linalg._snf_rows(_row_dicts(dense))) == expected
 
     check()
 
@@ -334,7 +330,7 @@ def test_residual_loop_matches_the_general_loop():
 @given(st.lists(st.integers(1, 72), max_size=8))
 def test_divisibility_chain_takes_one_pass(factors):
     expected = reference._divisibility_chain(list(factors))
-    assert homalg._divisibility_chain(list(factors)) == expected
+    assert linalg._divisibility_chain(list(factors)) == expected
 
 
 def test_homology_reduces_each_differential_once(monkeypatch):
@@ -963,7 +959,7 @@ def test_clearing_leaves_every_reduction_unchanged():
                 if up is None:
                     continue
                 for p in (None, 2, 3):
-                    _, rank, leads = homalg._reduce(up, p)
+                    _, rank, leads = linalg._reduce(up, p)
                     assert len(set(leads)) == len(leads) <= rank
                     assert p is None or len(leads) == rank
                     dropped = _without(down, set(leads))
@@ -991,10 +987,10 @@ def test_clearing_leaves_every_reduction_unchanged():
     assert cleared > 1000
     # a Z block whose only lead is 2 reports no pivot row, even where its
     # residual has a unit factor; mod 3 it does
-    assert homalg._reduce(SparseIntMatrix(1, [{0: 2}])) == ([2], 1, [])
+    assert linalg._reduce(SparseIntMatrix(1, [{0: 2}])) == ([2], 1, [])
     two = SparseIntMatrix(2, [{1: 2, 0: 1}])
-    assert homalg._reduce(two) == ([1], 1, [])
-    assert homalg._reduce(two, 3) == ([], 1, [1])
+    assert linalg._reduce(two) == ([1], 1, [])
+    assert linalg._reduce(two, 3) == ([], 1, [1])
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from loophomology.homalg import Chain, ZZ, check_d_squared
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
-    SimplicialError,
-    adjoin_inverses,
-    builtin_space,
-    endpoints,
-)
+from loophomology.homalg import check_d_squared
+from loophomology.linalg import Chain, ZZ
+from loophomology.presentation import SimplicialError, adjoin_inverses, endpoints
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.cobar import (
     CobarAlgebra,
     bar_differential,

@@ -25,14 +25,15 @@ from loophomology.comparison import (
     phi,
     phi_slice_mismatches,
 )
-from loophomology.homalg import ZZ, prime_field
+from loophomology.linalg import ZZ, prime_field
 from loophomology.loopcomplex import (
     cohoch_differential,
     cohoch_slice,
     hochschild_differential,
     hochschild_slice,
 )
-from loophomology.simplicial import BUILTIN_NAMES, adjoin_inverses, builtin_space
+from loophomology.presentation import adjoin_inverses
+from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.verify import build_complex_slice, supported_complexes
 
 RINGS = (ZZ, prime_field(2), prime_field(3))

@@ -11,29 +11,32 @@ from hypothesis import strategies as st
 from loophomology.cobar import CobarAlgebra, cobar_differential
 from loophomology.complexes import complex_recipe
 from loophomology.freehedra import FreehedralLabel
-from loophomology.homalg import Chain, ZZ, homology_pass
+from loophomology.homalg import homology_pass
+from loophomology.linalg import Chain, ZZ
 from loophomology.loopcomplex import (
     cohoch_basis,
     cohoch_differential,
     cohoch_slice,
     hochschild_slice,
 )
-from loophomology.simplicial import (
-    BUILTIN_NAMES,
+from loophomology.presentation import (
     FormalSimplex,
     OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
-    _collapse_free_pairs,
     adjoin_inverses,
     aw_coproduct,
     boundary,
-    builtin_space,
     canonical_degeneracy,
-    chains_slice,
     endpoints,
     face,
     nondeg,
+)
+from loophomology.simplicial import (
+    BUILTIN_NAMES,
+    _collapse_free_pairs,
+    builtin_space,
+    chains_slice,
     presentation_from_json,
     validate,
 )

@@ -9,15 +9,12 @@ from loophomology.cli import EXIT_OK, EXIT_VERIFY, main
 from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.comparison import necklical_differential
-from loophomology.homalg import Chain, HomologyEntry, ZZ
+from loophomology.homalg import HomologyEntry
+from loophomology.linalg import Chain, ZZ
 from loophomology.loopcomplex import format_loop_generator, hochschild_slice
 from reference import multiply
-from loophomology.simplicial import (
-    SimplicialSetPresentation,
-    adjoin_inverses,
-    builtin_space,
-    nondeg,
-)
+from loophomology.presentation import SimplicialSetPresentation, adjoin_inverses, nondeg
+from loophomology.simplicial import builtin_space
 from loophomology.verify import (
     build_complex_slice,
     run_verify,
