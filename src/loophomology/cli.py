@@ -103,8 +103,7 @@ def cmd_verify(space, max_degree, max_word_length=None):
     from .verify import run_verify
 
     _check_window(max_degree, max_word_length)
-    X = load_space(space) if isinstance(space, str) else space
-    return run_verify(X, max_degree, max_word_length)
+    return run_verify(load_space(space), max_degree, max_word_length)
 
 
 # ---------------------------------------------------------------------------

@@ -173,13 +173,11 @@ class CobarAlgebra:
     Provides exactly what the bar and Hochschild differentials consume:
     degrees, the internal differential, and the op pairs with which
     _splice takes the monomial product.  It reads the word rules and
-    shifted degrees of the space's table once, at construction; ``hat``
-    says whether the space is Z(X).
+    shifted degrees of the space's table once, at construction.
     """
 
     def __init__(self, space):
         self.space = space
-        self.hat = isinstance(space, OpExtension)
         self.op_pairs = space.op_pairs
         self.table = space.table
         self.rules, self.shifted = self.table.rules, self.table.shifted

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .cobar import CobarAlgebra, _splice
+from .cobar import _splice
 from .linalg import ZZ, Chain, _nonzero
 from .loopcomplex import format_loop_generator
 from .presentation import SimplicialError
@@ -32,8 +32,8 @@ from .presentation import SimplicialError
 # Candidate sign conventions for chi.  "index-low" and "index-high" are the two
 # adjacent-index readings of the product-form exponent; "rotation" is the
 # Koszul sign for rotating the head block past letter, tail and module.
-# The chain-map sweep (verify.select_chi_variant) picks the one under which
-# phi commutes with the differentials; only "rotation" survives.
+# chi and phi use DEFAULT_CHI_VARIANT, the only reading under which phi
+# commutes with the differentials; verify.select_chi_variant checks this.
 CHI_VARIANTS = ("index-low", "index-high", "rotation")
 DEFAULT_CHI_VARIANT = "rotation"
 
@@ -201,8 +201,8 @@ def chi(space, a, u, ring=ZZ, variant=DEFAULT_CHI_VARIANT):
     the product-form exponent (|a_s|+...+|a_n|+n+i)(|u|+|a_1|+...+|a_i|+i)
     with s = i-1 and s = i+1 respectively; "rotation" is the Koszul sign
     for carrying the head block a_1..a_{i-1} past letter, tail and module,
-    all in shifted degrees.  The sweep in verify.select_chi_variant keeps
-    only "rotation"; the others stay for the recorded comparison.
+    all in shifted degrees.  verify.select_chi_variant checks that only
+    "rotation" makes phi a chain map; the others stay for the comparison.
     """
     terms = _phi_kernel(space, (variant,))(((tuple(a),), tuple(u)))
     return Chain(ring, {key: -c for key, c in terms.items()})
@@ -252,9 +252,9 @@ def contraction_s(space, barword, ring=ZZ):
 
     The split carries the sign (-1)^{deg of the split-off letter} (shifted
     degree); the sweep over sign conventions shows this is the only choice
-    making (sd + ds - id) nilpotent on kernel elements.
+    making (sd + ds - id) nilpotent on kernel elements.  space is a
+    presentation or a CobarAlgebra; only its table is read.
     """
-    algebra = space if isinstance(space, CobarAlgebra) else CobarAlgebra(space)
     b = tuple(tuple(a) for a in barword)
     if not in_rho_kernel(b):
         raise SimplicialError(
@@ -265,7 +265,7 @@ def contraction_s(space, barword, ring=ZZ):
     first = b[0]
     if len(first) == 1:
         return out
-    e = algebra.degree(first[:1]) % 2
+    e = space.table.word_degree(first[:1]) % 2
     out.add(((first[0],), first[1:]) + b[1:], (-1) ** e)
     return out
 

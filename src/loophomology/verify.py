@@ -10,10 +10,9 @@ two runs on the same inputs diff clean:
    read from the stored hat-cohoch matrices;
 4. the chi sign sweep: the chain-map mismatches of each chi reading on the
    built-in collapsed-delta3 through degree 5, whatever the input space;
-   it fails when the reading it selects has any;
-5. the chain-map identity for phi (1-reduced spaces), under the chi sign
-   reading the sweep selected, on the stored hochschild-of-cobar and
-   cohoch matrices;
+   it fails when comparison.DEFAULT_CHI_VARIANT, phi's reading, has any;
+5. the chain-map identity for phi (1-reduced spaces), under that reading,
+   on the stored hochschild-of-cobar and cohoch matrices;
 6. nilpotency of the local contraction on kernel elements sampled from
    the hochschild-of-cobar bases;
 7. universal-coefficients consistency of Betti numbers over Q, F2, F3.
@@ -29,11 +28,11 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 
 from . import cobar as cobar_mod
 from . import comparison
-from .comparison import CHI_VARIANTS
+from .comparison import CHI_VARIANTS, DEFAULT_CHI_VARIANT
 from .complexes import build_complex_slice, supported_complexes
 from .homalg import check_d_squared, homology_of_slice
 from .linalg import ZZ, Chain, parse_ring
@@ -46,38 +45,35 @@ from .simplicial import builtin_space, validate
 # The chi sign sweep
 
 
-_chi_selection_cache = {}
+_SWEEP_DEGREE = 5  # the sweep's fixture is built through this degree
 
 
-def select_chi_variant(max_degree=5):
-    """Pick the chi exponent reading by demanding that phi be a chain map.
+@cache
+def select_chi_variant():
+    """Check phi's chi exponent reading by demanding that phi be a chain map.
 
     The sweep runs over the Hochschild generators of a 1-reduced fixture
     whose letters mix even and odd degrees (a collapsed 3-simplex), which
     is what separates the two adjacent-index readings; single-generator
     spheres cannot tell them apart.  Returns (variant, detail, mismatches):
-    the first reading with no mismatch (else the one with fewest), the
-    sweep's report line, and {reading: number of failing generators}.
-    The fixture's two slices are built as run_verify builds the input's,
-    and one walk checks every reading on them.  Cached per max_degree.
+    comparison.DEFAULT_CHI_VARIANT, the sweep's report line, and {reading:
+    number of failing generators}.  The fixture's two slices are built as
+    run_verify builds the input's, and one walk checks every reading on
+    them.  It runs once per process.
     """
-    if max_degree in _chi_selection_cache:
-        return _chi_selection_cache[max_degree]
     fixture = builtin_space("collapsed-delta3")
     bad = comparison.phi_slice_mismatches(
         fixture,
         CHI_VARIANTS,
-        build_complex_slice(fixture, "hochschild-of-cobar", max_degree),
-        build_complex_slice(fixture, "cohoch", max_degree),
+        build_complex_slice(fixture, "hochschild-of-cobar", _SWEEP_DEGREE),
+        build_complex_slice(fixture, "cohoch", _SWEEP_DEGREE),
     )
     mismatches = {variant: len(bad[variant]) for variant in CHI_VARIANTS}
     detail = (
-        f"sweep on {fixture.name} through degree {max_degree}: "
+        f"sweep on {fixture.name} through degree {_SWEEP_DEGREE}: "
         + ", ".join(f"{v}: {mismatches[v]} mismatches" for v in CHI_VARIANTS)
     )
-    result = (min(CHI_VARIANTS, key=mismatches.__getitem__), detail, mismatches)
-    _chi_selection_cache[max_degree] = result
-    return result
+    return DEFAULT_CHI_VARIANT, detail, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ CheckResult = namedtuple("CheckResult", "name status detail", defaults=("",))
 
 
 class VerifyReport(
-    namedtuple("VerifyReport", "space_name max_degree max_word_length results chi_variant")
+    namedtuple("VerifyReport", "space_name max_degree max_word_length results")
 ):
     __slots__ = ()
 
@@ -102,7 +98,7 @@ class VerifyReport(
         name = _shown(self.space_name)
         lines = [
             f"verify {name} (max degree {self.max_degree}, word cap {cap})",
-            f"chi exponent reading: {self.chi_variant}",
+            f"chi exponent reading: {DEFAULT_CHI_VARIANT}",
         ]
         for r in self.results:
             mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[r.status]
@@ -119,7 +115,7 @@ class VerifyReport(
                 "space": self.space_name,
                 "max_degree": self.max_degree,
                 "max_word_length": self.max_word_length,
-                "chi_variant": self.chi_variant,
+                "chi_variant": DEFAULT_CHI_VARIANT,
                 "checks": [r._asdict() for r in self.results],
                 "ok": self.all_passed,
             },
@@ -181,14 +177,14 @@ def _check_differential_agreement(X, sl):
     )
 
 
-def _check_phi_chain_map(X, hochschild, cohoch, chi_variant):
-    mismatches = comparison.phi_slice_mismatches(X, (chi_variant,), hochschild, cohoch)
-    bad = mismatches[chi_variant]
+def _check_phi_chain_map(X, hochschild, cohoch):
+    reading = (DEFAULT_CHI_VARIANT,)
+    (bad,) = comparison.phi_slice_mismatches(X, reading, hochschild, cohoch).values()
     if bad:
         return CheckResult(
             "phi-chain-map", "fail", f"{len(bad)} generators, first {bad[0]!r}"
         )
-    return CheckResult("phi-chain-map", "pass", f"variant {chi_variant}")
+    return CheckResult("phi-chain-map", "pass", f"variant {DEFAULT_CHI_VARIANT}")
 
 
 # the contraction check: kernel samples, the power that must kill each, the seed
@@ -273,20 +269,20 @@ def _check_universal_coefficients(name, sl, max_degree):
 def run_verify(space, max_degree, max_word_length=None):
     """Run the whole suite on a presentation or built-in name.
 
-    When the presentation itself is invalid, the remaining checks are
-    skipped rather than run on garbage data; the failure is the report.
+    An invalid presentation is the whole report: the chi sweep and the
+    other checks do not run on garbage data.
     A negative max_degree is refused before anything runs.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     X = builtin_space(space) if isinstance(space, str) else space
-    chi_variant, chi_detail, chi_mismatches = select_chi_variant()
     results = [_check_simplicial(X)]
     if results[0].status == "fail":
         results.append(
             CheckResult("remaining-checks", "skip", "presentation invalid")
         )
-        return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
+        return VerifyReport(X.name, max_degree, max_word_length, results)
+    _, chi_detail, chi_mismatches = select_chi_variant()
     face = CheckResult("face-vs-formula-differential", "skip", "no hat complex")
     # cohoch exists and is exact only over a 1-reduced space; there phi and
     # the contraction run when hochschild-of-cobar is built beside it
@@ -306,13 +302,13 @@ def run_verify(space, max_degree, max_word_length=None):
         elif name == "cohoch":
             cohoch = sl
         elif name == "hochschild-of-cobar" and cohoch is not None:
-            phi = _check_phi_chain_map(X, sl, cohoch, chi_variant)
+            phi = _check_phi_chain_map(X, sl, cohoch)
             contraction = _check_contraction(X, sl, max_degree)
             cohoch = None
         universal[name] = _check_universal_coefficients(name, sl, max_degree)
         del sl  # dropped before the next build
-    sweep_status = "fail" if chi_mismatches[chi_variant] else "pass"
+    sweep_status = "fail" if chi_mismatches[DEFAULT_CHI_VARIANT] else "pass"
     sweep = CheckResult("chi-exponent-sweep", sweep_status, chi_detail)
     results += [face, sweep, phi, contraction]
     results.extend(universal[name] for name in sorted(universal))
-    return VerifyReport(X.name, max_degree, max_word_length, results, chi_variant)
+    return VerifyReport(X.name, max_degree, max_word_length, results)

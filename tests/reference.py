@@ -39,6 +39,7 @@ from loophomology.presentation import (
     OpExtension,
     SimplicialError,
     SimplicialSetPresentation,
+    face,
     nondeg,
 )
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space, presentation_from_json
@@ -155,9 +156,10 @@ def cobar_differential(space, w, ring=ZZ, hat=None):
 
 
 def bar_differential(algebra, barword, ring=ZZ):
-    """d1 + d2 over the package's CobarAlgebra, read only for its space and
-    hat flag; degrees, differentials and products are the references'."""
-    space, hat = algebra.space, algebra.hat
+    """d1 + d2 over the package's CobarAlgebra, read only for its space;
+    degrees, differentials and products are the references'."""
+    space = algebra.space
+    hat = isinstance(space, OpExtension)
     op_pairs = _letters(space)[1]
     w = tuple(tuple(a) for a in barword)
     if any(len(a) == 0 for a in w):
@@ -177,7 +179,8 @@ def bar_differential(algebra, barword, ring=ZZ):
 
 
 def hochschild_differential(algebra, gen, ring=ZZ):
-    space, hat = algebra.space, algebra.hat
+    space = algebra.space
+    hat = isinstance(space, OpExtension)
     op_pairs = _letters(space)[1]
     b, u = gen
     b = tuple(tuple(a) for a in b)
@@ -733,6 +736,58 @@ def collapsed_simplex(n):
             for i in range(d + 1):
                 faces[s, i] = FormalSimplex((0,), "v") if d == 2 else nondeg(s[:i] + s[i + 1 :])
     return SimplicialSetPresentation(f"collapsed-delta{n}", "v", simplices, faces)
+
+
+def product(X, Y):
+    """X x Y for one-vertex presentations X and Y.  Its nondegenerate
+    n-simplices are the pairs (s_A x, s_B y) of n-simplices with x and y
+    nondegenerate and A, B disjoint sets of degeneracy indices, named
+    "<s_A x>*<s_B y>".  A face is taken in both factors; the degeneracies
+    the two faces share are then peeled off, largest index first (d_j
+    undoes s_j), so that the face's degeneracy word comes out decreasing
+    over a nondegenerate pair."""
+    simplices, faces = {}, {}
+    for x, y in itertools.product(X.ids(), Y.ids()):
+        p, q = X.dim(x), Y.dim(y)
+        for n in range(max(p, q), p + q + 1):
+            for A in itertools.combinations(range(n), n - p):
+                rest = [j for j in range(n) if j not in A]
+                for B in itertools.combinations(rest, n - q):
+                    a, b = FormalSimplex(A[::-1], x), FormalSimplex(B[::-1], y)
+                    simplex = f"{a}*{b}"
+                    simplices.setdefault(n, []).append(simplex)
+                    for i in range(n + 1 if n else 0):
+                        fa, fb = face(X, a, i), face(Y, b, i)
+                        shared = sorted({*fa.degeneracies} & {*fb.degeneracies}, reverse=True)
+                        for j in shared:
+                            fa, fb = face(X, fa, j), face(Y, fb, j)
+                        faces[simplex, i] = FormalSimplex(tuple(shared), f"{fa}*{fb}")
+    base = f"{X.basepoint}*{Y.basepoint}"
+    return SimplicialSetPresentation(f"{X.name}*{Y.name}", base, simplices, faces)
+
+
+def kunneth(left, right):
+    """The homology of a product of two spaces from that of its factors,
+    as HomologyEntry values through the lower of their top degrees:
+
+        H_n = (+)_{p+q=n} H_p (x) H_q  (+)  (+)_{p+q=n-1} Tor(H_p, H_q).
+
+    Over a field the entries carry no torsion, and this is the field form,
+    the dimensions of the tensor product."""
+    out = []
+    for n in range(min(len(left), len(right))):
+        free, torsion = 0, []
+        for p in range(n + 1):
+            a, b = left[p], right[n - p]
+            free += a.free_rank * b.free_rank
+            torsion += [*a.torsion] * b.free_rank + [*b.torsion] * a.free_rank
+            # (Z/s) (x) (Z/t) and Tor(Z/s, Z/t) are both Z/gcd(s, t)
+            torsion += [gcd(s, t) for s in a.torsion for t in b.torsion]
+        for p in range(n):
+            torsion += [gcd(s, t) for s in left[p].torsion for t in right[n - 1 - p].torsion]
+        factors, _ = _divisibility_chain([t for t in torsion if t > 1])
+        out.append(HomologyEntry(n, free, factors))
+    return out
 
 
 # ---------------------------------------------------------------------------

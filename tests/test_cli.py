@@ -343,7 +343,7 @@ def test_main_verify_rejects_the_windows_homology_rejects(capsys, window, messag
 def test_main_verify_failure_exit(monkeypatch, capsys):
     import loophomology.cli as cli
 
-    report = VerifyReport("x", 1, None, [CheckResult("demo", "fail", "boom")], "rotation")
+    report = VerifyReport("x", 1, None, [CheckResult("demo", "fail", "boom")])
     monkeypatch.setattr(cli, "cmd_verify", lambda *a, **k: report)
     assert main(["verify", "--space", "sphere2", "--max-degree", "1"]) == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out

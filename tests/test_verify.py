@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import cache
 
 import pytest
 
@@ -49,27 +50,74 @@ def test_supported_complexes():
     ]
 
 
+@pytest.fixture
+def fresh_sweep(monkeypatch):
+    """verify's select_chi_variant with a cache of its own: the sweep runs
+    again under the test's patches, and the process keeps its result."""
+    monkeypatch.setattr(verify_mod, "select_chi_variant", cache(select_chi_variant.__wrapped__))
+
+
 def test_chi_selection_is_cached_and_stable():
     first = select_chi_variant()
     second = select_chi_variant()
     assert first is second
     variant, detail, mismatches = first
-    assert variant == "rotation"
+    assert variant == comparison.DEFAULT_CHI_VARIANT == "rotation"
     assert mismatches["rotation"] == 0
     assert mismatches["index-low"] > 0 and mismatches["index-high"] > 0
 
 
-def test_verify_invalid_presentation_reports_and_skips():
+def test_the_sweep_checks_the_library_reading_and_selects_none(
+    monkeypatch, fresh_sweep, capsys
+):
+    # phi computes under "index-low" what it names "rotation", and back: the
+    # sweep finds the reading phi uses broken and another one clean, and
+    # verify fails instead of switching to the clean one.  On sphere2 phi
+    # commutes under either reading, so only the sweep fails
+    swap = {"rotation": "index-low", "index-low": "rotation"}
+    real = comparison._phi_kernel
+
+    def swapped(space, variants):
+        return real(space, tuple(swap.get(v, v) for v in variants))
+
+    monkeypatch.setattr(comparison, "_phi_kernel", swapped)
+    assert main(["verify", "--space", "sphere2"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "chi exponent reading: rotation"
+    failed = [line for line in lines if line.startswith("  FAIL")]
+    assert failed == [
+        "  FAIL  chi-exponent-sweep  [sweep on collapsed-delta3 through degree 5: "
+        "index-low: 0 mismatches, index-high: 356 mismatches, rotation: 349 mismatches]"
+    ]
+    assert "  PASS  phi-chain-map  [variant rotation]" in lines
+
+
+def _broken_presentation():
+    # boundary-delta3 with one face of a 2-simplex out of place
     bd = builtin_space("boundary-delta3")
     faces = dict(bd.faces)
     faces[("012", 0)] = nondeg("01")
-    broken = SimplicialSetPresentation("broken", "0", dict(bd.simplices), faces)
-    report = run_verify(broken, 2, 2)
+    return SimplicialSetPresentation("broken", "0", dict(bd.simplices), faces)
+
+
+def test_verify_invalid_presentation_reports_and_skips():
+    report = run_verify(_broken_presentation(), 2, 2)
     assert not report.all_passed
     assert report.results[0].name == "simplicial-identities"
     assert report.results[0].status == "fail"
     assert "012" in report.results[0].detail
     assert report.results[1].status == "skip"
+
+
+def test_verify_runs_no_sweep_on_an_invalid_presentation(monkeypatch):
+    def sweep():
+        raise AssertionError("the chi sweep ran")
+
+    monkeypatch.setattr(verify_mod, "select_chi_variant", sweep)
+    report = run_verify(_broken_presentation(), 2, 2)
+    assert [r.status for r in report.results] == ["fail", "skip"]
+    assert report.to_text().splitlines()[1] == "chi exponent reading: rotation"
+    assert '"chi_variant": "rotation"' in report.to_json()
 
 
 def test_verify_report_structure_records_sweep():
@@ -82,7 +130,7 @@ def test_verify_report_structure_records_sweep():
 # checks 3 and 5 read the stored slices; each slice is built once
 
 
-def test_verify_takes_each_hochschild_differential_once(monkeypatch):
+def test_verify_takes_each_hochschild_differential_once(monkeypatch, fresh_sweep):
     # once per generator of the input's own slice, once per generator of the
     # sweep fixture; the phi check recomputes none of them
     own = hochschild_slice(builtin_space("sphere2"), 4)
@@ -108,13 +156,12 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch):
         return terms
 
     monkeypatch.setattr(loop_mod, "_hochschild_kernel", counted)
-    monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
     report = run_verify("sphere2", 4)
     assert report.all_passed
     assert calls == expected
 
 
-def test_chi_sweep_keeps_only_its_result(monkeypatch):
+def test_chi_sweep_keeps_only_its_result(monkeypatch, fresh_sweep):
     built = []
     real_build = verify_mod.build_complex_slice
 
@@ -124,8 +171,7 @@ def test_chi_sweep_keeps_only_its_result(monkeypatch):
         return sl
 
     monkeypatch.setattr(verify_mod, "build_complex_slice", recorded)
-    monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
-    assert select_chi_variant()[0] == "rotation"
+    assert verify_mod.select_chi_variant()[0] == "rotation"
     gc.collect()
     assert [(space, name) for space, name, _ in built] == [
         ("collapsed-delta3", "hochschild-of-cobar"),
@@ -233,13 +279,12 @@ def test_phi_check_fails_on_a_key_outside_the_free_loop_basis(monkeypatch):
     assert "FAIL  phi-chain-map" in report.to_text()
 
 
-def test_sweep_fails_when_no_reading_is_clean(monkeypatch, capsys):
+def test_sweep_fails_when_no_reading_is_clean(monkeypatch, fresh_sweep, capsys):
     # on a space that is not 1-reduced the phi check skips, so only the
     # sweep can show that phi is no chain map under any reading
     _phi_with_a_stray_key(monkeypatch)
-    monkeypatch.setattr(verify_mod, "_chi_selection_cache", {})
     report = run_verify("torus", 2, 2)
-    _, _, mismatches = select_chi_variant()
+    _, _, mismatches = verify_mod.select_chi_variant()
     assert min(mismatches.values()) > 0
     (sweep,) = [r for r in report.results if r.name == "chi-exponent-sweep"]
     assert sweep.status == "fail"
@@ -303,7 +348,7 @@ def test_verify_at_max_degree_0_skips_universal_coefficients(capsys):
 
 def test_run_verify_refuses_a_negative_max_degree(monkeypatch):
     # refused before the chi sweep runs, not by the first build after it
-    def sweep(max_degree=5):
+    def sweep():
         raise AssertionError("the chi sweep ran")
 
     monkeypatch.setattr(verify_mod, "select_chi_variant", sweep)
