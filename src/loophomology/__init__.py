@@ -11,9 +11,8 @@ import importlib
 
 # defining module: its public names
 _EXPORTS = {
-    "linalg": (
-        "Chain QQ Ring SparseIntMatrix ZZ parse_ring prime_field smith_normal_form"
-    ),
+    "rings": "Chain QQ Ring ZZ parse_ring prime_field",
+    "linalg": "SparseIntMatrix smith_normal_form",
     "homalg": "ComplexSlice HomologySummary check_d_squared homology_of_slice",
     "presentation": (
         "FormalSimplex OpExtension SimplicialError SimplicialSetPresentation "

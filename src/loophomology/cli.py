@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .complexes import COMPLEX_NAMES, complex_recipe
 from .homalg import HomologySummary, homology_pass
-from .linalg import parse_ring
+from .rings import parse_ring
 from .presentation import SimplicialError
 from .simplicial import (
     BUILTIN_NAMES,

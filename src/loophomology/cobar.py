@@ -32,7 +32,7 @@ The bar construction of the resulting tensor algebra lives here too.
 from __future__ import annotations
 
 from .homalg import _close_and_build
-from .linalg import ZZ, Chain, _nonzero
+from .rings import ZZ, Chain, _nonzero
 from .presentation import OpExtension, SimplicialError
 
 # ---------------------------------------------------------------------------

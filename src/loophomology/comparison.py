@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .cobar import _splice
-from .linalg import ZZ, Chain, _nonzero
+from .rings import ZZ, Chain, _nonzero
 from .loopcomplex import format_loop_generator
 from .presentation import SimplicialError
 
@@ -314,17 +314,18 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
     below, below_stray = None, {}  # kept images of the degree below, and stray masks
     for n in hoch_slice.degrees():
         gens = hoch_slice.bases[n]
-        index = loop_slice.basis_index(n)
-        loop_cols = loop_slice.differential(n).columns
-        hoch_cols = hoch_slice.differential(n).columns
+        index = {g: i for i, g in enumerate(loop_slice.bases.get(n, ()))}
+        # index loops over both triples: slicing short columns costs more
+        loop, hoch = loop_slice.differential(n), hoch_slice.differential(n)
+        loop_starts, loop_rows, loop_values = loop.indptr, loop.indices, loop.data
+        starts, rows, values = hoch.indptr, hoch.indices, hoch.data
         here, stray = None, {}
         if n + 1 in hoch_slice.bases:
             # the rows of d_(n+1): the generators whose images the next degree reads
             here = [False] * len(gens)
-            for col in hoch_slice.differential(n + 1).columns:
-                for i in col:
-                    here[i] = True
-        for j, (gen, col) in enumerate(zip(gens, hoch_cols)):
+            for i in hoch_slice.differential(n + 1).indices:
+                here[i] = True
+        for j, gen in enumerate(gens):
             mask = 0
             gap = {}  # phi(d g) - d phi(g), packed
             image = {}
@@ -334,18 +335,20 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
                     mask |= _lanes(packed, count)
                 elif packed:
                     image[i] = packed
-                    for k, e in loop_cols[i].items():
-                        gap[k] = gap.get(k, 0) - packed * e
+                    for e in range(loop_starts[i], loop_starts[i + 1]):
+                        k = loop_rows[e]
+                        gap[k] = gap.get(k, 0) - packed * loop_values[e]
             if here is not None and here[j]:
                 here[j] = image or None
                 if mask:
                     stray[j] = mask
-            if below_stray:
-                for i in col:
+            for f in range(starts[j], starts[j + 1]):
+                i = rows[f]
+                if below_stray:
                     mask |= below_stray.get(i, 0)
-            for i, c in col.items():
                 row = below[i]
                 if row is not None:
+                    c = values[f]
                     for k, e in row.items():
                         gap[k] = gap.get(k, 0) + c * e
             if any(gap.values()):

@@ -1,8 +1,9 @@
 """Chain-complex slices and their homology.
 
 One builder loop owns generator order: it walks the degrees top-down or
-bottom-up and re-keys each kernel's dict into an index column as soon as
-it is taken, so it holds one raw column at a time.  Each complex is a
+bottom-up and appends each kernel's dict, re-keyed to row indices, to the
+matrix's CSC triple as soon as it is taken, so it holds one raw column at
+a time and keeps no dict per column.  Each complex is a
 recipe (seeds by degree, differential, cap; an exact window may add a
 coboundary kernel).  A matrix's rows are the next degree's seeds in the
 order they are enumerated, followed by what a truncated window's columns
@@ -13,7 +14,8 @@ never builds d_n's column of a generator that leads a unit pivot of
 d_(n+1).  Bottom-up, through a coboundary kernel, it builds delta^n =
 d_(n+1) transposed from n = 0, never builds delta^n's column of a
 generator that leads a unit pivot of delta^(n-1), and builds the top
-delta as its transpose, so the top basis is never enumerated.
+delta as its transpose, row by row and then sorted into columns, so the
+top basis is never enumerated.
 
 The reductions are linalg's.  A stored slice reduces each differential
 at most once per characteristic, and Q reads its rank off the Z
@@ -23,8 +25,11 @@ reduction.  Everything is deterministic: bases are ordered lists.
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import accumulate, count
 
-from .linalg import ZZ, SparseIntMatrix, _reduce, rank_mod_p, smith_normal_form
+from .linalg import SparseIntMatrix, _reduce, rank_mod_p, smith_normal_form
+from .rings import ZZ
 from .presentation import _shown
 
 
@@ -41,8 +46,10 @@ class ComplexSlice:
 
     bases[n] is the ordered generator list in degree n and diffs[n] the
     matrix of d_n with rows indexed by bases[n-1] and columns by bases[n]:
-    ``diffs[n].columns[j]`` is d of ``bases[n][j]`` as {row index:
-    coefficient}.  The package builds slices with _close_and_build,
+    ``diffs[n].column(j)`` is d of ``bases[n][j]`` as (row index,
+    coefficient) pairs, in the order the differential produced them.  No
+    generator-to-position index is kept; a reader that needs one builds
+    it for its step.  The package builds slices with _close_and_build,
     top-down, which records the degree it built through as
     ``built_through``: nothing above it is known, so d_n for n above it
     is missing.  In a slice made by hand (``built_through`` None) degrees
@@ -51,7 +58,6 @@ class ComplexSlice:
 
     def __init__(self, bases, diffs, truncated_at=None, built_through=None):
         self.bases = {n: tuple(b) for n, b in bases.items()}
-        self.index = {}  # degree -> {generator: position}, built on first use
         self.diffs = dict(diffs)
         self.truncated_at = truncated_at
         self.built_through = built_through
@@ -69,13 +75,6 @@ class ComplexSlice:
     def degrees(self):
         return sorted(self.bases)
 
-    def basis_index(self, n):
-        """{generator: position in bases[n]}, built on first use."""
-        index = self.index.get(n)
-        if index is None:
-            index = self.index[n] = {g: i for i, g in enumerate(self.bases.get(n, ()))}
-        return index
-
     def differential(self, n):
         if n in self.diffs:
             return self.diffs[n]
@@ -86,9 +85,19 @@ class ComplexSlice:
             )
         if self.bases.get(n) and self.bases.get(n - 1):
             raise IncompleteSliceError(f"no differential stored at degree {n}")
+        ncols = len(self.bases.get(n, ()))
         return SparseIntMatrix(
-            len(self.bases.get(n - 1, ())), [{} for _ in self.bases.get(n, ())]
+            len(self.bases.get(n - 1, ())), array("q", [0]) * (ncols + 1), array("i"), []
         )
+
+
+class _Numbering(dict):
+    """{key: position}, where a key looked up for the first time is given
+    the next position."""
+
+    def __missing__(self, key):
+        self[key] = n = len(self)
+        return n
 
 
 def _closed_degrees(seeds, kernel, degrees, sizes, bases=None, cleared=frozenset()):
@@ -112,18 +121,21 @@ def _closed_degrees(seeds, kernel, degrees, sizes, bases=None, cleared=frozenset
     """
     gens = seeds(degrees[0])
     for n, m in zip(degrees, degrees[1:]):
-        # the last matrix's columns go before this one's are taken
-        columns, row_index = [], {g: i for i, g in enumerate(seeds(m))}
+        # the last matrix's triple goes before this one's columns are taken
+        indptr, indices, data = array("q", [0]), array("i"), []
+        row_index = _Numbering(zip(seeds(m), count()))
+        row = row_index.__getitem__
         for j, g in enumerate(gens):
             if j not in cleared:
-                columns.append(
-                    {row_index.setdefault(k, len(row_index)): c for k, c in kernel(g).items()}
-                )
+                terms = kernel(g)
+                indices.extend(map(row, terms))
+                data += terms.values()
+                indptr.append(len(data))
         if bases is not None and gens:
             bases[n] = gens
         sizes[n], gens = len(gens), list(row_index)
-        del row_index
-        yield max(n, m), SparseIntMatrix(len(gens), columns)
+        del row_index, row
+        yield max(n, m), SparseIntMatrix(len(gens), indptr, indices, data)
     n = degrees[-1]
     sizes[n] = len(gens)
     if bases is not None and gens:
@@ -139,18 +151,31 @@ def _coclosed_degrees(seeds, codiff_fn, top, sizes, cleared):
     generator of basis top and a column per generator their coboundaries
     name, so seeds(top + 1) is never called."""
     gens = yield from _closed_degrees(seeds, codiff_fn, range(top + 1), sizes, cleared=cleared)
-    index, columns, j = {}, [], 0
+    index, cols, rows, data, j = _Numbering(), array("i"), array("i"), [], 0
+    col = index.__getitem__
     for i, g in enumerate(gens):
-        if i in cleared:
-            continue
-        for k, c in codiff_fn(g).items():
-            col = index.setdefault(k, len(columns))
-            if col == len(columns):
-                columns.append({})
-            columns[col][j] = c
-        j += 1
-    del gens, index
-    yield top + 1, SparseIntMatrix(j, columns)
+        if i not in cleared:
+            terms = codiff_fn(g)
+            cols.extend(map(col, terms))
+            rows.extend([j] * len(terms))
+            data += terms.values()
+            j += 1
+    del gens
+    # the entries came row by row; a counting sort by column, which keeps
+    # each column's rows ascending, makes them columns (its counters are a
+    # list, which reads and writes faster than an array)
+    fill = [0] * (len(index) + 1)
+    for k in cols:
+        fill[k + 1] += 1
+    fill = list(accumulate(fill))  # column k's next entry goes to fill[k]
+    indptr, indices, values = array("q", fill), array("i", bytes(4 * len(data))), [0] * len(data)
+    for k, i, c in zip(cols, rows, data):
+        e = fill[k]
+        fill[k] = e + 1
+        indices[e] = i
+        values[e] = c
+    del index, col, cols, rows, data, fill
+    yield top + 1, SparseIntMatrix(j, indptr, indices, values)
 
 
 def _close_and_build(recipe, max_degree):
@@ -222,12 +247,16 @@ def check_d_squared(sl):
         dprev = sl.diffs.get(n - 1)
         if dn is None or dprev is None:
             continue
-        prev_cols = dprev.columns
-        for j, col in enumerate(dn.columns):
+        # index loops over the triples: slicing short columns costs more
+        ends, middle, coefficients = dn.indptr, dn.indices, dn.data
+        starts, rows, values = dprev.indptr, dprev.indices, dprev.data
+        for j in range(dn.ncols):
             image = {}
-            for i, c in col.items():
-                for k, v in prev_cols[i].items():
-                    image[k] = image.get(k, 0) + c * v
+            for f in range(ends[j], ends[j + 1]):
+                i, c = middle[f], coefficients[f]
+                for e in range(starts[i], starts[i + 1]):
+                    k = rows[e]
+                    image[k] = image.get(k, 0) + c * values[e]
             if any(image.values()):
                 bad.append((n, sl.bases[n][j]))
     return bad

@@ -1,12 +1,12 @@
-"""Exact sparse linear algebra over Z, Q and F_p: coefficient rings,
-chains, sparse integer matrices, and their invariant factors and ranks.
+"""Exact sparse linear algebra over Z, Q and F_p: sparse integer
+matrices, and their invariant factors and ranks.
 
-All matrices carry exact integer entries; the coefficient ring only enters
-when homology is extracted.  A differential sums its terms into one plain
-dict and becomes a Chain once: the chain takes the dict over, normalizes
-it mod p and drops the zero sums in place.  A matrix is stored as its
-columns, one {row: value} dict per generator, which is how a differential
-is computed and how every reader wants it.
+All matrices carry exact integer entries; the coefficient ring (rings)
+only enters when homology is extracted.  A matrix is one compressed
+sparse column triple: per column an offset, per entry a row index and a
+Python int, with each column in the order it was written.  The builders
+append each column as it is computed, and every reader reads the columns
+it wants straight out of the triple, with no dict kept per column.
 
 The free loop space splits over free homotopy classes, so a differential
 is block-diagonal up to permutation: each matrix (dense rows are made a
@@ -27,171 +27,9 @@ deterministic.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice, repeat
 from math import gcd
-
-
-# ---------------------------------------------------------------------------
-# Coefficient rings
-
-
-class Ring:
-    """Ground ring descriptor: Z, Q, or a prime field F_p."""
-
-    __slots__ = ("kind", "p")
-
-    def __init__(self, kind, p=None):
-        if kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown ring kind {kind!r}")
-        if kind == "Fp":
-            if p is not None and p >= _PRIME_LIMIT:
-                raise ValueError(f"F_p moduli must be below {_PRIME_LIMIT}")
-            if p is None or not _is_prime(p):
-                raise ValueError(f"F_p requires a prime modulus, got {p!r}")
-        elif p is not None:
-            raise ValueError("modulus only makes sense for prime fields")
-        self.kind = kind
-        self.p = p
-
-    @property
-    def is_field(self):
-        return self.kind != "Z"
-
-    def normalize(self, c):
-        """Canonical representative of an integer coefficient."""
-        return c % self.p if self.kind == "Fp" else c
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __repr__(self):
-        return f"F{self.p}" if self.kind == "Fp" else self.kind
-
-
-# Miller-Rabin on the primes up to 41 is exact below this bound (Sorenson
-# and Webster, 2015); up to 37 it is not (318665857834031151167461).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin; exact for n < _PRIME_LIMIT."""
-    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
-        return n in _PRIME_BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-    for b in _PRIME_BASES:
-        x = pow(b, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-ZZ = Ring("Z")
-QQ = Ring("Q")
-
-
-def prime_field(p):
-    return Ring("Fp", p)
-
-
-def parse_ring(text):
-    """Parse a ring spec: "Z", "Q", or "F<p>" with p prime in ASCII digits."""
-    if text == "Z":
-        return ZZ
-    if text == "Q":
-        return QQ
-    if text.startswith("F") and text[1:].isascii() and text[1:].isdigit():
-        return prime_field(int(text[1:]))
-    raise ValueError(f"cannot parse ring {text!r} (expected Z, Q or F<p>)")
-
-
-# ---------------------------------------------------------------------------
-# Chains
-
-def _nonzero(terms):
-    # summed {key: coefficient} without its rare zero sums, for the kernels
-    # that hand raw dicts to the builder; Chain drops them in place
-    return terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
-
-
-class Chain:
-    """Finite formal sum of generator keys with nonzero coefficients.
-
-    Keys may be any totally ordered hashables; iteration is always sorted,
-    so printed chains and derived matrices are reproducible.
-    """
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms=None):
-        """A chain from {key: summed coefficient}, a dict the chain takes over
-        and normalizes in place, or from (key, c) pairs whose keys may repeat;
-        zero sums drop out."""
-        self.ring = ring
-        if not isinstance(terms, dict):
-            summed = {}
-            for key, c in terms or ():
-                summed[key] = summed.get(key, 0) + c
-            terms = summed
-        if ring.p:
-            for key, c in terms.items():
-                terms[key] = c % ring.p
-        if not all(terms.values()):  # zero sums are rare; this scan runs in C
-            for key in [key for key, c in terms.items() if not c]:
-                del terms[key]
-        self.terms = terms
-
-    def add(self, key, c):
-        c = self.ring.normalize(c + self.terms.get(key, 0))
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-        return self
-
-    def add_chain(self, other, scale=1):
-        for key, c in other.terms.items():
-            self.add(key, scale * c)
-        return self
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None  # chains are mutable accumulators
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key, c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            coef = "" if mag == 1 else f"{mag}*"
-            bits.append(f"{sign} {coef}{key}")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else text
+from operator import sub
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +37,56 @@ class Chain:
 
 
 class SparseIntMatrix:
-    """Sparse matrix with exact integer entries, stored as its columns.
+    """Sparse matrix with exact integer entries, stored as one compressed
+    sparse column (CSC) triple.
 
-    ``columns[j]`` is ``{row: nonzero value}``; ``ncols`` is the number of
-    columns and ``nnz`` is counted once, at construction.  Immutable by
+    Column j holds the entries ``indptr[j]`` to ``indptr[j + 1]`` of
+    ``indices`` (their rows) and ``data`` (their nonzero values, exact
+    Python ints), in the order the column was written.  That is 4 bytes of
+    row index and one 8-byte list slot per entry (the ints of small values
+    are shared), and 8 bytes of offset per column.  Immutable by
     convention.
     """
 
-    __slots__ = ("nrows", "ncols", "columns", "nnz", "_blocks")
+    __slots__ = ("nrows", "indptr", "indices", "data", "_blocks")
 
-    def __init__(self, nrows, columns):
+    def __init__(self, nrows, indptr, indices, data):
         self.nrows = nrows
-        self.columns = columns
-        self.ncols = len(columns)
-        self.nnz = sum(map(len, columns))
+        self.indptr = indptr  # array("q"): ncols + 1 offsets
+        self.indices = indices  # array("i"): a row index per entry
+        self.data = data  # list: a value per entry
         self._blocks = None
+
+    @classmethod
+    def from_columns(cls, nrows, columns):
+        """The matrix whose column j is the {row: nonzero value} mapping
+        ``columns[j]``."""
+        indptr, indices, data = array("q", [0]), array("i"), []
+        for col in columns:
+            indices.extend(col)
+            data.extend(col.values())
+            indptr.append(len(data))
+        return cls(nrows, indptr, indices, data)
+
+    @property
+    def ncols(self):
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def column(self, j):
+        """Column j as (row, value) pairs, in stored order."""
+        a, b = self.indptr[j], self.indptr[j + 1]
+        return zip(self.indices[a:b], self.data[a:b])
 
     @property
     def blocks(self):
         """The nonzero columns grouped by connected component of the
         row-column support: arrays of column indices, ordered by their first
-        column.  Found once, by union-find over the rows, for every ring."""
+        column.  Found once, by union-find over the row indices, for every
+        ring."""
         if self._blocks is None:
             parent = list(range(self.nrows))
 
@@ -228,26 +95,29 @@ class SparseIntMatrix:
                     parent[i] = i = parent[parent[i]]
                 return i
 
-            for col in filter(None, self.columns):
-                rows = iter(col)
-                root = find(next(rows))
-                for i in rows:
-                    parent[find(i)] = root
-            groups = {}
-            for j, col in enumerate(self.columns):
-                if col:
-                    groups.setdefault(find(next(iter(col))), array("l")).append(j)
+            indices, a = self.indices, 0
+            for b in islice(self.indptr, 1, None):  # column j is a:b
+                if b - a > 1:
+                    root = find(indices[a])
+                    for e in range(a + 1, b):
+                        parent[find(indices[e])] = root
+                a = b
+            groups, a = {}, 0
+            for j, b in enumerate(islice(self.indptr, 1, None)):
+                if a < b:
+                    groups.setdefault(find(indices[a]), array("l")).append(j)
+                a = b
             self._blocks = list(groups.values())
         return self._blocks
 
     @property
     def entries(self):
-        """``{(i, j): v}``, derived from the columns on each read.  The
-        package itself reads only columns; this view is for tools outside
+        """``{(i, j): v}``, derived from the triple on each read.  The
+        package itself reads only the triple; this view is for tools outside
         it, such as the benchmark's tracer, which reads it after a run."""
-        return {
-            (i, j): v for j, col in enumerate(self.columns) for i, v in col.items()
-        }
+        lengths = map(sub, self.indptr[1:], self.indptr[:-1])
+        cols = chain.from_iterable(map(repeat, range(self.ncols), lengths))
+        return dict(zip(zip(self.indices, cols), self.data))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -265,8 +135,9 @@ def _nearest_quotient(a, v):
     return q
 
 
-def _unit_pivots(columns, p=None):
-    """Split the unit pivots off a block's columns, left-looking.
+def _unit_pivots(matrix, block, p=None):
+    """Split the unit pivots off the columns ``block`` of a matrix,
+    left-looking.
 
     Columns go shortest first.  Each is reduced against the pivots so far,
     keyed by their leading row, the largest row index, until its leading
@@ -280,8 +151,13 @@ def _unit_pivots(columns, p=None):
     column} and the residual as {row: {column: value}}, empty over F_p.
     """
     pivots, residual = {}, []
-    for col in sorted(columns, key=len):
-        col = {i: v % p for i, v in col.items() if v % p} if p else dict(col)
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    for j in sorted(block, key=lambda j: indptr[j + 1] - indptr[j]):
+        col = {}
+        for e in range(indptr[j], indptr[j + 1]):  # indexing beats slicing here
+            v = data[e] % p if p else data[e]
+            if v:
+                col[indices[e]] = v
         while col and (lead := max(col)) in pivots:
             pivot = pivots[lead]
             q = col[lead] * pivot[lead]  # a pivot's lead is its own inverse
@@ -389,8 +265,14 @@ def _sparse(matrix):
     """A SparseIntMatrix as it is, or one made once from a list of dense rows."""
     if isinstance(matrix, SparseIntMatrix):
         return matrix
-    columns = [{i: v for i, v in enumerate(col) if v} for col in zip(*matrix)]
-    return SparseIntMatrix(len(matrix), columns)
+    indptr, indices, data = array("q", [0]), array("i"), []
+    for col in zip(*matrix):
+        for i, v in enumerate(col):
+            if v:
+                indices.append(i)
+                data.append(v)
+        indptr.append(len(data))
+    return SparseIntMatrix(len(matrix), indptr, indices, data)
 
 
 def smith_normal_form(matrix):
@@ -407,17 +289,18 @@ def smith_normal_form(matrix):
     return _reduce(_sparse(matrix))[:2]
 
 
-def _rank_f2(columns, block):
-    """Leading rows of the F2 pivots of a block's columns, by a
+def _rank_f2(matrix, block):
+    """Leading rows of the F2 pivots of the columns ``block``, by a
     left-looking XOR kernel: a column's odd entries are bits, its rows
     numbered in first-seen order, and it is reduced against the pivots so
     far, keyed by their top bit."""
     bits, pivots = {}, {}
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     for j in block:
         c = 0
-        for i, v in columns[j].items():
-            if v & 1:
-                c |= 1 << bits.setdefault(i, len(bits))
+        for e in range(indptr[j], indptr[j + 1]):
+            if data[e] & 1:
+                c |= 1 << bits.setdefault(indices[e], len(bits))
         while c:
             top = c.bit_length()
             pivot = pivots.get(top)
@@ -440,13 +323,12 @@ def rank_mod_p(matrix, p):
 def _reduce(matrix, p=None):
     """(invariant factors, rank, leading rows of the unit pivots) of a
     SparseIntMatrix over Z (p None) or F_p, where the factors are []."""
-    columns = matrix.columns
     leads, factors = [], []
     for block in matrix.blocks:
         if p == 2:
-            leads += _rank_f2(columns, block)
+            leads += _rank_f2(matrix, block)
             continue
-        pivots, residual = _unit_pivots([columns[j] for j in block], p)
+        pivots, residual = _unit_pivots(matrix, block, p)
         leads += pivots
         factors += _snf_rows(residual)
         del pivots  # the next block's pivots start from nothing

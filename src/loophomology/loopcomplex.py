@@ -41,7 +41,7 @@ from .cobar import (
     words_between,
 )
 from .homalg import _close_and_build
-from .linalg import ZZ, Chain, _nonzero
+from .rings import ZZ, Chain, _nonzero
 from .presentation import OpExtension, SimplicialError
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .linalg import ZZ, Chain
+from .rings import ZZ, Chain
 
 
 def _shown(name):

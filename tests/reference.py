@@ -12,16 +12,19 @@ level-by-level word walk, and the two-pass slice builder, which takes
 every differential of a degree before it re-keys any, is the oracle of
 the streaming one.  The right-looking unit elimination over row dicts,
 with a heap of rows by length, is the oracle of the left-looking
-unit-pivot kernel; the general pivot loop built for whole matrices
-(minimal value, then minimal fill, over a column index of sets) and its
-repeated divisibility repair are the oracles of the short loop on the
-cleared residual and of its one-pass repair.  The helpers only tests call (phi summed over a chain, the
-freehedral label grammar, JSON lines read back into a summary, a chain's
-coefficient, the word product, a letter's inverse) live here too, as do
-the closed-form count HH_*(T V) that the exact windows of a wedge of
-spheres are checked against and one such wedge, Delta^4 with its
-1-skeleton collapsed; ``fixture`` reads the built-ins and the JSON
-fixtures beside this file.  Tests assert that the package agrees with
+unit-pivot kernel; the dict-column kernels (blocks, unit pivots, the F2
+XOR walk), which read one {row: value} dict per column, are the oracles
+of the same kernels on the CSC triple; the general pivot loop built for
+whole matrices (minimal value, then minimal fill, over a column index of
+sets) and its repeated divisibility repair are the oracles of the short
+loop on the cleared residual and of its one-pass repair.  The helpers
+only tests call (phi summed over a chain, the freehedral label grammar,
+JSON lines read back into a summary, a chain's coefficient, the word
+product, a letter's inverse, a slice's cached basis index and a matrix's
+columns as dicts) live here too, as do the closed-form count HH_*(T V)
+that the exact windows of a wedge of spheres are checked against and one
+such wedge, Delta^4 with its 1-skeleton collapsed; ``fixture`` reads the
+built-ins and the JSON fixtures beside this file.  Tests assert that the package agrees with
 all of them.
 """
 
@@ -33,7 +36,9 @@ from pathlib import Path
 
 from loophomology.cobar import reduce_word
 from loophomology.homalg import ComplexSlice, HomologyEntry, HomologySummary
-from loophomology.linalg import ZZ, Chain, SparseIntMatrix, _nearest_quotient
+from loophomology import linalg
+from loophomology.linalg import SparseIntMatrix, _nearest_quotient
+from loophomology.rings import ZZ, Chain
 from loophomology.presentation import (
     FormalSimplex,
     OpExtension,
@@ -91,17 +96,32 @@ def close_and_build(recipe, max_degree):
                     row_index = {g: i for i, g in enumerate(rows)}
                     columns[j] = {row_index[k]: c for k, c in dg.items()}
             bases[n] = gens
-            diffs[n] = SparseIntMatrix(len(rows), columns)
+            diffs[n] = SparseIntMatrix.from_columns(len(rows), columns)
         gens = rows
     if gens:
         bases[0] = gens
     return ComplexSlice(bases, diffs, truncated_at, built_through=max_degree)
 
 
+def basis_index(sl, n):
+    """{generator: position in bases[n]}, built on first use and cached
+    on the slice, as ``sl.index`` (degree -> index)."""
+    cache = vars(sl).setdefault("index", {})
+    index = cache.get(n)
+    if index is None:
+        index = cache[n] = {g: i for i, g in enumerate(sl.bases.get(n, ()))}
+    return index
+
+
+def column_dicts(matrix):
+    """A matrix's columns as {row: value} dicts."""
+    return [dict(matrix.column(j)) for j in range(matrix.ncols)]
+
+
 def coordinates(sl, chain, n):
     """A degree-n chain as {basis index: coefficient}, the form of a stored
     column of the slice; None if one of its keys is not in its bases[n]."""
-    index = sl.basis_index(n)
+    index = basis_index(sl, n)
     if not all(key in index for key in chain.terms):
         return None
     return {index[key]: c for key, c in chain.terms.items()}
@@ -468,8 +488,8 @@ def phi_slice_mismatches(space, variants, hoch_slice, loop_slice):
             v: [coordinates(loop_slice, phi(space, g, variant=v), n) for g in gens]
             for v in variants
         }
-        loop_cols = loop_slice.differential(n).columns
-        hoch_cols = hoch_slice.differential(n).columns
+        loop_cols = column_dicts(loop_slice.differential(n))
+        hoch_cols = column_dicts(hoch_slice.differential(n))
         for v in variants:
             for gen, col, image in zip(gens, hoch_cols, here[v]):
                 lhs = _combination(col, below.get(v))
@@ -499,11 +519,10 @@ def _row_dicts(matrix, p=None, block=None):
     """The nonzero rows of a matrix as {i: {j: v}}, entries reduced mod p;
     only the columns of ``block`` when one is given."""
     if isinstance(matrix, SparseIntMatrix):
-        columns = matrix.columns
         pairs = (
             (i, j, v)
             for j in (range(matrix.ncols) if block is None else block)
-            for i, v in columns[j].items()
+            for i, v in matrix.column(j)
         )
     else:
         pairs = ((i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row))
@@ -569,6 +588,116 @@ def _eliminate_units(rows, p=None):
         del rows[pi]
         pivots += 1
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# the dict-column kernels the CSC triple replaced
+
+
+def dict_blocks(nrows, columns):
+    """The connected blocks of {row: value} columns, by union-find over
+    the rows: arrays of column indices, ordered by their first column."""
+    parent = list(range(nrows))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for col in filter(None, columns):
+        rows = iter(col)
+        root = find(next(rows))
+        for i in rows:
+            parent[find(i)] = root
+    groups = {}
+    for j, col in enumerate(columns):
+        if col:
+            groups.setdefault(find(next(iter(col))), []).append(j)
+    return list(groups.values())
+
+
+def dict_unit_pivots(columns, p=None):
+    """The left-looking unit-pivot kernel on a block's {row: value}
+    columns: (pivots as {leading row: column}, the cleared residual as
+    {row: {column: value}}, empty over F_p)."""
+    pivots, residual = {}, []
+    for col in sorted(columns, key=len):
+        col = {i: v % p for i, v in col.items() if v % p} if p else dict(col)
+        while col and (lead := max(col)) in pivots:
+            pivot = pivots[lead]
+            q = col[lead] * pivot[lead]
+            for i, v in pivot.items():
+                w = col.get(i, 0) - q * v
+                if p:
+                    w %= p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        if not col:
+            continue
+        v = col[lead]
+        if p:
+            inv = pow(v, -1, p)
+            pivots[lead] = {i: w * inv % p for i, w in col.items()}
+        elif v in (1, -1):
+            pivots[lead] = col
+        else:
+            residual.append(col)
+    rows = {}
+    for j, col in enumerate(residual):
+        while (lead := max((i for i in col if i in pivots), default=None)) is not None:
+            pivot = pivots[lead]
+            q = col[lead] * pivot[lead]
+            for i, v in pivot.items():
+                w = col.get(i, 0) - q * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    return pivots, rows
+
+
+def dict_rank_f2(columns, block):
+    """Leading rows of the F2 pivots of a block's {row: value} columns, by
+    the XOR kernel on bit-packed columns."""
+    bits, pivots = {}, {}
+    for j in block:
+        c = 0
+        for i, v in columns[j].items():
+            if v & 1:
+                c |= 1 << bits.setdefault(i, len(bits))
+        while c:
+            top = c.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = c
+                break
+            c ^= pivot
+    rows = list(bits)
+    return [rows[top - 1] for top in pivots]
+
+
+def dict_reduce(nrows, columns, p=None):
+    """(invariant factors, rank, leading rows of the unit pivots) of the
+    matrix of {row: value} columns over Z (p None) or F_p, block by block
+    through the dict-column kernels, the residual through linalg's
+    short loop."""
+    leads, factors = [], []
+    for block in dict_blocks(nrows, columns):
+        if p == 2:
+            leads += dict_rank_f2(columns, block)
+            continue
+        pivots, residual = dict_unit_pivots([columns[j] for j in block], p)
+        leads += pivots
+        factors += linalg._snf_rows(residual)
+    if p:
+        return [], len(leads), leads
+    chain, rank = linalg._divisibility_chain([d for d in factors if d > 1])
+    units = len(leads) + len(factors) - rank
+    return [1] * units + chain, units + rank, leads
 
 
 # ---------------------------------------------------------------------------

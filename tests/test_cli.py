@@ -17,7 +17,7 @@ from loophomology.cli import (
 )
 from loophomology.complexes import complex_recipe, supported_complexes
 from loophomology.homalg import homology_pass
-from loophomology.linalg import parse_ring
+from loophomology.rings import parse_ring
 from loophomology.presentation import SimplicialError, SimplicialSetPresentation, nondeg
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.verify import CheckResult, VerifyReport, build_complex_slice, run_verify

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference as ref
 from reference import _generator_sort_key, _hochschild_key, _loop_key, _word_key
 from loophomology.homalg import check_d_squared
-from loophomology.linalg import Chain, ZZ
+from loophomology.rings import Chain, ZZ
 from loophomology.presentation import SimplicialError, adjoin_inverses
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.complexes import complex_recipe

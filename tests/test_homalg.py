@@ -17,6 +17,7 @@ from reference import (
     _row_dicts,
     _word_key,
     coefficient,
+    column_dicts,
     coordinates,
     parse_json_lines,
 )
@@ -28,18 +29,9 @@ from loophomology.homalg import (
     check_d_squared,
     homology_of_slice,
 )
-from loophomology.linalg import (
-    Chain,
-    Ring,
-    SparseIntMatrix,
-    ZZ,
-    _unit_pivots,
-    parse_ring,
-    prime_field,
-    rank_mod_p,
-    smith_normal_form,
-)
-from loophomology import cobar, complexes, homalg, linalg, loopcomplex
+from loophomology.linalg import SparseIntMatrix, _unit_pivots, rank_mod_p, smith_normal_form
+from loophomology.rings import Chain, Ring, ZZ, parse_ring, prime_field
+from loophomology import cobar, complexes, homalg, linalg, loopcomplex, rings
 from loophomology.presentation import adjoin_inverses, boundary
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space, chains_slice, validate
 from loophomology.loopcomplex import cohoch_slice, hochschild_slice
@@ -69,7 +61,7 @@ def test_prime_moduli_are_checked_exactly_and_fast():
     with pytest.raises(ValueError, match="must be below"):
         parse_ring(f"F{2**89 - 1}")
     primes = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
-    assert [n for n in range(500) if linalg._is_prime(n)] == primes
+    assert [n for n in range(500) if rings._is_prime(n)] == primes
 
 
 def test_chain_arithmetic():
@@ -215,24 +207,27 @@ def test_reductions_agree_on_builtin_differentials():
 
 def test_block_diagonal_matrices():
     # Z/2 + Z/3 is Z/6: the divisibility chain is repaired across blocks
-    two_three = SparseIntMatrix(2, [{0: 2}, {1: 3}])
+    two_three = SparseIntMatrix.from_columns(2, [{0: 2}, {1: 3}])
     assert [list(b) for b in two_three.blocks] == [[0], [1]]
     assert smith_normal_form(two_three) == ([1, 6], 2)
-    assert smith_normal_form(SparseIntMatrix(2, [{1: 4}, {0: 2}])) == ([2, 4], 2)
+    assert smith_normal_form(SparseIntMatrix.from_columns(2, [{1: 4}, {0: 2}])) == ([2, 4], 2)
     # -1, 2 and -3 are odd, even and odd; over F3 only -3 vanishes
-    signs = SparseIntMatrix(3, [{0: -1}, {1: 2}, {2: -3}])
+    signs = SparseIntMatrix.from_columns(3, [{0: -1}, {1: 2}, {2: -3}])
     assert rank_mod_p(signs, 2) == 2 and rank_mod_p(signs, 3) == 2
     assert smith_normal_form(signs) == ([1, 1, 6], 3)
     # empty columns between blocks belong to none; a block may be joined
     # only through a later column
-    gaps = SparseIntMatrix(
+    gaps = SparseIntMatrix.from_columns(
         4, [{}, {0: 2}, {}, {3: 1, 1: 1}, {}, {2: 1}, {1: 1, 2: -1}, {}]
     )
     assert [list(b) for b in gaps.blocks] == [[1], [3, 5, 6]]
     assert smith_normal_form(gaps) == ([1, 1, 1, 2], 4)
     assert rank_mod_p(gaps, 2) == 3 and rank_mod_p(gaps, 3) == 4
-    assert SparseIntMatrix(3, [{}, {}]).blocks == []
-    assert smith_normal_form(SparseIntMatrix(3, [{}, {}])) == ([], 0)
+    assert SparseIntMatrix.from_columns(3, [{}, {}]).blocks == []
+    assert smith_normal_form(SparseIntMatrix.from_columns(3, [{}, {}])) == ([], 0)
+    # a stored zero is no entry (dict columns read it as a factor 1 over Z)
+    zero = SparseIntMatrix.from_columns(1, [{0: 0}])
+    assert smith_normal_form(zero) == ([], 0) and rank_mod_p(zero, 3) == 0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -255,13 +250,77 @@ def test_block_reduction_matches_the_whole_matrix(data):
     row_order = data.draw(st.permutations(range(nrows)))
     col_order = data.draw(st.permutations(range(ncols)))
     dense = [[dense[i][j] for j in col_order] for i in row_order]
-    matrix = SparseIntMatrix(
+    matrix = SparseIntMatrix.from_columns(
         nrows,
         [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)],
     )
     assert smith_normal_form(matrix) == reference._snf_rows(_row_dicts(dense))
     for p in (2, 3):
         assert rank_mod_p(matrix, p) == _eliminate_units(_row_dicts(dense, p), p)
+
+
+# ---------------------------------------------------------------------------
+# The CSC triple against the dict columns it replaced
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_the_triple_reduces_as_the_dict_columns_did(data):
+    # random sparse columns, some empty, each in its own order: the same
+    # blocks, and over Z, F2, F3 and F5 the same factors, rank and leads
+    nrows = data.draw(st.integers(1, 10))
+    ncols = data.draw(st.integers(0, 10))
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, 4, -5, 6, 10])
+    columns = [
+        data.draw(st.dictionaries(st.integers(0, nrows - 1), entry, max_size=4))
+        for _ in range(ncols)
+    ]
+    matrix = SparseIntMatrix.from_columns(nrows, columns)
+    assert [list(matrix.column(j)) for j in range(ncols)] == [list(c.items()) for c in columns]
+    assert [list(b) for b in matrix.blocks] == reference.dict_blocks(nrows, columns)
+    for p in (None, 2, 3, 5):
+        assert linalg._reduce(matrix, p) == reference.dict_reduce(nrows, columns, p), p
+
+
+def test_entries_above_int64_stay_exact():
+    # Read as int64, 3 * 2**62 would be -2**62, a unit mod 3, and 2**64 + 1
+    # would be 1: each assertion fails on storage that truncates.
+    big = 2**64 + 3
+    assert smith_normal_form(SparseIntMatrix.from_columns(1, [{0: big}])) == ([big], 1)
+    pair = SparseIntMatrix.from_columns(2, [{0: 3 * 2**62, 1: 3 * 2**63}])
+    assert smith_normal_form(pair) == ([3 * 2**62], 1)
+    assert rank_mod_p(pair, 3) == 0 and rank_mod_p(pair, 2) == 0
+    columns = [{0: 2**64 + 1, 1: 2**65}, {1: 2**70 + 7, 0: 3}]
+    for p in (None, 2, 3, 5):
+        assert linalg._reduce(SparseIntMatrix.from_columns(2, columns), p) == (
+            reference.dict_reduce(2, columns, p)
+        )
+    bases = {0: ["v"], 1: ["a", "b"], 2: ["t"]}
+    d1 = SparseIntMatrix.from_columns(1, [{0: 1}, {0: 1}])
+    clean = SparseIntMatrix.from_columns(2, [{0: 2**64 + 1, 1: -(2**64 + 1)}])
+    assert check_d_squared(ComplexSlice(bases, {1: d1, 2: clean})) == []
+    broken = SparseIntMatrix.from_columns(2, [{0: 2**64 + 1, 1: -1}])
+    assert check_d_squared(ComplexSlice(bases, {1: d1, 2: broken})) == [(2, "t")]
+
+
+def test_the_matrices_of_a_slice_keep_a_sixth_of_the_dict_columns():
+    # hochschild_slice(collapsed-delta3, 5) holds 3,321 columns and 4,656
+    # entries.  As {row: value} dicts they kept ~516 KB (tracemalloc,
+    # CPython 3.11), as CSC triples ~89 KB: 4 bytes of row index and an
+    # 8-byte list slot per entry, and an 8-byte offset per column.
+    X = builtin_space("collapsed-delta3")
+    hochschild_slice(X, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sl = hochschild_slice(X, 5)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        sl.diffs.clear()
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 120_000, kept
 
 
 def test_unit_pivots_match_the_heap_core():
@@ -277,10 +336,10 @@ def test_unit_pivots_match_the_heap_core():
         ncols = data.draw(st.integers(1, 9))
         entry = st.sampled_from([0] * 12 + [1, -1] * 4 + [2, -2, 3, 4, -6])
         dense = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-        columns = [
-            {i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)
-        ]
-        leads, residual = _unit_pivots(columns)
+        matrix = SparseIntMatrix.from_columns(
+            nrows, [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
+        )
+        leads, residual = _unit_pivots(matrix, range(ncols))
         residuals.append(len(residual))
         factors, rank = reference._snf_rows(residual)
         rows = _row_dicts(dense)
@@ -289,7 +348,7 @@ def test_unit_pivots_match_the_heap_core():
         assert [1] * len(leads) + factors == [1] * units + ref_factors
         assert len(leads) + rank == units + ref_rank
         for p in (3, 5):
-            leads, residual = _unit_pivots(columns, p)
+            leads, residual = _unit_pivots(matrix, range(ncols), p)
             assert (len(leads), residual) == (_eliminate_units(_row_dicts(dense, p), p), {})
 
     check()
@@ -364,7 +423,7 @@ def test_homology_examples():
     one_point = ComplexSlice({0: ["g"]}, {})
     assert homology_of_slice(one_point, 0) == HomologyEntry(0, 1)
     times_two = ComplexSlice(
-        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, [{0: 2}])}
+        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix.from_columns(1, [{0: 2}])}
     )
     assert homology_of_slice(times_two, 0) == HomologyEntry(0, 0, (2,))
     assert homology_of_slice(times_two, 1) == HomologyEntry(1, 0)
@@ -378,7 +437,7 @@ def test_homology_examples():
 
 def test_homology_field_rings():
     times_two = ComplexSlice(
-        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(1, [{0: 2}])}
+        {0: ["a"], 1: ["b"]}, {1: SparseIntMatrix.from_columns(1, [{0: 2}])}
     )
     # Q shares the Z reduction but reports no torsion
     assert homology_of_slice(times_two, 0, parse_ring("Q")) == HomologyEntry(0, 0)
@@ -393,13 +452,13 @@ def test_homology_permutation_invariance():
     perm = [3, 0, 4, 1, 5, 2]
     edges = [sl.bases[1][i] for i in perm]
     inv = {old: new for new, old in enumerate(perm)}
-    d1 = [sl.diffs[1].columns[j] for j in perm]
-    d2 = [{inv[i]: v for i, v in col.items()} for col in sl.diffs[2].columns]
+    d1 = [column_dicts(sl.diffs[1])[j] for j in perm]
+    d2 = [{inv[i]: v for i, v in col.items()} for col in column_dicts(sl.diffs[2])]
     shuffled = ComplexSlice(
         {0: sl.bases[0], 1: edges, 2: sl.bases[2]},
         {
-            1: SparseIntMatrix(4, d1),
-            2: SparseIntMatrix(6, d2),
+            1: SparseIntMatrix.from_columns(4, d1),
+            2: SparseIntMatrix.from_columns(6, d2),
         },
     )
     assert [homology_of_slice(shuffled, n) for n in range(3)] == base
@@ -410,7 +469,7 @@ def test_homology_builds_no_index_and_coordinates_build_one_per_degree():
     for n in sl.degrees()[:-1]:  # H_n reads d_n and d_(n+1)
         homology_of_slice(sl, n)
         homology_of_slice(sl, n, prime_field(2))
-    assert sl.index == {}
+    assert not hasattr(sl, "index")
     for n in sl.degrees():
         position = {g: i for i, g in enumerate(sl.bases[n])}
         for g in sl.bases[n]:
@@ -464,8 +523,8 @@ def _flip_one_entry(sl):
         prev = sl.diffs.get(n - 1)
         if prev is None:
             continue
-        prev_cols = {j for j, col in enumerate(prev.columns) if col}
-        columns = sl.diffs[n].columns
+        prev_cols = {j for j, col in enumerate(column_dicts(prev)) if col}
+        columns = column_dicts(sl.diffs[n])
         for i, j, v in sorted(
             (i, j, v) for j, col in enumerate(columns) for i, v in col.items()
         ):
@@ -473,7 +532,7 @@ def _flip_one_entry(sl):
                 flipped = [dict(col) for col in columns]
                 flipped[j][i] = -v
                 diffs = dict(sl.diffs)
-                diffs[n] = SparseIntMatrix(sl.diffs[n].nrows, flipped)
+                diffs[n] = SparseIntMatrix.from_columns(sl.diffs[n].nrows, flipped)
                 return ComplexSlice(sl.bases, diffs), n, sl.bases[n][j]
     raise AssertionError("no flippable entry found")
 
@@ -626,7 +685,7 @@ def _assert_builders_agree(monkeypatch, X, max_degree, max_word_length):
         assert sorted(sl.diffs) == sorted(diffs)
         for n, ref in diffs.items():
             assert (sl.diffs[n].nrows, sl.diffs[n].ncols) == (ref.nrows, ref.ncols)
-            assert sl.diffs[n].columns == ref.cols_as_dicts(), (complex_name, n)
+            assert column_dicts(sl.diffs[n]) == ref.cols_as_dicts(), (complex_name, n)
             assert sl.diffs[n].nnz == len(ref.entries)
 
 
@@ -656,6 +715,10 @@ BUILD_WINDOWS = [
 ]
 
 
+def _triple(matrix):
+    return matrix.nrows, matrix.indptr, matrix.indices, matrix.data
+
+
 @pytest.mark.parametrize(
     "space, complex_name, degree, cap, adopts",
     BUILD_WINDOWS,
@@ -665,7 +728,7 @@ def test_streaming_build_matches_two_pass_builder(
     monkeypatch, space, complex_name, degree, cap, adopts
 ):
     # Each build's arguments go to the streaming builder and to the
-    # two-pass one it replaced: same bases, same column dicts.
+    # two-pass one it replaced: same bases, same columns in the same order.
     builds = []
 
     def both(recipe, max_degree):
@@ -682,7 +745,8 @@ def test_streaming_build_matches_two_pass_builder(
     assert sorted(sl.diffs) == sorted(ref.diffs)
     for n, mat in ref.diffs.items():
         assert sl.diffs[n].nrows == mat.nrows, n
-        assert sl.diffs[n].columns == mat.columns, n
+        # the same triple: each column in the order its kernel produced
+        assert _triple(sl.diffs[n]) == _triple(mat), n
     # the first column of each degree that names a row the seeds lack
     first_adopting = []
     for n in sl.diffs:
@@ -711,7 +775,7 @@ def test_adopted_order_is_the_same_under_every_hash_seed():
         "for space, name in [('torus', 'hat-cohoch'), ('boundary-delta3', 'hochschild-of-cobar')]:\n"
         "    sl = build_complex_slice(builtin_space(space), name, 3, 3)\n"
         "    print(sl.bases)\n"
-        "    print({n: d.columns for n, d in sl.diffs.items()})\n"
+        "    print({n: (d.indptr, d.indices, d.data) for n, d in sl.diffs.items()})\n"
     )
     outs = []
     for seed in ("0", "4242"):
@@ -941,8 +1005,8 @@ def test_homology_pass_matches_the_tensor_algebra_count(
 
 def _without(matrix, rows):
     # the matrix without the columns of the given generators
-    return SparseIntMatrix(
-        matrix.nrows, [col for j, col in enumerate(matrix.columns) if j not in rows]
+    return SparseIntMatrix.from_columns(
+        matrix.nrows, [col for j, col in enumerate(column_dicts(matrix)) if j not in rows]
     )
 
 
@@ -973,13 +1037,13 @@ def test_clearing_leaves_every_reduction_unchanged():
                     # each pivot is in the span of its block's columns, and
                     # its lead is a unit with every other entry below it
                     for block in up.blocks:
-                        columns = [up.columns[j] for j in block]
-                        pivots, _ = _unit_pivots(columns, p)
+                        columns = [dict(up.column(j)) for j in block]
+                        pivots, _ = _unit_pivots(up, block, p)
                         for r, pivot in pivots.items():
                             assert max(pivot) == r
                             assert pivot[r] in ((1, -1) if p is None else (1,))
-                        both = SparseIntMatrix(up.nrows, columns + list(pivots.values()))
-                        alone = SparseIntMatrix(up.nrows, columns)
+                        both = SparseIntMatrix.from_columns(up.nrows, columns + list(pivots.values()))
+                        alone = SparseIntMatrix.from_columns(up.nrows, columns)
                         if p is None:
                             assert smith_normal_form(both) == smith_normal_form(alone)
                         else:
@@ -987,8 +1051,8 @@ def test_clearing_leaves_every_reduction_unchanged():
     assert cleared > 1000
     # a Z block whose only lead is 2 reports no pivot row, even where its
     # residual has a unit factor; mod 3 it does
-    assert linalg._reduce(SparseIntMatrix(1, [{0: 2}])) == ([2], 1, [])
-    two = SparseIntMatrix(2, [{1: 2, 0: 1}])
+    assert linalg._reduce(SparseIntMatrix.from_columns(1, [{0: 2}])) == ([2], 1, [])
+    two = SparseIntMatrix.from_columns(2, [{1: 2, 0: 1}])
     assert linalg._reduce(two) == ([1], 1, [])
     assert linalg._reduce(two, 3) == ([], 1, [1])
 
@@ -1111,11 +1175,33 @@ def test_bottom_up_matrices_are_the_stored_differentials_transposed(
     for n, delta in built:
         d = sl.differential(n)
         transposed = [{} for _ in range(d.nrows)]
-        for j, col in enumerate(d.columns):
+        for j, col in enumerate(column_dicts(d)):
             for i, c in col.items():
                 transposed[i][j] = c
-        assert (delta.nrows, delta.columns) == (d.ncols, transposed), n
+        assert (delta.nrows, column_dicts(delta)) == (d.ncols, transposed), n
     assert sizes == {n: len(sl.bases.get(n, ())) for n in range(max_degree + 1)}
+
+
+@pytest.mark.parametrize(
+    "space, complex_name, max_degree, cap",
+    EXACT_GOLDEN_WINDOWS,
+    ids=["-".join(map(str, w)) for w in EXACT_GOLDEN_WINDOWS],
+)
+def test_the_top_coboundary_is_the_stored_differential_in_named_order(
+    space, complex_name, max_degree, cap
+):
+    # the top matrix, built row by row into its triple: a column per
+    # generator one degree up, in the order the coboundaries first name
+    # them, that is the stored d_(top+1)'s column with its rows ascending
+    seeds, diff_fn, _, codiff_fn = complex_recipe(builtin_space(space), complex_name, cap)
+    sl = homalg._close_and_build((seeds, diff_fn, None), max_degree + 1)
+    *_, (n, top) = homalg._coclosed_degrees(seeds, codiff_fn, max_degree, {}, set())
+    d = sl.differential(n)
+    named = list(dict.fromkeys(h for g in sl.bases.get(max_degree, ()) for h in codiff_fn(g)))
+    position = {h: j for j, h in enumerate(sl.bases.get(n, ()))}
+    assert (top.nrows, top.ncols) == (d.nrows, len(named))
+    for j, h in enumerate(named):
+        assert list(top.column(j)) == sorted(d.column(position[h])), h
 
 
 @pytest.mark.parametrize("complex_name", ["cohoch", "hat-cohoch"])
@@ -1160,7 +1246,7 @@ def test_a_ring_other_than_z_q_or_f_p_is_refused(kind, p, message):
 
 def test_a_slice_refuses_a_differential_of_the_wrong_shape():
     with pytest.raises(ValueError) as err:
-        ComplexSlice({0: ["a"], 1: ["b"]}, {1: SparseIntMatrix(2, [{}])})
+        ComplexSlice({0: ["a"], 1: ["b"]}, {1: SparseIntMatrix.from_columns(2, [{}])})
     assert str(err.value) == "differential at degree 1 has shape 2x1, bases demand 1x1"
 
 

@@ -189,7 +189,7 @@ def test_matrix_format_scan_catches_a_leak():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_matrix_format_stays_in_homalg(path):
-    # Matrices are column lists defined by linalg and built only by homalg;
+    # Matrices are CSC triples defined by linalg and built only by homalg;
     # no package module reads the derived (i, j) view.
     assert matrix_format_leaks(path.read_text(encoding="utf-8"), path.name) == []
 

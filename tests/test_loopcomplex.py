@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loophomology.homalg import check_d_squared
-from loophomology.linalg import Chain, ZZ
+from loophomology.rings import Chain, ZZ
 from loophomology.presentation import SimplicialError, adjoin_inverses, endpoints
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space
 from loophomology.cobar import (
@@ -37,7 +37,7 @@ from loophomology.loopcomplex import (
     hochschild_differential,
     hochschild_slice,
 )
-from reference import _loop_key, collapsed_simplex, fixture, phi_chain
+from reference import _loop_key, collapsed_simplex, column_dicts, fixture, phi_chain
 
 S2 = builtin_space("sphere2")
 POINT = builtin_space("point")
@@ -579,7 +579,7 @@ def test_coboundary_kernel_is_the_stored_differential_transposed(name, top, hat)
     for n in range(top):
         rows = {g: {} for g in sl.bases.get(n, ())}
         d = sl.diffs.get(n + 1)
-        for j, col in enumerate(d.columns if d else ()):
+        for j, col in enumerate(column_dicts(d) if d else ()):
             for i, c in col.items():
                 rows[sl.bases[n][i]][sl.bases[n + 1][j]] = c
         for g, row in rows.items():

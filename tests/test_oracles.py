@@ -25,7 +25,7 @@ from loophomology.comparison import (
     phi,
     phi_slice_mismatches,
 )
-from loophomology.linalg import ZZ, prime_field
+from loophomology.rings import ZZ, prime_field
 from loophomology.loopcomplex import (
     cohoch_differential,
     cohoch_slice,
@@ -181,7 +181,7 @@ def _stray_target(hoch, where):
         above = hoch.diffs.get(n + 1)
         if above is None:
             continue
-        reached = {i for col in above.columns for i in col}
+        reached = set(above.indices)
         for i, (b, u) in enumerate(hoch.bases[n]):
             if len(b) == 1 and i in reached:
                 return hoch.bases[n][i]

@@ -13,7 +13,7 @@ import pytest
 import reference
 from loophomology.complexes import build_complex_slice, complex_recipe
 from loophomology.homalg import HomologyEntry, check_d_squared, homology_pass
-from loophomology.linalg import ZZ, parse_ring
+from loophomology.rings import ZZ, parse_ring
 from loophomology.presentation import aw_coproduct
 from loophomology.simplicial import _collapse_free_pairs, builtin_space, validate
 

@@ -12,7 +12,7 @@ from loophomology.cobar import CobarAlgebra, cobar_differential
 from loophomology.complexes import complex_recipe
 from loophomology.freehedra import FreehedralLabel
 from loophomology.homalg import homology_pass
-from loophomology.linalg import Chain, ZZ
+from loophomology.rings import Chain, ZZ
 from loophomology.loopcomplex import (
     cohoch_basis,
     cohoch_differential,

@@ -11,7 +11,7 @@ from loophomology import verify as verify_mod
 from loophomology.cobar import format_word, word_degree
 from loophomology.comparison import necklical_differential
 from loophomology.homalg import HomologyEntry
-from loophomology.linalg import Chain, ZZ
+from loophomology.rings import Chain, ZZ
 from loophomology.loopcomplex import format_loop_generator, hochschild_slice
 from reference import multiply
 from loophomology.presentation import SimplicialSetPresentation, adjoin_inverses, nondeg
