@@ -1,10 +1,13 @@
 import gc
+import json
+import os
+import threading
+import time
 import weakref
-from functools import cache
 
 import pytest
 
-from loophomology import comparison
+from loophomology import cli, comparison
 from loophomology import loopcomplex as loop_mod
 from loophomology.cli import EXIT_OK, EXIT_VERIFY, main
 from loophomology import verify as verify_mod
@@ -13,9 +16,10 @@ from loophomology.comparison import necklical_differential
 from loophomology.homalg import HomologyEntry
 from loophomology.rings import Chain, ZZ
 from loophomology.loopcomplex import format_loop_generator, hochschild_slice
-from reference import multiply
+from reference import multiply, product
 from loophomology.presentation import SimplicialSetPresentation, adjoin_inverses, nondeg
 from loophomology.simplicial import builtin_space
+from test_golden_cli import run, sweep
 from loophomology.verify import (
     build_complex_slice,
     run_verify,
@@ -50,11 +54,41 @@ def test_supported_complexes():
     ]
 
 
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    # run_verify reaps its forked child before it returns or raises
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forking(monkeypatch, forks):
+    """run_verify on the two-process path (forks) or the one-process path."""
+    monkeypatch.setattr(verify_mod, "_forks", lambda: forks)
+
+
+def _child_state(monkeypatch, tmp_path, state):
+    """Take the two-process path, and have the forked child write state()
+    to a file as JSON once its part has run; returns the file's reader."""
+    parent, real = os.getpid(), verify_mod._sweep_and_check
+    path = tmp_path / "child.json"
+
+    def share(*args):
+        out = real(*args)
+        if os.getpid() != parent:
+            path.write_text(json.dumps(state()), encoding="utf-8")
+        return out
+
+    monkeypatch.setattr(verify_mod, "_sweep_and_check", share)
+    _forking(monkeypatch, True)
+    return lambda: json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.fixture
 def fresh_sweep(monkeypatch):
-    """verify's select_chi_variant with a cache of its own: the sweep runs
+    """verify's select_chi_variant with a store of its own: the sweep runs
     again under the test's patches, and the process keeps its result."""
-    monkeypatch.setattr(verify_mod, "select_chi_variant", cache(select_chi_variant.__wrapped__))
+    monkeypatch.setattr(verify_mod, "_SWEPT", [])
 
 
 def test_chi_selection_is_cached_and_stable():
@@ -90,6 +124,29 @@ def test_the_sweep_checks_the_library_reading_and_selects_none(
         "index-low: 0 mismatches, index-high: 356 mismatches, rotation: 349 mismatches]"
     ]
     assert "  PASS  phi-chain-map  [variant rotation]" in lines
+
+
+def test_the_caller_keeps_the_sweep_its_child_ran(monkeypatch, tmp_path, fresh_sweep):
+    # so the next run_verify in this process, and its child, sweep no more
+    _forking(monkeypatch, True)
+    report = run_verify("point", 1)
+    (kept,) = verify_mod._SWEPT
+    built = []
+    real_build = verify_mod.build_complex_slice
+
+    def recorded(X, *args, **kwargs):
+        built.append(X.name)
+        return real_build(X, *args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "build_complex_slice", recorded)
+    _forking(monkeypatch, False)
+    assert run_verify("point", 1) == report
+    child = _child_state(monkeypatch, tmp_path, lambda: built)
+    assert run_verify("point", 1) == report
+    assert select_chi_variant() is kept
+    assert set(built) == set(child()) == {"point"}  # no fixture built
+    monkeypatch.setattr(verify_mod, "_SWEPT", [])
+    assert select_chi_variant() == kept  # the sweep run here reads the same
 
 
 def _broken_presentation():
@@ -130,18 +187,14 @@ def test_verify_report_structure_records_sweep():
 # checks 3 and 5 read the stored slices; each slice is built once
 
 
-def test_verify_takes_each_hochschild_differential_once(monkeypatch, fresh_sweep):
-    # once per generator of the input's own slice, once per generator of the
-    # sweep fixture; the phi check recomputes none of them
-    own = hochschild_slice(builtin_space("sphere2"), 4)
-    fixture = hochschild_slice(builtin_space("collapsed-delta3"), 5)
-    expected = {
-        (name, g): 1
-        for name, sl in (("sphere2", own), ("collapsed-delta3", fixture))
-        for n in sl.degrees()
-        if n
-        for g in sl.bases[n]
-    }
+def _hochschild_generators(name, max_degree):
+    sl = hochschild_slice(builtin_space(name), max_degree)
+    return {(name, g): 1 for n in sl.degrees() if n for g in sl.bases[n]}
+
+
+def _count_hochschild_calls(monkeypatch):
+    """{(space name, generator): calls of the Hochschild kernel}, filled as
+    the kernels run."""
     calls = {}
     real = loop_mod._hochschild_kernel
 
@@ -156,9 +209,34 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch, fresh_sweep
         return terms
 
     monkeypatch.setattr(loop_mod, "_hochschild_kernel", counted)
+    return calls
+
+
+def test_verify_takes_each_hochschild_differential_once(monkeypatch, fresh_sweep):
+    # once per generator of the input's own slice, once per generator of the
+    # sweep fixture; the phi check recomputes none of them
+    expected = _hochschild_generators("sphere2", 4)
+    expected.update(_hochschild_generators("collapsed-delta3", 5))
+    _forking(monkeypatch, False)
+    calls = _count_hochschild_calls(monkeypatch)
     report = run_verify("sphere2", 4)
     assert report.all_passed
     assert calls == expected
+
+
+def test_each_process_takes_its_hochschild_differentials_once(
+    monkeypatch, tmp_path, fresh_sweep
+):
+    # the parent builds the input's hochschild-of-cobar, the child runs the
+    # sweep on its fixture
+    own = _hochschild_generators("sphere2", 4)
+    fixture = _hochschild_generators("collapsed-delta3", 5)
+    calls = _count_hochschild_calls(monkeypatch)
+    child = _child_state(monkeypatch, tmp_path, lambda: [[repr(k), n] for k, n in calls.items()])
+    report = run_verify("sphere2", 4)
+    assert report.all_passed
+    assert calls == own
+    assert dict(child()) == {repr(key): n for key, n in fixture.items()}
 
 
 def test_chi_sweep_keeps_only_its_result(monkeypatch, fresh_sweep):
@@ -180,13 +258,15 @@ def test_chi_sweep_keeps_only_its_result(monkeypatch, fresh_sweep):
     assert all(ref() is None for _, _, ref in built)
 
 
-@pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
-def test_verify_holds_one_slice_at_a_time(monkeypatch, space):
-    # each slice is dropped before the next build; only cohoch waits for
-    # hochschild-of-cobar, the last build, and is dropped once phi has read
-    # both, before the universal-coefficients reductions of the last
+def _watch_slices(monkeypatch):
+    """Record, in whichever process builds, the complexes built (name: weak
+    reference) and each breach of the one-slice invariant: each slice is
+    dropped before the next build; only cohoch waits for
+    hochschild-of-cobar, and is dropped once phi has read both, before the
+    universal-coefficients reductions of the latter.  Returns (built,
+    breaches, alive), alive() naming the slices still held."""
     select_chi_variant()  # the sweep builds through its own functions
-    built = {}
+    built, breaches = {}, []
     real_build = verify_mod.build_complex_slice
     real_homology = verify_mod.homology_of_slice
 
@@ -198,21 +278,45 @@ def test_verify_holds_one_slice_at_a_time(monkeypatch, space):
         return {"cohoch"} & set(built) if "hochschild-of-cobar" not in built else set()
 
     def recorded(X, name, *args, **kwargs):
-        assert alive() == waiting()
+        if alive() != waiting():
+            breaches.append(f"{sorted(alive())} alive at the build of {name}")
         sl = real_build(X, name, *args, **kwargs)
         built[name] = weakref.ref(sl)
         return sl
 
     def reducing(sl, *args):
-        assert alive() == waiting() | {next(reversed(built))}
+        if alive() != waiting() | {next(reversed(built))}:
+            breaches.append(f"{sorted(alive())} alive at a reduction")
         return real_homology(sl, *args)
 
     monkeypatch.setattr(verify_mod, "build_complex_slice", recorded)
     monkeypatch.setattr(verify_mod, "homology_of_slice", reducing)
+    return built, breaches, alive
+
+
+@pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
+def test_verify_holds_one_slice_at_a_time(monkeypatch, space):
+    # in one process, hochschild-of-cobar is the last build
+    _forking(monkeypatch, False)
+    built, breaches, alive = _watch_slices(monkeypatch)
     report = run_verify(space, 4)
     assert report.all_passed
     assert list(built) == supported_complexes(builtin_space(space))
-    assert not alive()
+    assert breaches == [] and not alive()
+
+
+@pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
+def test_each_process_holds_one_slice_at_a_time(monkeypatch, tmp_path, space):
+    # in two, the parent builds cohoch and hochschild-of-cobar and the child
+    # every other complex; the child's record comes back in a file
+    built, breaches, alive = _watch_slices(monkeypatch)
+    child = _child_state(monkeypatch, tmp_path, lambda: [list(built), breaches, sorted(alive())])
+    report = run_verify(space, 4)
+    assert report.all_passed
+    complexes = supported_complexes(builtin_space(space))
+    assert list(built) == [name for name in complexes if name in verify_mod._PHI_READS]
+    assert breaches == [] and not alive()
+    assert child() == [[name for name in complexes if name not in verify_mod._PHI_READS], [], []]
 
 
 def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
@@ -385,3 +489,129 @@ def test_verify_fails_when_betti_numbers_break_universal_coefficients(monkeypatc
     argv = ["verify", "--space", "sphere2", "--max-degree", "3", "--max-word-length", "2"]
     assert main(argv) == EXIT_VERIFY
     assert capsys.readouterr().out == report.to_text()
+
+
+# ---------------------------------------------------------------------------
+# one process or two: the same report
+
+
+def _records(monkeypatch, argv):
+    """cli.main's record of argv (exit code, stdout, stderr) on the
+    one-process path, then on the two-process path."""
+    records = []
+    for forks in (False, True):
+        _forking(monkeypatch, forks)
+        records.append(run(argv))
+    return records
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in sweep() if argv[0] == "verify"], ids=" ".join
+)
+def test_the_golden_reports_are_the_same_in_one_process_and_two(monkeypatch, argv):
+    one, two = _records(monkeypatch, argv)
+    assert one == two
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_a_failing_report_is_the_same_in_one_process_and_two(monkeypatch, output):
+    # S2 x S2 at degree 4 fails d-squared on both hat complexes, which the
+    # child checks, and passes phi, which the parent checks
+    S2 = builtin_space("sphere2")
+    monkeypatch.setattr(cli, "load_space", lambda name: product(S2, S2))
+    argv = ["verify", "--space", "S2xS2", "--max-degree", "4", "--format", output]
+    one, two = _records(monkeypatch, argv)
+    assert one == two
+    assert one.splitlines()[0].endswith("(exit 2)")
+    assert "d-squared:hat-cobar" in one and "phi-chain-map" in one
+
+
+@pytest.mark.parametrize(
+    "failure", ["exit 3", "exit 3 once written", "exit 0, nothing written", "raise"]
+)
+def test_a_failed_child_leaves_the_one_process_report(monkeypatch, capfd, failure):
+    # the child's part then runs in the parent; the child prints nothing
+    _forking(monkeypatch, False)
+    expected = run_verify("sphere2", 3, 2)
+    parent, real = os.getpid(), verify_mod._sweep_and_check
+    real_exit = os._exit
+    ran = []
+
+    def failing(X, names, *window):
+        if os.getpid() == parent:
+            ran.append(names)
+        elif failure == "raise":
+            raise RuntimeError("the child's part failed")
+        elif failure != "exit 3 once written":
+            real_exit(3 if failure == "exit 3" else 0)
+        return real(X, names, *window)
+
+    if failure == "exit 3 once written":
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    monkeypatch.setattr(verify_mod, "_sweep_and_check", failing)
+    _forking(monkeypatch, True)
+    report = run_verify("sphere2", 3, 2)
+    assert ran == [["chains", "cobar", "hat-cobar", "hat-cohoch"]]
+    assert report.to_text() == expected.to_text()
+    assert report.to_json() == expected.to_json()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_exception_in_the_parents_part_propagates(monkeypatch):
+    # the child, still busy, is killed rather than waited for
+    parent, real = os.getpid(), verify_mod._check_complexes
+
+    def raising(X, names, *window):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's part failed")
+        time.sleep(30)
+        return real(X, names, *window)
+
+    monkeypatch.setattr(verify_mod, "_check_complexes", raising)
+    _forking(monkeypatch, True)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="the parent's part failed"):
+        run_verify("sphere2", 3, 2)
+    assert time.perf_counter() - start < 10
+
+
+def test_without_a_fork_the_child_part_runs_here(monkeypatch):
+    _forking(monkeypatch, False)
+    expected = run_verify("sphere2", 3, 2)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _forking(monkeypatch, True)
+    monkeypatch.setattr(verify_mod.os, "fork", no_fork)
+    report = run_verify("sphere2", 3, 2)
+    assert report.to_text() == expected.to_text()
+
+
+def test_the_child_runs_off_its_parents_cpu(monkeypatch, tmp_path):
+    # where the scheduler leaves a forked child on its parent's CPU, the two
+    # would take turns on it; the parent's own mask stays as it was
+    mask = os.sched_getaffinity(0)
+    assert verify_mod._this_cpu() in mask
+    here = min(mask)
+    monkeypatch.setattr(verify_mod, "_this_cpu", lambda: here)
+    child = _child_state(monkeypatch, tmp_path, lambda: sorted(os.sched_getaffinity(0)))
+    assert run_verify("point", 1).all_passed
+    assert child() == sorted(mask - {here} or mask)
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_no_fork_beside_another_thread_or_on_one_cpu(monkeypatch):
+    assert threading.active_count() == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not verify_mod._forks()
+    finally:
+        release.set()
+        other.join()
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0})
+    assert not verify_mod._forks()
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verify_mod._forks()
