@@ -8,10 +8,11 @@ failure.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-from .complexes import COMPLEX_NAMES, complex_recipe
+from .complexes import complex_recipe
 from .homalg import HomologySummary, homology_pass
 from .rings import parse_ring
 from .presentation import SimplicialError
@@ -99,7 +100,7 @@ def cmd_freehedron(n, mode="fvector", output="table"):
     return "".join(f"{c.dimension}\t{c}\n" for c in cells)
 
 
-def cmd_verify(space, max_degree, max_word_length=None):
+def cmd_verify(space, max_degree=4, max_word_length=None):
     from .verify import run_verify
 
     _check_window(max_degree, max_word_length)
@@ -107,74 +108,67 @@ def cmd_verify(space, max_degree, max_word_length=None):
 
 
 # ---------------------------------------------------------------------------
+# Each command's options, by the cmd_* parameter each sets, and how a value is
+# read (str by default).  Defaults, and what is required, are the cmd_* signatures'.
 
-
-def _build_parser():
-    # imported here, after the package modules, which keeps peak RSS down
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="loophomology",
-        description="Exact homology of based and free loop spaces of finite "
-        "simplicial sets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    hom = sub.add_parser("homology", help="homology of one complex of a space")
-    hom.add_argument("--space", required=True, help="built-in name or JSON file")
-    hom.add_argument("--complex", dest="complex_name", default="chains",
-                     choices=COMPLEX_NAMES)
-    hom.add_argument("--ring", default="Z", help="Z, Q, or F<p> with p prime")
-    hom.add_argument("--max-degree", type=int, default=4)
-    hom.add_argument("--max-word-length", type=int, default=None)
-    hom.add_argument("--format", dest="output", default="table",
-                     choices=("table", "json"))
-
-    fre = sub.add_parser("freehedron", help="freehedra cell data")
-    fre.add_argument("--n", type=int, required=True)
-    fre.add_argument("--mode", default="fvector", choices=("fvector", "faces"))
-    fre.add_argument("--format", dest="output", default="table",
-                     choices=("table", "json"))
-
-    ver = sub.add_parser("verify", help="run the cross-validation suite")
-    ver.add_argument("--space", required=True)
-    ver.add_argument("--max-degree", type=int, default=4)
-    ver.add_argument("--max-word-length", type=int, default=None)
-    ver.add_argument("--format", dest="output", default="table",
-                     choices=("table", "json"))
-    return parser
+_KINDS = {"max_degree": int, "max_word_length": int, "n": int,
+          "mode": ("fvector", "faces"), "output": ("table", "json")}
+_WINDOW = {"--max-degree": "max_degree", "--max-word-length": "max_word_length"}
+_COMMANDS = {
+    "homology": {"--space": "space", "--complex": "complex_name", "--ring": "ring",
+                 **_WINDOW, "--format": "output"},
+    "freehedron": {"--n": "n", "--mode": "mode", "--format": "output"},
+    "verify": {"--space": "space", **_WINDOW, "--format": "output"},
+}
+_USAGE = """\
+usage: loophomology homology --space NAME|FILE [--complex NAME] [--ring Z|Q|F<p>]
+           [--max-degree N] [--max-word-length L] [--format table|json]
+       loophomology freehedron --n N [--mode fvector|faces] [--format table|json]
+       loophomology verify --space NAME|FILE [--max-degree N] [--max-word-length L]
+           [--format table|json]          (or: loophomology --verify ...)
+"""
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--verify" in argv and argv[0] not in ("homology", "freehedron", "verify"):
-        # Flag spelling of the verify mode.
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return EXIT_OK
+    if "--verify" in argv and argv[0] not in _COMMANDS:  # the flag spelling of verify
         argv = ["verify"] + [a for a in argv if a != "--verify"]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad usage; 2 is reserved for verification
-        # failures here, so remap (help/version keep their success code).
-        return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:
-        if args.command == "homology":
-            summary = cmd_homology(
-                args.space, args.complex_name, args.ring,
-                args.max_degree, args.max_word_length,
-            )
-            sys.stdout.write(
-                summary.to_json_lines() if args.output == "json" else summary.to_table()
-            )
+        rest = iter(argv)
+        options, kwargs = _COMMANDS.get(next(rest, None)), {}
+        if options is None:
+            raise SimplicialError("expected a command: homology, freehedron or verify")
+        for arg in rest:  # --option value or --option=value
+            option, given, value = arg.partition("=")
+            if option not in options:
+                raise SimplicialError(f"unknown option {option!r}")
+            name = options[option]
+            kind = _KINDS.get(name, str)  # a tuple's index() refuses what it lacks
+            try:
+                value = value if given else next(rest)
+                kwargs[name] = kind(value) if callable(kind) else kind[kind.index(value)]
+            except StopIteration:
+                raise SimplicialError(f"{option} needs a value")
+            except ValueError:
+                raise SimplicialError(f"{option} cannot be {value!r} (see --help)")
+        cmd = globals()["cmd_" + argv[0]]
+        required = cmd.__code__.co_argcount - len(cmd.__defaults__ or ())
+        for name in cmd.__code__.co_varnames[:required]:
+            if name not in kwargs:  # a required option is spelled as its parameter
+                raise SimplicialError(f"{argv[0]} needs --{name}")
+        if cmd is cmd_freehedron:
+            sys.stdout.write(cmd(**kwargs))
             return EXIT_OK
-        if args.command == "freehedron":
-            sys.stdout.write(cmd_freehedron(args.n, args.mode, args.output))
+        as_json = kwargs.pop("output", None) == "json"
+        result = cmd(**kwargs)
+        if cmd is cmd_homology:
+            sys.stdout.write(result.to_json_lines() if as_json else result.to_table())
             return EXIT_OK
-        report = cmd_verify(args.space, args.max_degree, args.max_word_length)
-        sys.stdout.write(
-            report.to_json() if args.output == "json" else report.to_text()
-        )
-        return EXIT_OK if report.all_passed else EXIT_VERIFY
+        sys.stdout.write(result.to_json() if as_json else result.to_text())
+        return EXIT_OK if result.all_passed else EXIT_VERIFY
     except (SimplicialError, ValueError) as exc:
         # one line, even when a name or an id in the message holds a newline
         message = "\\n".join(str(exc).splitlines())
@@ -183,4 +177,10 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:  # the reader left: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = EXIT_INPUT
+    sys.exit(code)

@@ -298,13 +298,67 @@ def test_main_exit_codes(capsys):
     assert "1-simplex 'a'" in capsys.readouterr().err
 
 
-def test_main_bad_usage_is_input_error(capsys):
-    assert main([]) == EXIT_INPUT
-    capsys.readouterr()
-    assert main(["homology"]) == EXIT_INPUT  # --space missing
-    capsys.readouterr()
-    assert main(["--help"]) == EXIT_OK
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch", "--space", "sphere2"],
+        ["homology", "--max-degree", "2"],
+        ["freehedron", "--mode", "faces"],
+        ["homology", "--space", "sphere2", "--max-degree"],
+        ["homology", "--space", "sphere2", "--bogus", "1"],
+        ["homology", "--space", "sphere2", "--max-deg", "2"],
+        ["homology", "--space", "sphere2", "--max-degree", "x"],
+        ["homology", "--space", "sphere2", "--format", "yaml"],
+    ],
+    ids=["no-arguments", "unknown-command", "no-space", "no-n", "no-value",
+         "unknown-option", "prefix", "not-an-int", "not-a-format"],
+)
+def test_main_bad_usage_is_input_error(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["homology", "--help"]], ids=["help", "h", "after-command"]
+)
+def test_main_help_names_the_commands(capsys, argv):
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert all(command in out for command in ("homology", "freehedron", "verify"))
+
+
+def test_main_reads_an_option_glued_to_its_value_and_the_last_repeat(capsys):
+    assert main(["homology", "--space", "sphere2", "--max-degree", "2"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    argv = ["homology", "--max-degree=5", "--space=sphere2", "--max-degree", "2"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered):
+    # ~124 KB of faces, far more than a pipe holds once its reader has left
+    import os
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "loophomology.cli", "freehedron", "--n", "7",
+            "--mode", "faces"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    child.stdout.close()  # before the child has started to write
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == EXIT_INPUT
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), err
 
 
 def test_main_verify_flag_alias(capsys):
@@ -479,6 +533,9 @@ UNUSED_BY_HOMOLOGY = (
     "loophomology.freehedra",
     "loophomology.comparison",
 )
+# argparse, and gettext and locale, which its messages load: the command
+# line parses its arguments itself, so no run, good or bad, loads them
+NOT_PARSING = ("argparse", "gettext", "locale")
 
 
 @pytest.mark.parametrize(
@@ -492,8 +549,13 @@ def test_commands_import_only_what_they_run(space, complex_name):
 
     script = f"""
 import io, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
+def parser_modules():
+    loaded = [m for m in {NOT_PARSING!r} if m in sys.modules]
+    assert not loaded, loaded
+
+parser_modules()
 import loophomology
 submodules = [m for m in sys.modules if m.startswith("loophomology.")]
 assert not submodules, submodules
@@ -504,15 +566,24 @@ with redirect_stdout(io.StringIO()):
                  "--max-degree", "2", "--max-word-length", "2"]) == 0
 loaded = [m for m in {UNUSED_BY_HOMOLOGY!r} if m in sys.modules]
 assert not loaded, loaded
+parser_modules()
 with redirect_stdout(io.StringIO()) as out:
     assert main(["verify", "--space", {space!r}, "--max-degree", "2",
                  "--max-word-length", "2"]) == 0
 assert "result: OK" in out.getvalue()
+parser_modules()
 assert "loophomology.verify" in sys.modules and "loophomology.comparison" in sys.modules
 assert "loophomology.freehedra" not in sys.modules
 with redirect_stdout(io.StringIO()):
     assert main(["freehedron", "--n", "3"]) == 0
 assert "loophomology.freehedra" in sys.modules
+parser_modules()
+with redirect_stderr(io.StringIO()):
+    assert main(["homology", "--space", {space!r}, "--bogus", "1"]) == 1
+parser_modules()
+with redirect_stdout(io.StringIO()):
+    assert main(["--help"]) == 0
+parser_modules()
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
