@@ -129,11 +129,24 @@ usage: loophomology homology --space NAME|FILE [--complex NAME] [--ring Z|Q|F<p>
 """
 
 
+def _write(text, code):
+    """Write text to stdout and flush it, so that a closed pipe shows here
+    and not at shutdown; code, or EXIT_INPUT when the reader has left."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_INPUT
+    return code
+
+
 def main(argv=None):
+    """Run one command line and return its exit code; the console script
+    and python -m loophomology.cli both end here."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_USAGE)
-        return EXIT_OK
+        return _write(_USAGE, EXIT_OK)
     if "--verify" in argv and argv[0] not in _COMMANDS:  # the flag spelling of verify
         argv = ["verify"] + [a for a in argv if a != "--verify"]
     try:
@@ -160,15 +173,13 @@ def main(argv=None):
             if name not in kwargs:  # a required option is spelled as its parameter
                 raise SimplicialError(f"{argv[0]} needs --{name}")
         if cmd is cmd_freehedron:
-            sys.stdout.write(cmd(**kwargs))
-            return EXIT_OK
+            return _write(cmd(**kwargs), EXIT_OK)
         as_json = kwargs.pop("output", None) == "json"
         result = cmd(**kwargs)
         if cmd is cmd_homology:
-            sys.stdout.write(result.to_json_lines() if as_json else result.to_table())
-            return EXIT_OK
-        sys.stdout.write(result.to_json() if as_json else result.to_text())
-        return EXIT_OK if result.all_passed else EXIT_VERIFY
+            return _write(result.to_json_lines() if as_json else result.to_table(), EXIT_OK)
+        text = result.to_json() if as_json else result.to_text()
+        return _write(text, EXIT_OK if result.all_passed else EXIT_VERIFY)
     except (SimplicialError, ValueError) as exc:
         # one line, even when a name or an id in the message holds a newline
         message = "\\n".join(str(exc).splitlines())
@@ -177,10 +188,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
-    except BrokenPipeError:  # the reader left: the flush at exit writes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        code = EXIT_INPUT
-    sys.exit(code)
+    sys.exit(main())

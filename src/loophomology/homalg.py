@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import defaultdict
 from itertools import accumulate, count
 
 from .linalg import SparseIntMatrix, _reduce, rank_mod_p, smith_normal_form
@@ -91,15 +92,6 @@ class ComplexSlice:
         )
 
 
-class _Numbering(dict):
-    """{key: position}, where a key looked up for the first time is given
-    the next position."""
-
-    def __missing__(self, key):
-        self[key] = n = len(self)
-        return n
-
-
 def _closed_degrees(seeds, kernel, degrees, sizes, bases=None, cleared=frozenset()):
     """Walk the range ``degrees`` a pair (n, m) of neighbours at a time,
     yielding (max(n, m), matrix): a column of kernel(g) per generator g of
@@ -123,7 +115,8 @@ def _closed_degrees(seeds, kernel, degrees, sizes, bases=None, cleared=frozenset
     for n, m in zip(degrees, degrees[1:]):
         # the last matrix's triple goes before this one's columns are taken
         indptr, indices, data = array("q", [0]), array("i"), []
-        row_index = _Numbering(zip(seeds(m), count()))
+        positions = count()  # a key first named past the seeds takes the next
+        row_index = defaultdict(positions.__next__, zip(seeds(m), positions))
         row = row_index.__getitem__
         for j, g in enumerate(gens):
             if j not in cleared:
@@ -151,7 +144,7 @@ def _coclosed_degrees(seeds, codiff_fn, top, sizes, cleared):
     generator of basis top and a column per generator their coboundaries
     name, so seeds(top + 1) is never called."""
     gens = yield from _closed_degrees(seeds, codiff_fn, range(top + 1), sizes, cleared=cleared)
-    index, cols, rows, data, j = _Numbering(), array("i"), array("i"), [], 0
+    index, cols, rows, data, j = defaultdict(count().__next__), array("i"), array("i"), [], 0
     col = index.__getitem__
     for i, g in enumerate(gens):
         if i not in cleared:

@@ -31,8 +31,8 @@ as JSON.  Meanwhile the calling process checks cohoch and
 hochschild-of-cobar (d.d, phi, the contraction, universal coefficients).
 The child moves itself off the caller's CPU, since a scheduler that does
 not balance load leaves a forked child where its parent runs.  Elsewhere,
-or when the child exits non-zero or writes nothing, the caller runs it all:
-the sweep, then every complex in turn.  The report is the same either way.
+or when the child exits non-zero or writes nothing, the caller runs the
+child's part itself, after its own.  The report is the same either way.
 A run's CPU time counts both processes.  Each holds one slice at a time as
 before, but together they hold more: the pages that either one writes after
 the fork are copied, so the summed Pss of a collapsed-delta3 run through
@@ -335,7 +335,7 @@ _PHI_READS = ("cohoch", "hochschild-of-cobar")
 
 
 def _forks():
-    """Whether run_verify hands part of its work to a forked child: where
+    """Whether _beside_child hands its first part to a forked child: where
     the platform forks, this process may run on two CPUs or more, and no
     other thread runs (a lock that one held would stay held in the child)."""
     return (
@@ -357,22 +357,26 @@ def _this_cpu():
 
 
 def _beside_child(theirs, ours):
-    """Run theirs() in a forked child while ours() runs here.
+    """Run theirs() in a forked child while ours() runs here, and return
+    ours()'s result and theirs()'s, the latter passed back through a pipe
+    as JSON.
 
-    Returns ours()'s result and theirs()'s, passed back through a pipe as
-    JSON; in place of the latter None when no child could be forked, or it
-    exited non-zero or wrote nothing.  The child prints nothing, flushes no
-    buffer it inherited and leaves by os._exit.  It is reaped before this
-    returns or raises, and killed first when ours() raises.
+    This process runs theirs() itself, after ours(), where _forks() is
+    false, no child could be forked, or the child exited non-zero or wrote
+    nothing.  The child prints nothing, flushes no buffer it inherited and
+    leaves by os._exit.  It is reaped before this returns or raises, and
+    killed first when ours() raises.
     """
+    if not _forks():
+        return ours(), theirs()
     elsewhere = os.sched_getaffinity(0) - {_this_cpu()}
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to be had: ours() alone runs
+    except OSError:  # no process to be had
         os.close(read_fd)
         os.close(write_fd)
-        return ours(), None
+        return ours(), theirs()
     if pid == 0:
         code = 1
         try:
@@ -400,7 +404,7 @@ def _beside_child(theirs, ours):
         _, status = os.waitpid(pid, 0)
     if data and os.waitstatus_to_exitcode(status) == 0:
         return mine, json.loads(data)
-    return mine, None
+    return mine, theirs()
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +438,13 @@ def run_verify(space, max_degree, max_word_length=None):
         return VerifyReport(X.name, max_degree, max_word_length, results)
     complexes = supported_complexes(X)
     window = (max_degree, max_word_length)
-    theirs, ours, shared = complexes, [], None
-    if _forks():
-        theirs = [name for name in complexes if name not in _PHI_READS]
-        mine = [name for name in complexes if name in _PHI_READS]
-        ours, shared = _beside_child(
-            partial(_sweep_and_check, X, theirs, *window),
-            partial(_check_complexes, X, mine, *window),
-        )
-    # the child's part runs here when no child ran it
-    detail, mismatches, rest = shared or _sweep_and_check(X, theirs, *window)
-    if shared and not _SWEPT:  # the child's sweep counts as run here
+    theirs = [name for name in complexes if name not in _PHI_READS]
+    mine = [name for name in complexes if name in _PHI_READS]
+    ours, (detail, mismatches, rest) = _beside_child(
+        partial(_sweep_and_check, X, theirs, *window),
+        partial(_check_complexes, X, mine, *window),
+    )
+    if not _SWEPT:  # a child's sweep counts as run here
         _SWEPT.append((DEFAULT_CHI_VARIANT, detail, mismatches))
     checks = {r[0]: CheckResult(*r) for r in ours + rest}
     sweep_status = "fail" if mismatches[DEFAULT_CHI_VARIANT] else "pass"

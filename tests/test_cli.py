@@ -339,9 +339,21 @@ def test_main_reads_an_option_glued_to_its_value_and_the_last_repeat(capsys):
     assert capsys.readouterr().out == expected
 
 
+def _console_script():
+    """The installed loophomology script's code, as the wrapper that pip
+    generates for the [project.scripts] target runs it."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    targets = dict(line.split(" = ") for line in scripts.splitlines() if line)
+    module, _, function = targets["loophomology"].strip('"').partition(":")
+    return f"import sys; from {module} import {function}; sys.exit({function}())"
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered):
-    # ~124 KB of faces, far more than a pipe holds once its reader has left
+def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered, entry):
+    # ~124 KB of faces, far more than a pipe holds once its reader has left;
+    # through python -m loophomology.cli and through the console script
     import os
     import subprocess
     import sys
@@ -349,8 +361,8 @@ def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    argv = [sys.executable, "-m", "loophomology.cli", "freehedron", "--n", "7",
-            "--mode", "faces"]
+    start = ["-m", "loophomology.cli"] if entry == "module" else ["-c", _console_script()]
+    argv = [sys.executable, *start, "freehedron", "--n", "7", "--mode", "faces"]
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              env=env)
     child.stdout.close()  # before the child has started to write
