@@ -39,7 +39,7 @@ def complex_recipe(X, complex_name, max_word_length=None):
     1-reduced, are built over Z(X), the others over X.  What a complex
     needs of its space (a 1-reduced X, or a word-length cap over Z(X) of a
     space that is not 1-reduced, where the complex is then truncated at
-    it) its model decides: the recipe, or its seeds, refuse the rest.
+    it) its model's recipe decides, and refuses the rest before it returns.
     """
     if complex_name not in COMPLEX_NAMES:
         raise SimplicialError(

@@ -54,6 +54,18 @@ def format_loop_generator(gen):
 # Bases
 
 
+def _require_finite(space, max_word_length):
+    """Refuse a window whose bases would be infinite: a plain space must be
+    1-reduced, and Z(X) of a space that is not needs a word-length cap."""
+    X = space.underlying
+    if not isinstance(space, OpExtension):
+        X.require_one_reduced("the plain free-loop complex")
+    elif max_word_length is None and not X.is_one_reduced():
+        raise SimplicialError(
+            f"{X.name}: word-length cap required (degree components are infinite)"
+        )
+
+
 def cohoch_basis(space, degree, max_word_length=None):
     """Loop generators of one degree, by simplex id whatever its
     dimension, then by word length, then letter by letter; a slice's basis
@@ -64,13 +76,8 @@ def cohoch_basis(space, degree, max_word_length=None):
     are not 1-reduced, where degree components are infinite).  The face
     table of Z(X) covers the simplices of X too, since Z(X) only adds edges.
     """
+    _require_finite(space, max_word_length)
     X, table = space.underlying, space.table
-    if not isinstance(space, OpExtension):
-        X.require_one_reduced("the plain free-loop complex")
-    elif max_word_length is None and not X.is_one_reduced():
-        raise SimplicialError(
-            f"{X.name}: word-length cap required (degree components are infinite)"
-        )
     cap = max_word_length if max_word_length is not None else max(degree, 1)
     # x by id over every dimension up to the degree, then each word list
     # in (len, w) order, enumerated once per (ends, degree)
@@ -280,14 +287,14 @@ def cohoch_recipe(space, max_word_length=None):
     matrices always present an honest subcomplex.  The builder loop runs
     an exact window's homology pass bottom-up, through the coboundary
     kernel, and every other build top-down; in both, a matrix's rows are
-    the next degree's seeds in enumeration order.
+    the next degree's seeds in enumeration order.  A window whose bases
+    would be infinite is refused here, as cohoch_basis refuses it.
     """
-    truncated_at = None
+    _require_finite(space, max_word_length)
     exact = space.is_one_reduced()
     if exact:
         max_word_length = None  # exact bases; cap independence holds
-    elif isinstance(space, OpExtension):
-        truncated_at = max_word_length
+    truncated_at = max_word_length
 
     def seeds(n):
         return cohoch_basis(space, n, max_word_length=max_word_length)

@@ -24,19 +24,20 @@ results are then printed in the order above.
 
 Once the simplicial identities pass, the rest runs in two processes where
 the platform can fork, the process may run on two CPUs or more and no other
-thread runs.  A forked child runs the chi sweep and checks the complexes
-that phi does not read (chains, cobar, hat-cobar, hat-cohoch: d.d, the face
-check, universal coefficients), and sends its results back through a pipe
-as JSON.  Meanwhile the calling process checks cohoch and
-hochschild-of-cobar (d.d, phi, the contraction, universal coefficients).
-The child moves itself off the caller's CPU, since a scheduler that does
-not balance load leaves a forked child where its parent runs.  Elsewhere,
-or when the child exits non-zero or writes nothing, the caller runs the
-child's part itself, after its own.  The report is the same either way.
-A run's CPU time counts both processes.  Each holds one slice at a time as
-before, but together they hold more: the pages that either one writes after
-the fork are copied, so the summed Pss of a collapsed-delta3 run through
-degree 5 peaks ~4.6 MB above the one process's.
+thread runs.  A forked child checks the complexes that phi reads (cohoch
+and hochschild-of-cobar: d.d, phi, the contraction, universal
+coefficients), and sends its results back through a pipe as JSON.
+Meanwhile the calling process runs the chi sweep and checks every other
+complex (chains, cobar, hat-cobar, hat-cohoch: d.d, the face check,
+universal coefficients), so the sweep's result stays in the process that
+lives on.  The child moves itself off the caller's CPU, since a scheduler
+that does not balance load leaves a forked child where its parent runs.
+Elsewhere, or when the child exits non-zero or writes nothing, the caller
+runs the child's part itself, after its own.  The report is the same
+either way.  A run's CPU time counts both processes.  Each holds one slice
+at a time as before, but together they hold more: the pages that either
+one writes after the fork are copied, so the summed Pss of a
+collapsed-delta3 run through degree 5 peaks ~4 MB above the one process's.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import os
 import random
 import threading
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 
 from . import cobar as cobar_mod
 from . import comparison
@@ -66,11 +67,7 @@ from .simplicial import builtin_space, validate
 _SWEEP_DEGREE = 5  # the sweep's fixture is built through this degree
 
 
-# the sweep's result, once this process has run it or a forked child has
-# sent it back
-_SWEPT = []
-
-
+@cache
 def select_chi_variant():
     """Check phi's chi exponent reading by demanding that phi be a chain map.
 
@@ -81,11 +78,8 @@ def select_chi_variant():
     comparison.DEFAULT_CHI_VARIANT, the sweep's report line, and {reading:
     number of failing generators}.  The fixture's two slices are built as
     run_verify builds the input's, and one walk checks every reading on
-    them.  It runs once per process: a run_verify whose forked child ran it
-    keeps the child's result here, and a child forked later inherits it.
+    them.  It runs once per process, and a child forked later inherits it.
     """
-    if _SWEPT:
-        return _SWEPT[0]
     fixture = builtin_space("collapsed-delta3")
     bad = comparison.phi_slice_mismatches(
         fixture,
@@ -98,8 +92,7 @@ def select_chi_variant():
         f"sweep on {fixture.name} through degree {_SWEEP_DEGREE}: "
         + ", ".join(f"{v}: {mismatches[v]} mismatches" for v in CHI_VARIANTS)
     )
-    _SWEPT.append((DEFAULT_CHI_VARIANT, detail, mismatches))
-    return _SWEPT[0]
+    return DEFAULT_CHI_VARIANT, detail, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +314,18 @@ def _check_complexes(X, names, max_degree, max_word_length):
 
 
 def _sweep_and_check(X, names, max_degree, max_word_length):
-    """The chi sweep's detail and mismatches, then _check_complexes."""
+    """The chi sweep's result, then _check_complexes."""
     _, detail, mismatches = select_chi_variant()
-    return detail, mismatches, _check_complexes(X, names, max_degree, max_word_length)
+    status = "fail" if mismatches[DEFAULT_CHI_VARIANT] else "pass"
+    sweep = CheckResult("chi-exponent-sweep", status, detail)
+    return [sweep] + _check_complexes(X, names, max_degree, max_word_length)
 
 
 # ---------------------------------------------------------------------------
 # Two processes
 
 
-# what phi and the contraction read; a forked child takes every other complex
+# what phi and the contraction read, which a forked child checks
 _PHI_READS = ("cohoch", "hochschild-of-cobar")
 
 
@@ -438,17 +433,13 @@ def run_verify(space, max_degree, max_word_length=None):
         return VerifyReport(X.name, max_degree, max_word_length, results)
     complexes = supported_complexes(X)
     window = (max_degree, max_word_length)
-    theirs = [name for name in complexes if name not in _PHI_READS]
-    mine = [name for name in complexes if name in _PHI_READS]
-    ours, (detail, mismatches, rest) = _beside_child(
-        partial(_sweep_and_check, X, theirs, *window),
-        partial(_check_complexes, X, mine, *window),
+    theirs = [name for name in complexes if name in _PHI_READS]
+    mine = [name for name in complexes if name not in _PHI_READS]
+    ours, rest = _beside_child(
+        partial(_check_complexes, X, theirs, *window),
+        partial(_sweep_and_check, X, mine, *window),
     )
-    if not _SWEPT:  # a child's sweep counts as run here
-        _SWEPT.append((DEFAULT_CHI_VARIANT, detail, mismatches))
     checks = {r[0]: CheckResult(*r) for r in ours + rest}
-    sweep_status = "fail" if mismatches[DEFAULT_CHI_VARIANT] else "pass"
-    checks["chi-exponent-sweep"] = CheckResult("chi-exponent-sweep", sweep_status, detail)
     order = [f"d-squared:{name}" for name in complexes]
     order += ["face-vs-formula-differential", "chi-exponent-sweep"]
     order += ["phi-chain-map", "contraction-nilpotency"]

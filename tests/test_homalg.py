@@ -32,7 +32,7 @@ from loophomology.homalg import (
 from loophomology.linalg import SparseIntMatrix, _unit_pivots, rank_mod_p, smith_normal_form
 from loophomology.rings import Chain, Ring, ZZ, parse_ring, prime_field
 from loophomology import cobar, complexes, homalg, linalg, loopcomplex, rings
-from loophomology.presentation import adjoin_inverses, boundary
+from loophomology.presentation import SimplicialError, adjoin_inverses, boundary
 from loophomology.simplicial import BUILTIN_NAMES, builtin_space, chains_slice, validate
 from loophomology.loopcomplex import cohoch_slice, hochschild_slice
 from loophomology.complexes import complex_recipe
@@ -86,6 +86,25 @@ def test_chain_normalizes_summed_terms_once():
     assert pairs.items() == [("b", 3)]
     assert Chain(prime_field(3), [("a", 2), ("a", 1)]).is_zero
     assert Chain(ZZ).is_zero and Chain(ZZ, {}).is_zero
+
+
+def test_chain_repr_lists_its_terms_in_key_order():
+    assert repr(Chain(ZZ)) == "0"
+    assert repr(Chain(ZZ, {"b": 1, "a": -3})) == "- 3*a + b"
+    assert repr(Chain(ZZ, {"a": 1, "b": -1})) == "a - b"
+    assert repr(Chain(ZZ, {"a": 2})) == "2*a"
+
+
+def test_rings_hash_as_they_compare():
+    assert {parse_ring("F3"), prime_field(3), ZZ, parse_ring("Z")} == {prime_field(3), ZZ}
+    assert hash(parse_ring("Q")) == hash(Ring("Q"))
+    assert len({ZZ, parse_ring("Q"), prime_field(2), prime_field(3)}) == 4
+
+
+def test_matrix_entries_view_its_triple():
+    m = SparseIntMatrix.from_columns(3, [{2: 5, 0: -1}, {}, {1: 7}])
+    assert m.entries == {(2, 0): 5, (0, 0): -1, (1, 2): 7}
+    assert SparseIntMatrix.from_columns(2, [{}, {}]).entries == {}
 
 
 def test_smith_examples():
@@ -932,6 +951,25 @@ def test_homology_pass_matches_the_slice_on_the_golden_sweep(
     space, complex_name, max_degree, cap, rings
 ):
     _assert_pass_matches_the_slice(builtin_space(space), complex_name, max_degree, cap, rings)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("space", BUILTIN_NAMES)
+def test_a_recipe_refuses_what_its_slice_refuses(space, cap):
+    # before it returns, so a recipe that returns names its truncation: a
+    # word complex is exact (truncated_at None) only on a 1-reduced space
+    X = builtin_space(space)
+    for complex_name in complexes.COMPLEX_NAMES:
+        try:
+            build_complex_slice(X, complex_name, 2, cap)
+        except SimplicialError as exc:
+            with pytest.raises(SimplicialError) as err:
+                complex_recipe(X, complex_name, cap)
+            assert str(err.value) == str(exc)
+            continue
+        truncated_at = complex_recipe(X, complex_name, cap)[2]
+        exact = complex_name == "chains" or X.is_one_reduced()
+        assert truncated_at == (None if exact else cap), complex_name
 
 
 @pytest.mark.parametrize(

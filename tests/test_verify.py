@@ -70,7 +70,7 @@ def _forking(monkeypatch, forks):
 def _child_state(monkeypatch, tmp_path, state):
     """Take the two-process path, and have the forked child write state()
     to a file as JSON once its part has run; returns the file's reader."""
-    parent, real = os.getpid(), verify_mod._sweep_and_check
+    parent, real = os.getpid(), verify_mod._check_complexes
     path = tmp_path / "child.json"
 
     def share(*args):
@@ -79,16 +79,18 @@ def _child_state(monkeypatch, tmp_path, state):
             path.write_text(json.dumps(state()), encoding="utf-8")
         return out
 
-    monkeypatch.setattr(verify_mod, "_sweep_and_check", share)
+    monkeypatch.setattr(verify_mod, "_check_complexes", share)
     _forking(monkeypatch, True)
     return lambda: json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture
-def fresh_sweep(monkeypatch):
-    """verify's select_chi_variant with a store of its own: the sweep runs
-    again under the test's patches, and the process keeps its result."""
-    monkeypatch.setattr(verify_mod, "_SWEPT", [])
+def fresh_sweep():
+    """verify's select_chi_variant with an empty cache: the sweep runs again
+    under the test's patches, and its result is dropped after the test."""
+    select_chi_variant.cache_clear()
+    yield
+    select_chi_variant.cache_clear()
 
 
 def test_chi_selection_is_cached_and_stable():
@@ -126,11 +128,14 @@ def test_the_sweep_checks_the_library_reading_and_selects_none(
     assert "  PASS  phi-chain-map  [variant rotation]" in lines
 
 
-def test_the_caller_keeps_the_sweep_its_child_ran(monkeypatch, tmp_path, fresh_sweep):
-    # so the next run_verify in this process, and its child, sweep no more
+def test_a_second_run_verify_in_one_process_sweeps_in_neither_process(
+    monkeypatch, tmp_path, fresh_sweep
+):
+    # the caller sweeps and keeps the result, and a child forked later
+    # inherits it
     _forking(monkeypatch, True)
     report = run_verify("point", 1)
-    (kept,) = verify_mod._SWEPT
+    kept = select_chi_variant()
     built = []
     real_build = verify_mod.build_complex_slice
 
@@ -145,8 +150,8 @@ def test_the_caller_keeps_the_sweep_its_child_ran(monkeypatch, tmp_path, fresh_s
     assert run_verify("point", 1) == report
     assert select_chi_variant() is kept
     assert set(built) == set(child()) == {"point"}  # no fixture built
-    monkeypatch.setattr(verify_mod, "_SWEPT", [])
-    assert select_chi_variant() == kept  # the sweep run here reads the same
+    select_chi_variant.cache_clear()
+    assert select_chi_variant() == kept  # the sweep run again reads the same
 
 
 def _broken_presentation():
@@ -227,16 +232,16 @@ def test_verify_takes_each_hochschild_differential_once(monkeypatch, fresh_sweep
 def test_each_process_takes_its_hochschild_differentials_once(
     monkeypatch, tmp_path, fresh_sweep
 ):
-    # the parent builds the input's hochschild-of-cobar, the child runs the
-    # sweep on its fixture
+    # the parent runs the sweep on its fixture, the child builds the input's
+    # hochschild-of-cobar
     own = _hochschild_generators("sphere2", 4)
     fixture = _hochschild_generators("collapsed-delta3", 5)
     calls = _count_hochschild_calls(monkeypatch)
     child = _child_state(monkeypatch, tmp_path, lambda: [[repr(k), n] for k, n in calls.items()])
     report = run_verify("sphere2", 4)
     assert report.all_passed
-    assert calls == own
-    assert dict(child()) == {repr(key): n for key, n in fixture.items()}
+    assert calls == fixture
+    assert dict(child()) == {repr(key): n for key, n in own.items()}
 
 
 def test_chi_sweep_keeps_only_its_result(monkeypatch, fresh_sweep):
@@ -296,30 +301,30 @@ def _watch_slices(monkeypatch):
 
 @pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
 def test_verify_holds_one_slice_at_a_time(monkeypatch, space):
-    # in one process, the complexes phi reads are built first, and then the
-    # child's part, every other complex
+    # in one process, the complexes phi does not read are built first, and
+    # then the child's part, the complexes phi reads
     _forking(monkeypatch, False)
     built, breaches, alive = _watch_slices(monkeypatch)
     report = run_verify(space, 4)
     assert report.all_passed
     complexes = supported_complexes(builtin_space(space))
     phi_reads = [name for name in complexes if name in verify_mod._PHI_READS]
-    assert list(built) == phi_reads + [name for name in complexes if name not in phi_reads]
+    assert list(built) == [name for name in complexes if name not in phi_reads] + phi_reads
     assert breaches == [] and not alive()
 
 
 @pytest.mark.parametrize("space", ["sphere2", "collapsed-delta3"])
 def test_each_process_holds_one_slice_at_a_time(monkeypatch, tmp_path, space):
-    # in two, the parent builds cohoch and hochschild-of-cobar and the child
+    # in two, the child builds cohoch and hochschild-of-cobar and the parent
     # every other complex; the child's record comes back in a file
     built, breaches, alive = _watch_slices(monkeypatch)
     child = _child_state(monkeypatch, tmp_path, lambda: [list(built), breaches, sorted(alive())])
     report = run_verify(space, 4)
     assert report.all_passed
     complexes = supported_complexes(builtin_space(space))
-    assert list(built) == [name for name in complexes if name in verify_mod._PHI_READS]
+    assert list(built) == [name for name in complexes if name not in verify_mod._PHI_READS]
     assert breaches == [] and not alive()
-    assert child() == [[name for name in complexes if name not in verify_mod._PHI_READS], [], []]
+    assert child() == [[name for name in complexes if name in verify_mod._PHI_READS], [], []]
 
 
 def test_face_check_fails_when_a_face_term_is_dropped(monkeypatch):
@@ -404,7 +409,7 @@ def test_sweep_fails_when_no_reading_is_clean(monkeypatch, fresh_sweep, capsys):
     assert capsys.readouterr().out == report.to_text()
 
 
-def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch):
+def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch, tmp_path):
     select_chi_variant()  # the sweep runs with the real differential
     real = loop_mod._hochschild_kernel
     flipped = []
@@ -429,9 +434,11 @@ def test_verify_fails_when_a_hochschild_wrap_sign_is_flipped(monkeypatch):
         return terms
 
     monkeypatch.setattr(loop_mod, "_hochschild_kernel", flipping)
+    # the child builds hochschild-of-cobar, so it counts the flips
+    child = _child_state(monkeypatch, tmp_path, lambda: len(flipped))
     report = run_verify("sphere2", 4)
     failed = {r.name for r in report.results if r.status == "fail"}
-    assert flipped
+    assert child() > 0
     assert failed & {"d-squared:hochschild-of-cobar", "phi-chain-map"}
     assert not report.all_passed
     assert "result: FAILED" in report.to_text()
@@ -519,7 +526,7 @@ def test_the_golden_reports_are_the_same_in_one_process_and_two(monkeypatch, arg
 @pytest.mark.parametrize("output", ["table", "json"])
 def test_a_failing_report_is_the_same_in_one_process_and_two(monkeypatch, output):
     # S2 x S2 at degree 4 fails d-squared on both hat complexes, which the
-    # child checks, and passes phi, which the parent checks
+    # parent checks, and passes phi, which the child checks
     S2 = builtin_space("sphere2")
     monkeypatch.setattr(cli, "load_space", lambda name: product(S2, S2))
     argv = ["verify", "--space", "S2xS2", "--max-degree", "4", "--format", output]
@@ -536,7 +543,7 @@ def test_a_failed_child_leaves_the_one_process_report(monkeypatch, capfd, failur
     # the child's part then runs in the parent; the child prints nothing
     _forking(monkeypatch, False)
     expected = run_verify("sphere2", 3, 2)
-    parent, real = os.getpid(), verify_mod._sweep_and_check
+    parent, real = os.getpid(), verify_mod._check_complexes
     real_exit = os._exit
     ran = []
 
@@ -551,10 +558,11 @@ def test_a_failed_child_leaves_the_one_process_report(monkeypatch, capfd, failur
 
     if failure == "exit 3 once written":
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
-    monkeypatch.setattr(verify_mod, "_sweep_and_check", failing)
+    monkeypatch.setattr(verify_mod, "_check_complexes", failing)
     _forking(monkeypatch, True)
     report = run_verify("sphere2", 3, 2)
-    assert ran == [["chains", "cobar", "hat-cobar", "hat-cohoch"]]
+    # the parent's own part, then the child's
+    assert ran == [["chains", "cobar", "hat-cobar", "hat-cohoch"], ["cohoch", "hochschild-of-cobar"]]
     assert report.to_text() == expected.to_text()
     assert report.to_json() == expected.to_json()
     assert capfd.readouterr() == ("", "")
