@@ -142,8 +142,8 @@ def _write(text, code):
 
 
 def main(argv=None):
-    """Run one command line and return its exit code; the console script
-    and python -m loophomology.cli both end here."""
+    """Run one command line and return its exit code, in-process; run()
+    is the same command line as a process."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if "-h" in argv or "--help" in argv:
         return _write(_USAGE, EXIT_OK)
@@ -187,5 +187,15 @@ def main(argv=None):
         return EXIT_INPUT
 
 
+def run():
+    """The command line as a process: the console script and python -m
+    loophomology.cli.  Once its output is flushed the process ends at once,
+    without tearing the interpreter down, since nothing reads what that
+    would free: no atexit hook runs, and no warning is raised at teardown."""
+    code = main()
+    sys.stderr.flush()  # _write has flushed stdout, or sent it to devnull
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -349,7 +349,11 @@ def _console_script():
     return f"import sys; from {module} import {function}; sys.exit({function}())"
 
 
-@pytest.mark.parametrize("entry", ["module", "script"])
+ENTRIES = pytest.mark.parametrize("entry", ["module", "script"])
+FACES = ["freehedron", "--n", "7", "--mode", "faces"]
+
+
+@ENTRIES
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered, entry):
     # ~124 KB of faces, far more than a pipe holds once its reader has left;
@@ -362,7 +366,7 @@ def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered, entr
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     start = ["-m", "loophomology.cli"] if entry == "module" else ["-c", _console_script()]
-    argv = [sys.executable, *start, "freehedron", "--n", "7", "--mode", "faces"]
+    argv = [sys.executable, *start, *FACES]
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              env=env)
     child.stdout.close()  # before the child has started to write
@@ -371,6 +375,71 @@ def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback(unbuffered, entr
     assert child.wait() == EXIT_INPUT
     lines = err.splitlines()
     assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), err
+
+
+def _process(entry, argv, before=None):
+    """Run argv as a process through one entry point: python -m
+    loophomology.cli, or the console script's code.  Given before, a python
+    -c child runs that code first, and runpy stands in for -m.  Its stdout
+    is buffered, so output that is not flushed before the end is lost."""
+    import os
+    import subprocess
+    import sys
+
+    if entry == "script":
+        start = ["-c", "\n".join(filter(None, [before, _console_script()]))]
+    elif before is None:
+        start = ["-m", "loophomology.cli"]
+    else:
+        module = ("import runpy; runpy.run_module('loophomology.cli', "
+                  "run_name='__main__', alter_sys=True)")
+        start = ["-c", f"{before}\n{module}"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *start, *argv], capture_output=True, env=env)
+
+
+@ENTRIES
+def test_a_process_writes_its_whole_output_before_it_ends(capsys, entry):
+    # the process ends without teardown, so the ~124 KB listing, many pipe
+    # buffers' worth, must all have left before it does
+    assert main(FACES) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 100_000
+    done = _process(entry, FACES)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert done.stdout == expected
+
+
+@ENTRIES
+def test_a_refusal_as_a_process_exits_1_with_one_error_line(entry):
+    done = _process(entry, ["homology", "--space", "nosuch", "--max-degree", "2"])
+    assert (done.returncode, done.stdout) == (EXIT_INPUT, b"")
+    err = done.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@ENTRIES
+def test_a_failed_check_as_a_process_exits_2(entry):
+    plant = "import loophomology.verify as v; v.validate = lambda X: ['planted violation']"
+    done = _process(entry, ["verify", "--space", "point", "--max-degree", "1"], plant)
+    assert (done.returncode, done.stderr) == (EXIT_VERIFY, b"")
+    assert b"FAIL  simplicial-identities  [planted violation]" in done.stdout
+
+
+@ENTRIES
+def test_a_process_ends_without_running_its_atexit_hooks(entry):
+    # skipped on purpose: the process ends once its output is flushed, and
+    # tears nothing down.  In-process, main returns, and the hook runs
+    import subprocess
+    import sys
+
+    hook = "import atexit, os; atexit.register(os.write, 2, b'atexit ran\\n')"
+    in_process = f"{hook}\nfrom loophomology.cli import main; main(['freehedron', '--n', '2'])"
+    ran = subprocess.run([sys.executable, "-c", in_process], capture_output=True)
+    assert (ran.returncode, ran.stderr) == (EXIT_OK, b"atexit ran\n")
+    done = _process(entry, ["freehedron", "--n", "2"], hook)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert done.stdout == ran.stdout
 
 
 def test_main_verify_flag_alias(capsys):
